@@ -22,17 +22,9 @@ from repro.cluster.procs import (
     CoordinatorServer,
     ProcCluster,
     ProcessSupervisor,
-    ReconnectingShardHandle,
-    RemoteCoordinatorHandle,
     build_proc_cluster,
 )
-from repro.cluster.remote import (
-    FrameServer,
-    LocalShardHandle,
-    RemoteOpClient,
-    RemoteShardHandle,
-    ShardServer,
-)
+from repro.cluster.remote import FrameServer, OpClient, ShardServer
 from repro.cluster.shard import (
     BrokerShard,
     ClusterJournalState,
@@ -61,16 +53,12 @@ __all__ = [
     "CoordinatorRecovery",
     "CoordinatorServer",
     "FrameServer",
-    "LocalShardHandle",
+    "OpClient",
     "PartitionMap",
     "PodCluster",
     "PodDomainSpec",
     "ProcCluster",
     "ProcessSupervisor",
-    "ReconnectingShardHandle",
-    "RemoteCoordinatorHandle",
-    "RemoteOpClient",
-    "RemoteShardHandle",
     "ShardRecovery",
     "ShardServer",
     "build_pod_cluster",

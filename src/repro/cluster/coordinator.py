@@ -102,8 +102,9 @@ class ClusterCoordinator:
     """Admission front-end for a sharded domain.
 
     :param partition: the routing map; its stamp fences every frame.
-    :param handles: shard name -> handle (:class:`~repro.cluster.
-        remote.LocalShardHandle` or ``RemoteShardHandle``) exposing
+    :param handles: shard name -> handle (the :class:`~repro.cluster.
+        shard.BrokerShard` itself, or an :class:`~repro.cluster.remote.
+        OpClient` to one served elsewhere) exposing
         ``admit/teardown/prepare/commit/abort/release/reap``.
     :param atlas: a broker provisioned with the **full** domain
         topology and pinned paths but carrying no reservations — the

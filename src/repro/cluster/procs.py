@@ -9,11 +9,11 @@ process (spawn-safe entrypoint :func:`shard_process_main` wrapping a
 :class:`~repro.cluster.remote.ShardServer` over the TCP transport and
 binary wire codec), fronts them with the ordinary
 :class:`~repro.cluster.coordinator.ClusterCoordinator` talking
-reconnecting pooled TCP handles, and optionally forks the edge
-gateway into N worker processes sharing one ``SO_REUSEPORT`` listen
-socket, each holding its own session set and forwarding admissions to
-the coordinator over the wire (:class:`CoordinatorServer` /
-:class:`RemoteCoordinatorHandle`).
+pooled :class:`~repro.cluster.remote.OpClient` connections, and
+optionally forks the edge gateway into N worker processes sharing one
+``SO_REUSEPORT`` listen socket, each holding its own session set and
+forwarding admissions to the coordinator over the wire
+(:class:`CoordinatorServer`, spoken to through the same client).
 
 Supervision is explicit: a :class:`ProcessSupervisor` spawns the
 children, watches liveness (``is_alive`` plus transport keepalive
@@ -23,8 +23,8 @@ stops accepting, finishes in-flight dispatch, flushes its reply
 outbox, and fsyncs its WAL before exiting.  Crash recovery composes
 with the existing machinery end to end: a restarted shard process
 recovers from its journal (:func:`~repro.cluster.shard.
-recover_shard`), the parent's :class:`ReconnectingShardHandle`
-redials it, reaps, and re-drives the decisions it missed
+recover_shard`), the parent's op client redials it, reaps, and
+re-drives the decisions it missed
 (:meth:`~repro.cluster.coordinator.ClusterCoordinator.
 reconcile_shard`) — so a kill -9 mid-2PC nets to the same state the
 single-broker oracle reaches.
@@ -61,9 +61,11 @@ from repro.units import bytes_, mbps
 
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.remote import (
+    _OPS,
+    FRAME,
     FrameServer,
-    LocalShardHandle,
-    RemoteOpClient,
+    OpClient,
+    OpTable,
     ShardServer,
 )
 from repro.cluster.shard import (
@@ -83,9 +85,7 @@ __all__ = [
     "GatewayWorkerSpec",
     "shard_process_main",
     "gateway_worker_main",
-    "ReconnectingShardHandle",
     "CoordinatorServer",
-    "RemoteCoordinatorHandle",
     "ClusterServiceClient",
     "ProcessSupervisor",
     "ProcCluster",
@@ -191,7 +191,7 @@ class ShardProcSpec:
 class _CrashingHandle:
     """Fault-injection wrapper: apply the op, then die before acking."""
 
-    def __init__(self, inner: LocalShardHandle, op: str,
+    def __init__(self, inner: BrokerShard, op: str,
                  at: int) -> None:
         self._inner = inner
         self._op = op
@@ -263,10 +263,10 @@ def shard_process_main(spec: ShardProcSpec) -> None:
         )
     shard.start()
 
-    handle: Any = LocalShardHandle(shard)
-    if spec.crash_op:
-        handle = _CrashingHandle(handle, spec.crash_op, spec.crash_at)
-    server = ShardServer(shard, handle=handle)
+    server = ShardServer(
+        _CrashingHandle(shard, spec.crash_op, spec.crash_at)
+        if spec.crash_op else shard
+    )
     listener = TcpListener(spec.host, 0)
     server.serve_listener(listener)
     _write_endpoint(
@@ -294,196 +294,13 @@ def shard_process_main(spec: ShardProcSpec) -> None:
 
 
 # ----------------------------------------------------------------------
-# reconnecting pooled shard handle (parent side)
-# ----------------------------------------------------------------------
-
-
-class ReconnectingShardHandle:
-    """A pool of :class:`~repro.cluster.remote.RemoteShardHandle`
-    connections that survives shard-process restarts.
-
-    ``pool`` connections are dialed lazily and handed out one per
-    in-flight op (a single connection serializes: the op client holds
-    its lock for the whole round trip).  When an op fails with a
-    transport/signaling error the slot's connection is dropped and
-    redialed — re-reading the shard's endpoint file, because a
-    restarted process publishes a fresh ephemeral port — and the op is
-    retried once (safe: every shard op is idempotent by txid/flow id).
-
-    On the first successful *re*-dial after a loss, the handle runs
-    its ``on_reconnect`` hook: :func:`build_proc_cluster` wires it to
-    reap the shard and re-drive the coordinator's unresolved ops
-    (:meth:`~repro.cluster.coordinator.ClusterCoordinator.
-    reconcile_shard`) — the reap-on-reconnect path that un-strands
-    ``txn:`` holds without waiting out their lease.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        endpoint: Callable[[], Tuple[str, int]],
-        *,
-        pool: int = 1,
-        timeout: float = 5.0,
-        retries: int = 1,
-        codecs: Optional[tuple] = None,
-        dial_timeout: float = 10.0,
-        on_reconnect: Optional[Callable[[], None]] = None,
-    ) -> None:
-        self.name = name
-        self._endpoint = endpoint
-        self.timeout = timeout
-        self.retries = retries
-        self.codecs = codecs
-        self.dial_timeout = dial_timeout
-        self.on_reconnect = on_reconnect
-        self._slots: "queue.Queue" = queue.Queue()
-        for _ in range(max(1, pool)):
-            self._slots.put(None)
-        self._ever_connected = False
-        self._state_lock = threading.Lock()
-        self._local = threading.local()
-        self.reconnects = 0
-        #: High-water mark of every domain ``now`` sent through this
-        #: handle — what the reconnect reap/reconcile runs at.
-        self.high_water_now = 0.0
-
-    # -- dialing -------------------------------------------------------
-
-    def _dial(self):
-        from repro.cluster.remote import RemoteShardHandle
-
-        deadline = time.monotonic() + self.dial_timeout
-        delay = 0.05
-        while True:
-            try:
-                host, port = self._endpoint()[:2]
-                conn = connect_tcp(host, port, timeout=2.0)
-                return RemoteShardHandle(
-                    conn, timeout=self.timeout, retries=self.retries,
-                    codecs=self.codecs,
-                )
-            except (TransportClosed, SignalingError, OSError):
-                if time.monotonic() >= deadline:
-                    raise SignalingError(
-                        f"shard {self.name!r} unreachable: redial "
-                        f"window ({self.dial_timeout:g}s) exhausted"
-                    )
-                time.sleep(delay)
-                delay = min(delay * 2, 0.5)
-
-    def _fire_reconnect(self) -> None:
-        if self.on_reconnect is None:
-            return
-        if getattr(self._local, "in_hook", False):
-            return  # the hook's own ops must not recurse into it
-        self._local.in_hook = True
-        try:
-            self.on_reconnect()
-        except Exception:
-            pass  # never let reconciliation break the op path
-        finally:
-            self._local.in_hook = False
-
-    # -- op plumbing ---------------------------------------------------
-
-    def _call(self, op: str, frame: Dict[str, Any]) -> Dict[str, Any]:
-        now = frame.get("now")
-        if isinstance(now, (int, float)):
-            with self._state_lock:
-                if now > self.high_water_now:
-                    self.high_water_now = float(now)
-        last_exc: Optional[Exception] = None
-        for attempt in range(2):
-            slot = self._slots.get()
-            fresh = False
-            if slot is None:
-                try:
-                    slot = self._dial()
-                    fresh = True
-                except Exception:
-                    self._slots.put(None)
-                    raise
-            reconnected = False
-            if fresh:
-                with self._state_lock:
-                    reconnected = self._ever_connected
-                    self._ever_connected = True
-                if reconnected:
-                    self.reconnects += 1
-            try:
-                reply = slot._call(op, frame)
-            except (SignalingError, TransportClosed) as exc:
-                last_exc = exc
-                try:
-                    slot.close()
-                except Exception:
-                    pass
-                self._slots.put(None)
-                continue
-            self._slots.put(slot)
-            if reconnected:
-                # Fire after the slot is back in the pool: the hook's
-                # own ops flow through the pool normally (no deadlock
-                # at pool=1).
-                self._fire_reconnect()
-            return reply
-        assert last_exc is not None
-        raise last_exc
-
-    # -- the shard-op surface ------------------------------------------
-
-    def admit(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        return self._call("admit", frame)
-
-    def teardown(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        return self._call("teardown", frame)
-
-    def prepare(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        return self._call("prepare", frame)
-
-    def commit(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        return self._call("commit", frame)
-
-    def abort(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        return self._call("abort", frame)
-
-    def release(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        return self._call("release", frame)
-
-    def reap(self, now: float) -> Dict[str, Any]:
-        return self._call("reap", {"now": now})
-
-    def status(self) -> Dict[str, Any]:
-        return self._call("status", {})
-
-    def stats(self) -> Dict[str, Any]:
-        return self._call("stats", {})
-
-    def dump(self) -> Dict[str, Any]:
-        return self._call("dump", {})
-
-    def close(self) -> None:
-        drained: List[Any] = []
-        try:
-            while True:
-                drained.append(self._slots.get_nowait())
-        except queue.Empty:
-            pass
-        for slot in drained:
-            if slot is not None:
-                try:
-                    slot.close()
-                except Exception:
-                    pass
-            self._slots.put(None)
-
-
-# ----------------------------------------------------------------------
 # wire-level coordinator
 # ----------------------------------------------------------------------
 
-_COORDINATOR_OPS = ("admit", "teardown", "reap", "status", "stats")
+_COORDINATOR_OPS: OpTable = {
+    "admit": FRAME, "teardown": FRAME,
+    "reap": ("now",), "status": (), "stats": (),
+}
 
 
 def _decision_payload(decision) -> Dict[str, Any]:
@@ -559,25 +376,6 @@ class CoordinatorServer(FrameServer):
         self.coordinator = coordinator
 
 
-class RemoteCoordinatorHandle(RemoteOpClient):
-    """Client half used by gateway worker processes."""
-
-    def admit(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        return self._call("admit", frame)
-
-    def teardown(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        return self._call("teardown", frame)
-
-    def reap(self, now: float) -> Dict[str, Any]:
-        return self._call("reap", {"now": now})
-
-    def status(self) -> Dict[str, Any]:
-        return self._call("status", {})
-
-    def stats(self) -> Dict[str, Any]:
-        return self._call("stats", {})
-
-
 # ----------------------------------------------------------------------
 # gateway worker: BrokerService facade over the coordinator wire
 # ----------------------------------------------------------------------
@@ -593,32 +391,26 @@ class ClusterServiceClient:
     reaper's teardowns), ``journal_lease``, and the ``broker`` /
     ``shards`` / ``telemetry`` attributes.  This client implements
     that slice: submits run on a small worker pool, each op is one
-    seq-matched round trip to the :class:`CoordinatorServer` over a
-    pooled connection, and coordinator decisions map back to
-    :class:`ServiceReply`/:class:`AdmissionDecision` shapes the
-    gateway already speaks.  ``broker`` is a provisioned-but-empty
-    stand-in (macroflow hints and dry-runs degrade to "nothing
-    known"), and lease journaling is the parent's concern, so it is a
-    no-op here.
+    round trip to the :class:`CoordinatorServer` through
+    *coordinator* (an :class:`~repro.cluster.remote.OpClient`, which
+    owns the connections, resends and redials), and coordinator
+    decisions map back to :class:`ServiceReply`/
+    :class:`AdmissionDecision` shapes the gateway already speaks.
+    ``broker`` is a provisioned-but-empty stand-in (macroflow hints
+    and dry-runs degrade to "nothing known"), and lease journaling is
+    the parent's concern, so it is a no-op here.
     """
 
-    def __init__(
-        self,
-        dial: Callable[[], RemoteCoordinatorHandle],
-        *,
-        connections: int = 2,
-        workers: int = 4,
-        default_timeout: Optional[float] = None,
-    ) -> None:
+    #: Submit threads; more than the client's pool so a decoded request
+    #: is always waiting when a connection frees up.
+    _WORKERS = 4
+
+    def __init__(self, coordinator: OpClient) -> None:
         from repro.core.broker import BandwidthBroker
         from repro.service.shards import LinkShards
 
-        self._dial = dial
-        self._handles: "queue.Queue" = queue.Queue()
-        for _ in range(max(1, connections)):
-            self._handles.put(None)
+        self._coordinator = coordinator
         self._jobs: "queue.Queue" = queue.Queue()
-        self.default_timeout = default_timeout
         self.broker = BandwidthBroker()
         self.shards = LinkShards(1)
         self.telemetry = None
@@ -628,7 +420,7 @@ class ClusterServiceClient:
         self._threads = [
             threading.Thread(target=self._worker, daemon=True,
                              name=f"cluster-submit-{i}")
-            for i in range(max(1, workers))
+            for i in range(self._WORKERS)
         ]
         for thread in self._threads:
             thread.start()
@@ -640,8 +432,6 @@ class ClusterServiceClient:
 
         self.submitted += 1
         timeout = request.timeout
-        if timeout is None:
-            timeout = self.default_timeout
         enqueued = time.monotonic()
         pending = PendingReply(
             enqueued, None if timeout is None else enqueued + timeout,
@@ -712,12 +502,9 @@ class ClusterServiceClient:
                 detail=(f"op {request.op!r} is not supported in "
                         "cluster gateway-worker mode"),
             )
-        handle = self._handles.get()
         try:
-            if handle is None:
-                handle = self._dial()
             if request.op == "admit":
-                payload = handle.admit({
+                payload = self._coordinator.admit({
                     "flow_id": request.flow_id,
                     "spec": _spec_payload(request.spec),
                     "delay_requirement": request.delay_requirement,
@@ -728,23 +515,15 @@ class ClusterServiceClient:
                     "now": request.now,
                 })
             else:
-                payload = handle.teardown({
+                payload = self._coordinator.teardown({
                     "flow_id": request.flow_id, "now": request.now,
                 })
-        except (SignalingError, TransportClosed, OSError) as exc:
+        except SignalingError as exc:
             self.transport_errors += 1
-            if handle is not None:
-                try:
-                    handle.close()
-                except Exception:
-                    pass
-            handle = None
             return ServiceReply(
                 request, "error", None,
                 detail=f"coordinator unreachable: {exc}",
             )
-        finally:
-            self._handles.put(handle)
         return self._reply_from(
             request, payload, time.monotonic() - started,
         )
@@ -811,18 +590,7 @@ class ClusterServiceClient:
             self._jobs.put(None)
         for thread in self._threads:
             thread.join(timeout=2.0)
-        drained: List[Any] = []
-        try:
-            while True:
-                drained.append(self._handles.get_nowait())
-        except queue.Empty:
-            pass
-        for handle in drained:
-            if handle is not None:
-                try:
-                    handle.close()
-                except Exception:
-                    pass
+        self._coordinator.close()
 
 
 @dataclass(frozen=True)
@@ -838,9 +606,6 @@ class GatewayWorkerSpec:
     lease_duration: float = 30.0
     dedup_capacity: int = 4096
     reap_interval: float = 0.05
-    submit_workers: int = 4
-    connections: int = 2
-    client_timeout: float = 5.0
 
 
 def gateway_worker_main(spec: GatewayWorkerSpec) -> None:
@@ -860,16 +625,11 @@ def gateway_worker_main(spec: GatewayWorkerSpec) -> None:
     signal.signal(signal.SIGTERM, lambda *_: stop.set())
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
-    def dial() -> RemoteCoordinatorHandle:
-        conn = connect_tcp(
-            spec.coordinator_host, spec.coordinator_port, timeout=2.0,
-        )
-        return RemoteCoordinatorHandle(conn, timeout=spec.client_timeout)
-
-    client = ClusterServiceClient(
-        dial, connections=spec.connections,
-        workers=spec.submit_workers,
-    )
+    client = ClusterServiceClient(OpClient(
+        "coordinator", _COORDINATOR_OPS,
+        lambda: connect_tcp(
+            spec.coordinator_host, spec.coordinator_port, timeout=2.0),
+    ))
     gateway = EdgeGateway(
         client, name=spec.name, lease_duration=spec.lease_duration,
         dedup_capacity=spec.dedup_capacity,
@@ -1171,8 +931,7 @@ class ProcCluster:
     supervisor: ProcessSupervisor
     run_dir: str
     shard_specs: Dict[str, ShardProcSpec]
-    handles: Dict[str, ReconnectingShardHandle] = field(
-        default_factory=dict)
+    handles: Dict[str, OpClient] = field(default_factory=dict)
     coordinator: Optional[ClusterCoordinator] = None
     pod_paths: List[Any] = field(default_factory=list)
     spanning_paths: List[Any] = field(default_factory=list)
@@ -1184,8 +943,6 @@ class ProcCluster:
     _port_reservation: Optional[socket.socket] = None
     _coordinator_wal: Optional[FileJournal] = None
     start_timeout: float = 15.0
-    handle_pool: int = 2
-    handle_timeout: float = 5.0
 
     # -- lifecycle -----------------------------------------------------
 
@@ -1207,11 +964,10 @@ class ProcCluster:
             )
         for name in self.shard_specs:
             path = _endpoint_path(self.run_dir, name)
-            self.handles[name] = ReconnectingShardHandle(
-                name,
-                (lambda p=path: read_endpoint(p)[:2]),
-                pool=self.handle_pool,
-                timeout=self.handle_timeout,
+            self.handles[name] = OpClient(
+                name, _OPS,
+                (lambda p=path: connect_tcp(
+                    *read_endpoint(p)[:2], timeout=2.0)),
             )
         self.coordinator = ClusterCoordinator(
             self.partition, self.handles, self.atlas,
@@ -1361,11 +1117,8 @@ def build_proc_cluster(
     hold_duration: float = 30.0,
     map_version: int = 1,
     map_epoch: int = 0,
-    handle_pool: int = 2,
-    handle_timeout: float = 5.0,
     gateway_workers: int = 0,
     gateway_lease: float = 30.0,
-    gateway_submit_workers: int = 4,
     start_timeout: float = 15.0,
     max_restarts: int = 3,
     crash_ops: Optional[Dict[str, Tuple[str, int]]] = None,
@@ -1418,8 +1171,7 @@ def build_proc_cluster(
         shard_specs=shard_specs,
         pod_paths=list(domain.pod_paths),
         spanning_paths=list(domain.spanning_paths),
-        start_timeout=start_timeout, handle_pool=handle_pool,
-        handle_timeout=handle_timeout,
+        start_timeout=start_timeout,
     )
     cluster._coordinator_wal = coordinator_wal
 
@@ -1433,6 +1185,5 @@ def build_proc_cluster(
                 name=name, run_dir=run_dir, port=port,
                 coordinator_host="", coordinator_port=0,
                 lease_duration=gateway_lease,
-                submit_workers=gateway_submit_workers,
             )
     return cluster

@@ -1,34 +1,34 @@
-"""Shard handles: in-process and over the length-prefixed transport.
+"""The cluster's op RPC: one server loop and one client, one op table.
 
-The coordinator talks to shards through a uniform duck-typed handle —
-``admit/teardown/prepare/commit/abort/release/reap/status/stats/dump``
-each taking a JSON-compatible frame and returning one.  Two
-implementations:
+The coordinator talks to shards through a duck-typed op surface —
+``admit/teardown/prepare/commit/abort/release`` each taking a
+JSON-compatible frame and returning one, ``reap(now)`` and
+``status/stats/dump()`` — which :class:`~repro.cluster.shard.
+BrokerShard` implements itself, so an in-process cluster hands the
+coordinator the shard objects directly.  Across a socket the same
+surface is described once, by an *op table* (:data:`_OPS` for shards;
+the multi-process layer adds one for its wire coordinator), and both
+halves read it:
 
-* :class:`LocalShardHandle` — direct method calls on a
-  :class:`~repro.cluster.shard.BrokerShard` in the same process (the
-  benchmark default; the shared-nothing isolation is the shard's own
-  locks and WAL, not the process boundary).
-* :class:`RemoteShardHandle` + :class:`ShardServer` — the same ops
-  framed over :mod:`repro.service.transport` (pipe or TCP).  Requests
-  carry a client sequence number; the handle resends on timeout and
-  matches replies by it.  Resends are safe end to end because every
-  shard op is idempotent by txid/flow id — the at-least-once
-  transport composes with the participant's exactly-once effects.
-
-The server and client halves are split into reusable bases —
-:class:`FrameServer` (accept loop, per-connection reader threads,
-hello codec negotiation, keepalive pongs) and :class:`RemoteOpClient`
-(seq-matched request/reply with resend) — so the multi-process layer
-(:mod:`repro.cluster.procs`) serves its coordinator over the exact
-same machinery.
+* :class:`FrameServer` dispatches exactly the ops the table lists
+  (accept loop, per-connection reader threads, ``hello`` codec
+  negotiation, keepalive pongs);
+* :class:`OpClient` generates one method per table entry over a pool
+  of lazily dialed :mod:`repro.service.transport` connections.
+  Requests carry a client sequence number; the client resends on
+  timeout, redials on a dead connection, and matches replies by
+  sequence.  Resends are safe end to end because every op is
+  idempotent by txid/flow id — the at-least-once transport composes
+  with the participant's exactly-once effects.
 """
 
 from __future__ import annotations
 
 import itertools
+import queue
 import threading
-from typing import Any, Dict, Optional, Tuple
+import time
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import SignalingError
 from repro.service.transport import (
@@ -36,82 +36,49 @@ from repro.service.transport import (
     is_ping,
     pong_frame,
 )
-from repro.service.wire import CODEC_JSON, CODECS, negotiate_codec
-
-from repro.cluster.shard import BrokerShard
+from repro.service.wire import CODECS, negotiate_codec
 
 __all__ = [
+    "FRAME",
     "FrameServer",
-    "LocalShardHandle",
-    "RemoteOpClient",
-    "RemoteShardHandle",
+    "OpClient",
     "ShardServer",
 ]
 
-_OPS = (
-    "admit", "teardown", "prepare", "commit", "abort", "release",
-    "reap", "status", "stats", "dump",
-)
+#: Call shape of an op whose single argument *is* the frame.  The other
+#: shape is a tuple naming positional arguments that travel as frame
+#: fields (``reap(now)`` is sent as ``{"op": "reap", "now": now}``).
+FRAME = None
 
+#: An op table: op name -> call shape.  The client's methods and the
+#: server's allow-list are both read from it.
+OpTable = Mapping[str, Optional[Tuple[str, ...]]]
 
-class LocalShardHandle:
-    """Direct in-process handle to a :class:`BrokerShard`."""
-
-    def __init__(self, shard: BrokerShard) -> None:
-        self.shard = shard
-
-    def admit(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        return self.shard.admit(frame)
-
-    def teardown(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        return self.shard.teardown(frame)
-
-    def prepare(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        return self.shard.prepare(frame)
-
-    def commit(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        return self.shard.commit(frame)
-
-    def abort(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        return self.shard.abort(frame)
-
-    def release(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        return self.shard.release(frame)
-
-    def reap(self, now: float) -> Dict[str, Any]:
-        return self.shard.reap(now)
-
-    def status(self) -> Dict[str, Any]:
-        return self.shard.status()
-
-    def stats(self) -> Dict[str, Any]:
-        return self.shard.stats()
-
-    def dump(self) -> Dict[str, Any]:
-        return self.shard.dump()
+_OPS: OpTable = {
+    "admit": FRAME, "teardown": FRAME, "prepare": FRAME,
+    "commit": FRAME, "abort": FRAME, "release": FRAME,
+    "reap": ("now",), "status": (), "stats": (), "dump": (),
+}
 
 
 class FrameServer:
     """Serve op frames from any number of transport connections.
 
     Each accepted connection gets its own reader thread (concurrent
-    coordinator connections — a pooled handle — are served in
+    client connections — a pooled :class:`OpClient` — are served in
     parallel; per-op serialization is the handle's own job, e.g. the
     shard's operation lock).  The server answers transport keepalive
     pings and negotiates the wire codec on a ``hello`` op.
 
     :param handle: the object ops are dispatched to.
-    :param ops: the allowed op names (anything else is answered with
-        ``unknown-op`` instead of being looked up — the wire surface
-        is a allow-list, not ``getattr`` on arbitrary strings).
+    :param ops: the op table; anything it does not list is answered
+        with ``unknown-op`` instead of being looked up — the wire
+        surface is an allow-list, not ``getattr`` on arbitrary strings.
     """
 
-    #: Ops invoked as ``handle.<op>()`` with no frame argument.
-    _NO_FRAME_OPS: Tuple[str, ...] = ("status", "stats", "dump")
-
-    def __init__(self, handle: Any, ops: Tuple[str, ...]) -> None:
+    def __init__(self, handle: Any, ops: OpTable) -> None:
         self.handle = handle
-        self.ops = tuple(ops)
+        self.ops = ops
         self.frames_served = 0
         self._closing = threading.Event()
         self._threads: list = []
@@ -139,9 +106,8 @@ class FrameServer:
         """Accept-and-serve loop for a :class:`TcpListener`.
 
         Every accepted connection is served on its own thread, so N
-        client connections (a pooled remote handle, or several
-        gateway workers dialing one coordinator) proceed
-        concurrently.
+        client connections (a pooled client, or several gateway
+        workers dialing one coordinator) proceed concurrently.
         """
         def loop() -> None:
             while not self._closing.is_set():
@@ -163,58 +129,48 @@ class FrameServer:
         while not self._closing.is_set():
             try:
                 frame = conn.recv(timeout=0.2)
-            except TransportClosed:
-                return
-            if frame is None:
-                continue
-            if is_ping(frame):
-                try:
+                if frame is None:
+                    continue
+                if is_ping(frame):
                     conn.send(pong_frame(frame))
-                except TransportClosed:
-                    return
-                continue
-            if frame.get("op") == "hello":
-                # Codec negotiation (the reply itself is sent in the
-                # pre-negotiation codec; an old coordinator never
-                # sends hello and stays on JSON).
-                codec = negotiate_codec(frame.get("codecs"))
-                try:
-                    conn.send({
+                    continue
+                codec = None
+                if frame.get("op") == "hello":
+                    # Codec negotiation (the reply itself is sent in
+                    # the pre-negotiation codec; an old client never
+                    # sends hello and stays on JSON).
+                    codec = negotiate_codec(frame.get("codecs"))
+                    reply = {
                         "status": "ok", "codec": codec,
                         "client_seq": frame.get("client_seq"),
-                    })
-                except TransportClosed:
-                    return
-                if hasattr(conn, "set_codec"):
-                    conn.set_codec(codec)
-                self.frames_served += 1
-                continue
-            reply = self._dispatch(frame)
-            try:
+                    }
+                else:
+                    reply = self._dispatch(frame)
                 conn.send(reply)
             except TransportClosed:
                 return
-            self.frames_served += 1
-
-    def _invoke(self, op: str, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Run one allowed op against the handle (override to adapt
-        argument shapes)."""
-        if op == "reap":
-            return self.handle.reap(frame.get("now", 0.0))
-        if op in self._NO_FRAME_OPS:
-            return getattr(self.handle, op)()
-        return getattr(self.handle, op)(frame)
+            if codec is not None and hasattr(conn, "set_codec"):
+                conn.set_codec(codec)
+            with self._lock:
+                self.frames_served += 1
 
     def _dispatch(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         op = frame.get("op", "")
         seq = frame.get("client_seq")
-        if op not in self.ops:
+        if not isinstance(op, str) or op not in self.ops:
             return {
                 "status": "error", "error": "unknown-op",
                 "detail": f"op {op!r}", "client_seq": seq,
             }
+        shape = self.ops[op]
+        if shape is FRAME:
+            args: tuple = (frame,)
+        else:
+            # A missing field reads as 0.0, the same default the frame
+            # ops give a missing ``now``.
+            args = tuple(frame.get(field, 0.0) for field in shape)
         try:
-            result = self._invoke(op, frame)
+            result = getattr(self.handle, op)(*args)
         except Exception as exc:  # surface, never kill the loop
             result = {
                 "status": "error", "error": type(exc).__name__,
@@ -241,134 +197,230 @@ class FrameServer:
 class ShardServer(FrameServer):
     """Serves one shard's ops over transport connections."""
 
-    def __init__(self, shard: BrokerShard, *,
-                 handle: Optional[Any] = None) -> None:
-        super().__init__(
-            handle if handle is not None else LocalShardHandle(shard),
-            _OPS,
-        )
-        self.shard = shard
+    def __init__(self, shard: Any) -> None:
+        super().__init__(shard, _OPS)
 
 
-class RemoteOpClient:
-    """Client half of the op-frame protocol (seq-matched, resending).
+#: Pool marker for a slot whose connection failed (``None`` is a slot
+#: that was never dialed).
+_LOST = object()
 
-    Each call sends an op frame stamped with a client sequence
-    number, then waits for the matching reply; on timeout the frame
-    is resent (idempotent receiver) up to ``retries`` times before
-    raising :class:`SignalingError`.  Stale replies (an earlier
-    attempt's answer arriving late) are discarded by sequence match.
-    ``_call`` holds the handle lock for the whole round trip — one
-    connection carries one op at a time; use a pool of handles for
-    concurrency.
+
+class OpClient:
+    """Client half of the op protocol: pooled, lazily dialing,
+    seq-matched, resending and redialing.
+
+    ``client.<op>(...)`` exists for every entry of the op table and is
+    one round trip through :meth:`call`.  A call borrows one of
+    :attr:`pool_size` connection slots (one connection carries one op
+    at a time) and makes up to :attr:`attempts` sends.  A reply that
+    does not arrive within :attr:`timeout` is asked for again on the
+    same connection; replies are matched by sequence number, so a late
+    answer to an earlier send is discarded rather than mistaken for
+    the current op's.  An empty slot is dialed through *dial*, which
+    re-reads the peer's endpoint because a restarted process publishes
+    a fresh ephemeral port.  A call that has sent nothing yet keeps
+    dialing, with backoff, for :attr:`dial_timeout` — it waits out a
+    restart.  A call whose connection dies under it redials once,
+    which is enough for a peer that is already back, and otherwise
+    fails: its op may have been applied, and the coordinator should
+    decide (abort, park the op as unresolved) now rather than hold an
+    in-doubt transaction for a restart's worth of time.  Either way
+    the caller sees :class:`SignalingError` within
+    ``dial_timeout + 2 * attempts * timeout`` (each dial adds one
+    ``hello`` round trip).
+
+    After a call that had to *re*-dial (the peer was reachable before,
+    lost, and is back) the client runs ``on_reconnect`` — the
+    multi-process cluster wires it to reap the shard and re-drive the
+    coordinator's unresolved ops.  The hook runs after the slot is
+    back in the pool, so its own ops flow through the client normally,
+    and it is never entered recursively.
+
+    :param name: the peer's name, for error messages.
+    :param ops: the op table the peer's :class:`FrameServer` serves.
+    :param dial: returns a fresh transport connection to the peer.
     """
 
-    def __init__(self, conn, *, timeout: float = 5.0,
-                 retries: int = 2,
-                 codecs: Optional[tuple] = None) -> None:
-        self.conn = conn
-        self.timeout = timeout
-        self.retries = retries
-        self.codecs = tuple(codecs) if codecs is not None else CODECS
-        #: ``None`` until the first op triggers negotiation.
-        self.negotiated_codec: Optional[str] = None
+    #: Connections per peer (the most ops one client has in flight).
+    pool_size = 2
+    #: Sends per call before it fails with :class:`SignalingError`.
+    attempts = 3
+
+    def __init__(
+        self,
+        name: str,
+        ops: OpTable,
+        dial: Callable[[], Any],
+        *,
+        on_reconnect: Optional[Callable[[], None]] = None,
+    ) -> None:
+        self.name = name
+        self.ops = ops
+        self._dial = dial
+        self.on_reconnect = on_reconnect
+        #: How long one send waits for its reply.
+        self.timeout = 5.0
+        #: How long a redial keeps trying (a restarting shard replays
+        #: its WAL before it binds); chaos partitions shorten it.
+        self.dial_timeout = 10.0
+        self._slots: "queue.LifoQueue" = queue.LifoQueue()
+        for _ in range(self.pool_size):
+            self._slots.put(None)
         self._seq = itertools.count(1)
-        self._lock = threading.Lock()
+        self._state_lock = threading.Lock()
+        self._local = threading.local()
+        self.reconnects = 0
         self.resends = 0
+        #: High-water mark of every domain ``now`` sent through this
+        #: client — what the reconnect reap/reconcile runs at.
+        self.high_water_now = 0.0
 
-    def _negotiate(self) -> None:
-        """One-shot codec negotiation (caller holds ``_lock``).
-
-        Sends a ``hello`` op; a new server answers with the chosen
-        codec, an old server answers ``unknown-op`` — either way the
-        handle ends up on a codec both sides speak (JSON when in
-        doubt).  A transport error leaves JSON set; the next real op
-        surfaces the failure through its own retry path.
-        """
-        self.negotiated_codec = CODEC_JSON
-        seq = next(self._seq)
+    def __getattr__(self, op: str):
+        # Only reached for names that are not real attributes: the op
+        # surface, generated from the table.
         try:
-            self.conn.send({
-                "op": "hello", "client_seq": seq,
-                "codecs": list(self.codecs),
-            })
-            deadline_budget = self.timeout
-            while True:
-                reply = self.conn.recv(timeout=deadline_budget)
-                if reply is None:
-                    return
-                if reply.get("client_seq") != seq:
-                    continue
-                codec = reply.get("codec")
-                if reply.get("status") == "ok" and codec in self.codecs:
-                    self.negotiated_codec = codec
-                    if hasattr(self.conn, "set_codec"):
-                        self.conn.set_codec(codec)
-                return
-        except TransportClosed:
-            return
+            shape = self.__dict__["ops"][op]
+        except KeyError:
+            raise AttributeError(op) from None
+        if shape is FRAME:
+            return lambda frame: self.call(op, frame)
+        return lambda *args: self.call(op, dict(zip(shape, args)))
 
-    def _call(self, op: str, frame: Dict[str, Any]) -> Dict[str, Any]:
-        with self._lock:
-            if self.negotiated_codec is None:
-                self._negotiate()
-            seq = next(self._seq)
-            message = dict(frame)
-            message["op"] = op
-            message["client_seq"] = seq
-            for attempt in range(self.retries + 1):
+    # -- the round trip ------------------------------------------------
+
+    def call(self, op: str, frame: Dict[str, Any]) -> Dict[str, Any]:
+        """One op round trip; raises :class:`SignalingError` when the
+        attempt budget is spent or the peer cannot be redialed."""
+        now = frame.get("now")
+        if isinstance(now, (int, float)):
+            with self._state_lock:
+                if now > self.high_water_now:
+                    self.high_water_now = float(now)
+        message = dict(frame)
+        message["op"] = op
+        message["client_seq"] = next(self._seq)
+        reconnected = False
+        reply = None
+        conn = self._slots.get()
+        try:
+            for attempt in range(self.attempts):
                 if attempt:
-                    self.resends += 1
+                    with self._state_lock:
+                        self.resends += 1
                 try:
-                    self.conn.send(message)
-                    deadline_budget = self.timeout
-                    while True:
-                        reply = self.conn.recv(timeout=deadline_budget)
-                        if reply is None:
-                            break  # timed out: resend
-                        if reply.get("client_seq") == seq:
-                            return reply
-                        # A stale reply from a resent earlier op.
+                    if conn is None or conn is _LOST:
+                        # Wait out a restart only while nothing has
+                        # been sent; see the class docstring.
+                        fresh = self._connect(
+                            0.0 if attempt else self.dial_timeout)
+                        if conn is _LOST:
+                            reconnected = True
+                            with self._state_lock:
+                                self.reconnects += 1
+                        conn = fresh
+                    reply = self._exchange(conn, message)
                 except TransportClosed:
+                    conn = self._drop(conn)
+                if reply is not None:
                     break
-            raise SignalingError(
-                f"peer unreachable: no reply to {op!r} "
-                f"after {self.retries + 1} attempt(s)"
-            )
+            else:
+                conn = self._drop(conn)
+                raise SignalingError(
+                    f"{self.name!r} unreachable: no reply to {op!r} "
+                    f"after {self.attempts} attempt(s)"
+                )
+        finally:
+            self._slots.put(conn)
+        if reconnected:
+            self._fire_reconnect()
+        return reply
+
+    def _exchange(self, conn, message: Dict[str, Any]
+                  ) -> Optional[Dict[str, Any]]:
+        """Send *message*, wait for the reply carrying its sequence
+        number; ``None`` when :attr:`timeout` passes without one."""
+        conn.send(message)
+        seq = message["client_seq"]
+        deadline = time.monotonic() + self.timeout
+        while True:
+            reply = conn.recv(
+                timeout=max(deadline - time.monotonic(), 0.0))
+            if reply is None or reply.get("client_seq") == seq:
+                return reply
+            # A stale reply to an earlier, resent op: discard.
+
+    def _connect(self, window: float):
+        """Dial, retrying with backoff for *window* seconds, then
+        negotiate the codec on the new connection.
+
+        The ``hello`` op is answered with the chosen codec by a new
+        server and with ``unknown-op`` by an old one; no answer or a
+        transport error leaves the connection on JSON, the codec every
+        peer speaks, and the op that follows surfaces the failure.
+        """
+        deadline = time.monotonic() + window
+        delay = 0.05
+        while True:
+            try:
+                conn = self._dial()
+                break
+            except (SignalingError, OSError) as exc:
+                if time.monotonic() >= deadline:
+                    raise SignalingError(
+                        f"{self.name!r} unreachable: redial window "
+                        f"({window:g}s) exhausted"
+                    ) from exc
+                time.sleep(delay)
+                delay = min(delay * 2, 0.5)
+        hello = {
+            "op": "hello", "client_seq": next(self._seq),
+            "codecs": list(CODECS),
+        }
+        try:
+            reply = self._exchange(conn, hello)
+        except TransportClosed:
+            return conn
+        if (reply is not None and reply.get("status") == "ok"
+                and reply.get("codec") in CODECS
+                and hasattr(conn, "set_codec")):
+            conn.set_codec(reply["codec"])
+        return conn
+
+    @staticmethod
+    def _drop(conn):
+        """Close a connection that failed; returns the marker its slot
+        goes back to the pool with, so the dial that refills it counts
+        as a reconnect."""
+        if conn is not None and conn is not _LOST:
+            try:
+                conn.close()
+            except Exception:
+                pass
+        return _LOST
+
+    def _fire_reconnect(self) -> None:
+        if self.on_reconnect is None:
+            return
+        if getattr(self._local, "in_hook", False):
+            return  # the hook's own ops must not recurse into it
+        self._local.in_hook = True
+        try:
+            self.on_reconnect()
+        except Exception:
+            pass  # never let reconciliation break the op path
+        finally:
+            self._local.in_hook = False
 
     def close(self) -> None:
-        self.conn.close()
-
-
-class RemoteShardHandle(RemoteOpClient):
-    """Coordinator-side shard handle over a transport connection."""
-
-    def admit(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        return self._call("admit", frame)
-
-    def teardown(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        return self._call("teardown", frame)
-
-    def prepare(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        return self._call("prepare", frame)
-
-    def commit(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        return self._call("commit", frame)
-
-    def abort(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        return self._call("abort", frame)
-
-    def release(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        return self._call("release", frame)
-
-    def reap(self, now: float) -> Dict[str, Any]:
-        return self._call("reap", {"now": now})
-
-    def status(self) -> Dict[str, Any]:
-        return self._call("status", {})
-
-    def stats(self) -> Dict[str, Any]:
-        return self._call("stats", {})
-
-    def dump(self) -> Dict[str, Any]:
-        return self._call("dump", {})
+        """Close every idle pooled connection; the client stays
+        usable (the next call redials)."""
+        idle = []
+        try:
+            while True:
+                idle.append(self._slots.get_nowait())
+        except queue.Empty:
+            pass
+        for conn in idle:
+            self._drop(conn)
+            self._slots.put(None)

@@ -41,7 +41,6 @@ from repro.vtrs.timestamps import SchedulerKind
 
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.partition import PartitionMap
-from repro.cluster.remote import LocalShardHandle
 from repro.cluster.shard import BrokerShard
 
 __all__ = [
@@ -305,7 +304,7 @@ def build_pod_cluster(
         coordinator_wal = FileJournal(directory, fsync=fsync)
     coordinator = ClusterCoordinator(
         partition,
-        {name: LocalShardHandle(shard) for name, shard in shards.items()},
+        shards,
         atlas,
         wal=coordinator_wal,
     )

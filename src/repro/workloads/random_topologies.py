@@ -4,8 +4,8 @@ The paper evaluates on the small fixed Figure 8 topology; the broker
 architecture itself has no such limit. This module generates seeded
 random meshes — a connected backbone chain plus random shortcut and
 cross links, mixed scheduler kinds, heterogeneous capacities — so that
-routing (genuine path choice), path-oriented admission and the
-federation can be exercised on topologies they were not tuned for.
+routing (genuine path choice) and path-oriented admission can be
+exercised on topologies they were not tuned for.
 """
 
 from __future__ import annotations

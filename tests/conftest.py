@@ -11,6 +11,23 @@ from repro.traffic.spec import TSpec
 from repro.workloads.profiles import flow_type
 from repro.workloads.topologies import SchedulerSetting, fig8_domain
 
+try:
+    from hypothesis import settings as hypothesis_settings
+except ImportError:
+    # CI jobs that run only example-based suites install bare pytest.
+    hypothesis_settings = None
+
+if hypothesis_settings is not None:
+    # Tier-1 is a gate (``pytest -x``), so it must not depend on which
+    # examples a fresh random seed happens to draw or on what an earlier
+    # run left in ``.hypothesis/``: examples are derived from each
+    # test's source, and nothing is read from or written to the example
+    # database.  ``--hypothesis-profile=default`` brings the random
+    # search back for a run that is meant to explore.
+    hypothesis_settings.register_profile(
+        "tier1", derandomize=True, database=None)
+    hypothesis_settings.load_profile("tier1")
+
 
 @pytest.fixture
 def type0_spec() -> TSpec:

@@ -24,12 +24,12 @@ import pytest
 
 from repro.cluster import (
     ClusterCoordinator,
-    LocalShardHandle,
+    OpClient,
     PartitionMap,
-    RemoteShardHandle,
     ShardServer,
     build_pod_cluster,
 )
+from repro.cluster.remote import _OPS
 from repro.cluster.shard import BrokerShard, _spec_payload
 from repro.core.broker import BandwidthBroker
 from repro.errors import SignalingError
@@ -218,7 +218,7 @@ class TestSpanningMixed:
         }
         coordinator = ClusterCoordinator(
             pmap,
-            {n: LocalShardHandle(s) for n, s in shard_objs.items()},
+            shard_objs,
             atlas,
         )
         return coordinator, shard_objs, oracle
@@ -265,7 +265,7 @@ class TestSpanningMixed:
             shards[name] = BrokerShard(name, broker, pmap)
         coordinator = ClusterCoordinator(
             pmap,
-            {n: LocalShardHandle(s) for n, s in shards.items()},
+            shards,
             atlas,
         )
         decision = coordinator.admit(
@@ -369,7 +369,7 @@ class TestRemoteHandles:
         client, server_end = pipe_pair()
         server = ShardServer(duo.shards["shard0"])
         server.serve_connection(server_end)
-        handle = RemoteShardHandle(client, timeout=2.0)
+        handle = OpClient("shard0", _OPS, lambda: client)
         try:
             status = handle.status()
             assert status["shard"] == "shard0"
@@ -399,7 +399,7 @@ class TestRemoteHandles:
         assert reply["error"] == "unknown-op"
         server.close()
         client.close()
-        handle = RemoteShardHandle(client, timeout=0.1, retries=1)
+        handle = OpClient("shard0", _OPS, lambda: client)
         with pytest.raises(SignalingError):
             handle.status()
 
@@ -415,9 +415,10 @@ class TestRemoteHandles:
                     server.serve_listener(listener)
                     listeners.append(listener)
                     servers.append(server)
-                    handles[name] = RemoteShardHandle(
-                        connect_tcp("127.0.0.1", listener.port),
-                        timeout=5.0,
+                    handles[name] = OpClient(
+                        name, _OPS,
+                        lambda port=listener.port: connect_tcp(
+                            "127.0.0.1", port),
                     )
                 coordinator = ClusterCoordinator(
                     cluster.partition, handles, cluster.atlas,

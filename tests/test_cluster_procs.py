@@ -221,7 +221,6 @@ class TestSupervisorFaults:
         freed without waiting out any lease."""
         cluster = build_proc_cluster(
             2, run_dir=str(tmp_path), durable=True, fsync=True,
-            handle_timeout=1.0,
         )
         with cluster:
             span = cluster.spanning_paths[0]

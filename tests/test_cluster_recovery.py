@@ -24,7 +24,6 @@ import pytest
 
 from repro.cluster import (
     ClusterCoordinator,
-    LocalShardHandle,
     PartitionMap,
     build_pod_cluster,
     cluster_journal_extension,
@@ -148,10 +147,7 @@ def recover_cluster(root, partition, *, now=1000.0):
             name=name, partition=partition,
             broker_factory=factory, now=now, fsync=False,
         )
-    handles = {
-        name: LocalShardHandle(rec.shard)
-        for name, rec in shards.items()
-    }
+    handles = {name: rec.shard for name, rec in shards.items()}
     coordinator, report = ClusterCoordinator.recover(
         os.path.join(root, "coordinator"),
         partition, handles, fresh_twin().atlas, now=now, fsync=False,

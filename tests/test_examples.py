@@ -56,12 +56,6 @@ def test_blocking_study():
     assert "Per-type blocking" in out
 
 
-def test_federated_brokers():
-    out = run_example("federated_brokers.py")
-    assert "identical to the centralized broker" in out
-    assert "access-west" in out
-
-
 def test_capacity_planning():
     out = run_example("capacity_planning.py")
     assert "Erlang-B prediction" in out

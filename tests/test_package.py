@@ -23,7 +23,6 @@ class TestExports:
         import repro.analysis
         import repro.callsim
         import repro.experiments
-        import repro.federation
         import repro.interdomain
         import repro.intserv
         import repro.netsim

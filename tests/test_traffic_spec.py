@@ -1,6 +1,7 @@
 """TSpec: validation, derived quantities, aggregation (Section 4.1)."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,16 @@ def tspecs(max_rate=1e7):
         st.floats(min_value=1, max_value=max_rate),     # rho
         st.floats(min_value=0, max_value=max_rate),     # P - rho
     )
+
+
+def _conditioning(pairs):
+    """How much the worst ``big - small`` among *pairs* amplifies a
+    relative error in its operands: ``max(big) / min(big - small)``
+    (1.0 when no pair has a positive difference)."""
+    gaps = [big - small for big, small in pairs if big > small]
+    if not gaps:
+        return 1.0
+    return max(big for big, _ in pairs) / min(gaps)
 
 
 class TestValidation:
@@ -215,11 +226,24 @@ class TestAggregation:
         """T_on of an aggregate lies within the members' range."""
         total = a + b
         t_ons = sorted([a.t_on, b.t_on])
-        if all(math.isfinite(t) for t in t_ons):
-            # Relative tolerance: near-degenerate peaks (P ~ rho)
-            # amplify float noise in the (sigma-L)/(P-rho) quotient.
-            low = t_ons[0] * (1 - 1e-9) - 1e-9
-            high = t_ons[1] * (1 + 1e-9) + 1e-9
+        # A member with sigma == L *and* P == rho is 0/0: its
+        # conventional T_on = 0 bounds nothing, and the aggregate may
+        # come out peak-equals-mean (T_on = inf) — not a quotient
+        # either, so there is no range to check.
+        if all(math.isfinite(t) for t in (*t_ons, total.t_on)):
+            # The aggregate's sigma, L, P and rho are rounded sums, so
+            # its differences carry an error of a few ulps *of the
+            # sums*; relative to (P - rho) or (sigma - L) that error
+            # grows without bound as the two come together.  The
+            # tolerance therefore scales with the conditioning of the
+            # two differences in T_on = (sigma - L) / (P - rho).
+            specs = (a, b, total)
+            tolerance = 4 * sys.float_info.epsilon * (
+                _conditioning([(s.peak, s.rho) for s in specs])
+                + _conditioning([(s.sigma, s.max_packet) for s in specs])
+            )
+            low = t_ons[0] * (1 - tolerance) - 1e-9
+            high = t_ons[1] * (1 + tolerance) + 1e-9
             assert low <= total.t_on <= high
 
 
