@@ -256,7 +256,8 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             f"{last['bp_full_rebuilds']} full rebuilds, "
             f"{last['scan_tests']} Fig-4 scans @ "
             f"{last['mean_scan_intervals']:.1f} intervals mean, "
-            f"{last['scan_early_breaks']} early breaks"
+            f"{last['scan_early_breaks']} early breaks, "
+            f"{last['scan_verifications']} ledger verifications"
         )
     if "aggregate_feedback_events" in last:
         print(

@@ -42,9 +42,12 @@ reservation into the node/flow MIBs.
 
 from __future__ import annotations
 
+import bisect
 import enum
+import heapq
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import StateError
@@ -190,13 +193,9 @@ class PerFlowAdmission:
         a batch of identical ``(spec, D_req)`` requests and each flow
         then needs only the O(1) feasible-range check plus bookkeeping
         — the amortization the service layer's admission batcher
-        relies on.  Homogeneous batches on mixed rate/delay paths
-        share one Figure-4 scan state across the batch
-        (:meth:`_admit_batch_mixed`): each admission dirties only the
-        breakpoints at or above its granted deadline, and the next
-        request's scan replays just that suffix instead of
-        re-partitioning every breakpoint.  Heterogeneous batches fall
-        back to the per-request sequential loop.
+        relies on.  Heterogeneous batches and batches on mixed
+        rate/delay paths (whose Figure-4 scan reads state every
+        admission changes) take the per-request sequential loop.
         """
         if not requests:
             return []
@@ -206,10 +205,8 @@ class PerFlowAdmission:
             and r.delay_requirement == first.delay_requirement
             for r in requests[1:]
         )
-        if not homogeneous:
+        if not homogeneous or path.rate_based_hops != path.hops:
             return [self.admit(r, path, now=now) for r in requests]
-        if path.rate_based_hops != path.hops:
-            return self._admit_batch_mixed(requests, path, now=now)
         spec = first.spec
         r_min = min_feasible_rate_rate_based(
             spec, first.delay_requirement, path.profile()
@@ -262,73 +259,6 @@ class PerFlowAdmission:
             )
             for link in path.links:
                 link.reserve(request.flow_id, decision.rate)
-            self.flow_mib.add(
-                FlowRecord(
-                    flow_id=request.flow_id,
-                    spec=request.spec,
-                    delay_requirement=request.delay_requirement,
-                    path_id=path.path_id,
-                    rate=decision.rate,
-                    delay=decision.delay,
-                    admitted_at=now,
-                )
-            )
-            decisions.append(decision)
-        return decisions
-
-    def _admit_batch_mixed(
-        self,
-        requests: Sequence[AdmissionRequest],
-        path: PathRecord,
-        *,
-        now: float = 0.0,
-    ) -> List[AdmissionDecision]:
-        """Homogeneous batch on a mixed path with a shared scan state.
-
-        Decision-identical to calling :meth:`admit` per request: the
-        shared state only caches per-breakpoint classifications and
-        bounds whose inputs (``spec``, ``D_req``, the breakpoint's
-        ``(d^k, S^k)``) are unchanged, so every reused value is the
-        value the sequential loop would have recomputed.
-        """
-        first = requests[0]
-        scan_state: dict = {}
-        decisions: List[AdmissionDecision] = []
-        for request in requests:
-            if request.flow_id in self.flow_mib:
-                decisions.append(AdmissionDecision(
-                    admitted=False,
-                    flow_id=request.flow_id,
-                    path_id=path.path_id,
-                    reason=RejectionReason.DUPLICATE,
-                    detail=f"flow {request.flow_id!r} is already admitted",
-                ))
-                continue
-            result = self._find_min_rate_pair(
-                first.spec, first.delay_requirement, path,
-                scan_state=scan_state,
-            )
-            if isinstance(result, AdmissionDecision):
-                decisions.append(result)
-                continue
-            rate, delay = result
-            decision = AdmissionDecision(
-                admitted=True,
-                flow_id=request.flow_id,
-                path_id=path.path_id,
-                rate=rate,
-                delay=delay,
-            )
-            for link in path.links:
-                if link.kind is SchedulerKind.DELAY_BASED:
-                    link.reserve(
-                        request.flow_id,
-                        decision.rate,
-                        deadline=decision.delay,
-                        max_packet=request.spec.max_packet,
-                    )
-                else:
-                    link.reserve(request.flow_id, decision.rate)
             self.flow_mib.add(
                 FlowRecord(
                     flow_id=request.flow_id,
@@ -423,7 +353,7 @@ class PerFlowAdmission:
             spec, request.delay_requirement, path
         )
         if isinstance(result, AdmissionDecision):
-            return result
+            return replace(result, flow_id=request.flow_id)
         rate, delay = result
         return AdmissionDecision(
             admitted=True,
@@ -433,30 +363,23 @@ class PerFlowAdmission:
             delay=delay,
         )
 
-    # Per-breakpoint classification codes for the cached scan state.
-    _BP_HI = 0      # d^k > t_nu: contributes a constant upper bound
-    _BP_FATAL = 1   # d^k == t_nu with insufficient slack: hard reject
-    _BP_NEUTRAL = 2  # d^k == t_nu with enough slack: no constraint
-    _BP_BELOW = 3   # d^k < t_nu: contributes an interval lower bound
-
     def _find_min_rate_pair(
-        self, spec: TSpec, delay_requirement: float, path: PathRecord,
-        scan_state: Optional[dict] = None,
+        self, spec: TSpec, delay_requirement: float, path: PathRecord
     ):
         """Figure 4: minimal feasible ``<r, d>`` on a mixed path.
 
         Returns either the pair or a rejecting
-        :class:`AdmissionDecision` (flow id left blank — the caller
-        fills it in).
+        :class:`AdmissionDecision` with a blank flow id.
 
-        ``scan_state`` is an opaque dict a batch caller threads through
-        consecutive calls with identical ``(spec, D_req)``: it caches
-        the per-breakpoint classifications and bound values, and each
-        call re-derives only the suffix of breakpoints that changed
-        since the previous call (an admission dirties breakpoints at
-        or above its granted deadline only).  Every cached value is a
-        pure function of unchanged inputs, so decisions are
-        bit-identical to the uncached scan.
+        Each deadline interval yields at most one candidate — its
+        smallest rate that passes the ground-truth ledger check — and
+        the answer is the minimum candidate (``d`` is a function of
+        ``r``, so ties name the same pair).  The minimum does not
+        depend on the visiting order, so intervals are visited in
+        ascending order of an O(1) lower bound on their candidate and
+        the walk stops at the first bound that cannot beat the best
+        verified candidate: O(M) prelude, then as a rule one
+        verification.
         """
 
         def reject(reason: RejectionReason, detail: str) -> AdmissionDecision:
@@ -487,99 +410,99 @@ class PerFlowAdmission:
                 f"below the sustained rate {spec.rho:.1f} b/s",
             )
 
-        breakpoints = path.deadline_breakpoints()  # merged (d^k, S^k)
+        # Merged (d^k, S^k), sorted by deadline, as two aligned lists.
+        deadlines, slacks = path.deadline_breakpoint_columns()
         path.scan_tests += 1
 
-        # Classify every breakpoint relative to t_nu, reusing the
-        # classifications of the unchanged breakpoint prefix from a
-        # prior call in the same batch.  Each entry is
-        # (code, value): HI → upper bound (S^k - Xi - L)/(d^k - t_nu);
-        # FATAL → d^k; BELOW → (d^k, S^k, lower-bound coefficient).
-        cls: List[Tuple]
-        if (
-            scan_state is not None
-            and scan_state.get("params") == (spec, delay_requirement)
-        ):
-            old_bp = scan_state["bp"]
-            if old_bp is breakpoints:
-                cls = scan_state["cls"]
-            else:
-                prefix = 0
-                limit = min(len(old_bp), len(breakpoints))
-                while (
-                    prefix < limit
-                    and old_bp[prefix] == breakpoints[prefix]
-                ):
-                    prefix += 1
-                cls = scan_state["cls"][:prefix]
-                for index in range(prefix, len(breakpoints)):
-                    cls.append(self._classify_breakpoint(
-                        breakpoints[index], t_nu, xi, l_max
-                    ))
-        else:
-            cls = [
-                self._classify_breakpoint(entry, t_nu, xi, l_max)
-                for entry in breakpoints
-            ]
-        if scan_state is not None:
-            scan_state["params"] = (spec, delay_requirement)
-            scan_state["bp"] = breakpoints
-            scan_state["cls"] = cls
+        # Split at t_nu: [0, below) has d^k < t_nu, [above, count) has
+        # d^k > t_nu, between them d^k == t_nu.  The bisect lands
+        # within rounding of the split; the loops settle it on the
+        # exact predicates.
+        count = len(deadlines)
+        below = bisect.bisect_left(deadlines, t_nu - _EPS)
+        while below and deadlines[below - 1] - t_nu >= -_EPS:
+            below -= 1
+        while below < count and deadlines[below] - t_nu < -_EPS:
+            below += 1
+        above = bisect.bisect_right(deadlines, t_nu + _EPS, below)
+        while above > below and deadlines[above - 1] - t_nu > _EPS:
+            above -= 1
+        while above < count and deadlines[above] - t_nu <= _EPS:
+            above += 1
 
-        # Upper bounds contributed by breakpoints at or beyond t_nu
-        # (constant across intervals): r (d^k - t) + Xi + L <= S^k.
-        hi_global = rate_cap
-        below: List[Tuple[float, float]] = []  # (d^k, S^k) with d^k < t_nu
-        bounds: List[float] = []  # matching (Xi + L - S^k) / (t_nu - d^k)
-        for code, value in cls:
-            if code == self._BP_BELOW:
-                below.append((value[0], value[1]))
-                bounds.append(value[2])
-            elif code == self._BP_HI:
-                hi_global = min(hi_global, value)
-            elif code == self._BP_FATAL:
+        need = xi + l_max  # service the flow claims by its deadline
+        for k in range(below, above):
+            if slacks[k] + _EPS < need:
                 return reject(
                     RejectionReason.UNSCHEDULABLE,
-                    f"residual service at deadline {value:.6f}s cannot "
-                    f"absorb the new flow at any rate",
+                    f"residual service at deadline {deadlines[k]:.6f}s "
+                    f"cannot absorb the new flow at any rate",
                 )
+        # Upper bounds contributed by breakpoints beyond t_nu (constant
+        # across intervals): r (d^k - t) + Xi + L <= S^k.
+        hi_global = min([rate_cap] + [
+            (s - xi - l_max) / (d - t_nu)
+            for d, s in zip(deadlines[above:], slacks[above:])
+        ])
         if hi_global <= 0:
             return reject(
                 RejectionReason.UNSCHEDULABLE,
                 "a long-deadline reservation leaves no residual service",
             )
 
-        # Suffix maxima of the lower bounds contributed by breakpoints
-        # below t_nu: for interval m, breakpoints k >= m bind.
+        # Interval j lies above boundary d^j (d^0 = 0, d^j =
+        # deadlines[j - 1]); breakpoints k >= j below t_nu bind it with
         #   r >= (Xi + L - S^k) / (t - d^k)
-        suffix_lb = [0.0] * (len(below) + 1)
-        for k in range(len(below) - 1, -1, -1):
-            suffix_lb[k] = max(suffix_lb[k + 1], bounds[k])
+        # so its lower bound is a suffix maximum, suffix_lb[j].
+        bounds = [
+            (need - s) / (t_nu - d)
+            for d, s in zip(deadlines[:below], slacks)
+        ]
+        bounds.reverse()
+        suffix_lb = list(itertools.accumulate(bounds, max, initial=0.0))
+        suffix_lb.reverse()
+
+        def boundary(j: int) -> float:
+            return deadlines[j - 1] if j else 0.0
+
+        def own_floor(j: int) -> float:
+            """The rate that puts ``d`` on interval *j*'s lower edge."""
+            return xi / (t_nu - boundary(j))
+
+        def floor(j: int) -> float:
+            """O(1) lower bound on any rate interval *j* can yield."""
+            return max(spec.rho, suffix_lb[j], own_floor(j))
+
+        # suffix_lb never rises with j and own_floor always does, so
+        # the floor is V-shaped in j: find the first interval whose own
+        # floor is the binding one (the rising arm), then walk outward
+        # from there, lower floor first.
+        rising, end = 0, below + 1
+        while rising < end:
+            mid = (rising + end) // 2
+            if own_floor(mid) == floor(mid):
+                end = mid
+            else:
+                rising = mid + 1
+        ascending = heapq.merge(
+            ((floor(j), j) for j in range(rising - 1, -1, -1)),
+            ((floor(j), j) for j in range(rising, below + 1)),
+        )
 
         delay_links = path.delay_based_links()
-        boundaries = [0.0] + [d for d, _ in below]  # d^0 .. d^{m*-1}
-
         best: Optional[Tuple[float, float]] = None
-        for m in range(len(boundaries), 0, -1):
-            # suffix_lb is non-increasing in index, so once it alone
-            # reaches the best rate no remaining interval can improve
-            # on it: a candidate only replaces `best` when its rate is
-            # strictly lower, and every remaining lo >= suffix_lb.
-            if best is not None and suffix_lb[m - 1] >= best[0]:
+        for lo, j in ascending:
+            if best is not None and lo >= best[0]:
+                # A candidate only replaces `best` when its rate is
+                # strictly lower, and every interval not yet visited
+                # has a floor at least this high.
                 path.scan_early_breaks += 1
                 break
             path.scan_intervals += 1
-            d_lo = boundaries[m - 1]
-            d_hi = below[m - 1][0] if m - 1 < len(below) else t_nu
-            lo = max(spec.rho, suffix_lb[m - 1])
+            d_lo = boundary(j)
             if t_nu - d_lo <= _EPS:
                 continue
-            lo = max(lo, xi / (t_nu - d_lo))
-            if best is not None and lo >= best[0]:
-                # Same argument per interval: this candidate's rate
-                # (even after the boundary nudge, which only raises
-                # it) can never beat the running best.
-                continue
+            d_hi = deadlines[j] if j < below else t_nu
             hi = hi_global
             if d_hi < t_nu - _EPS:
                 hi = min(hi, xi / (t_nu - d_hi))
@@ -599,18 +522,16 @@ class PerFlowAdmission:
                 continue
             rate = lo
             delay = max(0.0, t_nu - xi / rate)
-            if self._locally_admissible(delay_links, rate, delay, l_max):
-                if best is None or rate < best[0]:
-                    best = (rate, delay)
-            else:
+            if not self._locally_admissible(path, rate, delay, l_max):
                 # Boundary numerics: nudge the candidate marginally up.
                 rate = lo * (1 + 1e-12) + 1e-12
                 delay = max(0.0, t_nu - xi / rate)
-                if rate <= hi * (1 + _EPS) and self._locally_admissible(
-                    delay_links, rate, delay, l_max
+                if rate > hi * (1 + _EPS) or not self._locally_admissible(
+                    path, rate, delay, l_max
                 ):
-                    if best is None or rate < best[0]:
-                        best = (rate, delay)
+                    continue
+            if best is None or rate < best[0]:
+                best = (rate, delay)
 
         if best is None:
             return reject(
@@ -618,21 +539,6 @@ class PerFlowAdmission:
                 "no feasible rate-delay pair on any deadline interval",
             )
         return best
-
-    @classmethod
-    def _classify_breakpoint(
-        cls, entry: Tuple[float, float], t_nu: float, xi: float, l_max: float
-    ) -> Tuple:
-        """Classify one merged breakpoint against the scan's ``t_nu``."""
-        d_k, s_k = entry
-        gap = d_k - t_nu
-        if gap > _EPS:
-            return (cls._BP_HI, (s_k - xi - l_max) / gap)
-        if gap >= -_EPS:  # d^k == t_nu
-            if s_k + _EPS < xi + l_max:
-                return (cls._BP_FATAL, d_k)
-            return (cls._BP_NEUTRAL, None)
-        return (cls._BP_BELOW, (d_k, s_k, (xi + l_max - s_k) / (t_nu - d_k)))
 
     @staticmethod
     def _own_deadline_bound(
@@ -664,12 +570,14 @@ class PerFlowAdmission:
         return bound, False
 
     @staticmethod
-    def _locally_admissible(delay_links, rate: float, delay: float,
+    def _locally_admissible(path: PathRecord, rate: float, delay: float,
                             l_max: float) -> bool:
         """Ground-truth check of the candidate at every delay-based hop."""
-        return all(
-            link.ledger.admissible(rate, delay, l_max) for link in delay_links
-        )
+        for link in path.delay_based_links():
+            path.scan_verifications += 1
+            if not link.ledger.admissible(rate, delay, l_max):
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -363,7 +363,7 @@ class PathRecord:
         self._bp_slack: List[float] = []
         self._bp_ref: Dict[float, int] = {}
         self._bp_versions: Optional[List[int]] = None
-        self._bp_tuple: Tuple[Tuple[float, float], ...] = ()
+        self._bp_tuple: Optional[Tuple[Tuple[float, float], ...]] = None
         #: Engine counters (serialized with the path's mutations by the
         #: owner — see the locking contract in the module docstring).
         self.bp_delta_folds = 0
@@ -372,6 +372,7 @@ class PathRecord:
         self.scan_tests = 0
         self.scan_intervals = 0
         self.scan_early_breaks = 0
+        self.scan_verifications = 0
 
     # ------------------------------------------------------------------
     # static aggregates
@@ -435,7 +436,20 @@ class PathRecord:
         ``S^m`` is the minimum residual service ``W_i(d^m)`` over the
         delay-based schedulers that have a reservation with deadline
         ``d^m`` (the paper's definition in Section 3.2). Sorted by
-        deadline.
+        deadline.  The tuple is zipped from
+        :meth:`deadline_breakpoint_columns` on demand and kept until
+        the next mutation.
+        """
+        deadlines, slacks = self.deadline_breakpoint_columns()
+        if self._bp_tuple is None:
+            self._bp_tuple = tuple(zip(deadlines, slacks))
+        return self._bp_tuple
+
+    def deadline_breakpoint_columns(self) -> Tuple[List[float], List[float]]:
+        """The merged breakpoints as aligned ``(d^m list, S^m list)``.
+
+        What the Figure-4 scan reads; the lists are the record's own
+        and must not be mutated.
 
         Delta-maintained: each call folds the ledger events published
         since the last one — refcounting deadline additions/removals
@@ -445,28 +459,28 @@ class PathRecord:
         only on the first call or when a link's bounded event window
         was outrun (subscription gap).
         """
-        dlinks = self._delay_links
-        if not dlinks:
-            return ()
-        if self._bp_versions is None:
-            return self._bp_rebuild()
         pending: List[Tuple[int, "DeadlineLedger", Tuple]] = []
-        for index, link in enumerate(dlinks):
-            ledger = link.ledger
-            assert ledger is not None
-            if ledger.version == self._bp_versions[index]:
-                continue
-            events = ledger.events_since(self._bp_versions[index])
-            if events is None:
-                return self._bp_rebuild()
-            pending.append((index, ledger, events))
-        if not pending:
+        gap = self._bp_versions is None
+        if not gap:
+            for index, link in enumerate(self._delay_links):
+                ledger = link.ledger
+                assert ledger is not None
+                if ledger.version == self._bp_versions[index]:
+                    continue
+                events = ledger.events_since(self._bp_versions[index])
+                if events is None:
+                    gap = True
+                    break
+                pending.append((index, ledger, events))
+        if gap:
+            self._bp_rebuild()
+        elif pending:
+            self._bp_fold(pending)
+        else:
             self.bp_cache_hits += 1
-            return self._bp_tuple
-        self._bp_fold(pending)
-        return self._bp_tuple
+        return self._bp_list, self._bp_slack
 
-    def _bp_rebuild(self) -> Tuple[Tuple[float, float], ...]:
+    def _bp_rebuild(self) -> None:
         """Full re-merge over every delay-based hop (O(Q·M))."""
         refs: Dict[float, int] = {}
         slacks: Dict[float, float] = {}
@@ -475,7 +489,7 @@ class PathRecord:
             ledger = link.ledger
             assert ledger is not None
             versions.append(ledger.version)
-            for deadline, slack in ledger.iter_deadline_slacks():
+            for deadline, slack in ledger.deadline_slacks():
                 refs[deadline] = refs.get(deadline, 0) + 1
                 current = slacks.get(deadline)
                 if current is None or slack < current:
@@ -484,9 +498,8 @@ class PathRecord:
         self._bp_slack = [slacks[d] for d in self._bp_list]
         self._bp_ref = refs
         self._bp_versions = versions
-        self._bp_tuple = tuple(zip(self._bp_list, self._bp_slack))
+        self._bp_tuple = None
         self.bp_full_rebuilds += 1
-        return self._bp_tuple
 
     def _bp_fold(self, pending) -> None:
         """Fold per-link mutation deltas into the merged view.
@@ -519,20 +532,15 @@ class PathRecord:
                         del bp_slack[pos]
                     else:
                         bp_ref[deadline] = count
+        # S^m over the suffix: the least slack any hop reports at d^m.
+        merged: Dict[float, float] = {}
+        for link in self._delay_links:
+            for deadline, slack in link.ledger.deadline_slacks(watermark):
+                if slack < merged.get(deadline, math.inf):
+                    merged[deadline] = slack
         start = bisect.bisect_left(bp_list, watermark)
-        if start < len(bp_list):
-            index_of: Dict[float, int] = {}
-            for position in range(start, len(bp_list)):
-                bp_slack[position] = math.inf
-                index_of[bp_list[position]] = position
-            for link in self._delay_links:
-                ledger = link.ledger
-                assert ledger is not None
-                for deadline, slack in ledger.iter_deadline_slacks(watermark):
-                    position = index_of.get(deadline)
-                    if position is not None and slack < bp_slack[position]:
-                        bp_slack[position] = slack
-        self._bp_tuple = tuple(zip(bp_list, bp_slack))
+        bp_slack[start:] = map(merged.__getitem__, bp_list[start:])
+        self._bp_tuple = None
         self.bp_delta_folds += 1
 
 

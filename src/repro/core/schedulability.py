@@ -57,6 +57,9 @@ prefix rebuild the pre-incremental ledger would have paid.
 ``admissible()`` and ``is_schedulable()`` are single linear sweeps
 over the breakpoints with O(1) work per step (a running-aggregate
 fold), instead of one bisect-backed prefix query per breakpoint.
+They walk a sorted mirror of the live buckets' aggregates, kept
+beside the tree, so a step neither merges slots with the overflow
+table nor meets a tombstone; the tree seeds each sweep.
 
 Every mutation also appends a ``(version, deadline, set_change)``
 event to a bounded ring buffer.  Path-level caches subscribe via
@@ -69,6 +72,7 @@ subscriber that falls behind the window is told to rebuild.
 from __future__ import annotations
 
 import bisect
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import (
@@ -166,7 +170,10 @@ class DeadlineLedger:
         self._bit_rate: List[float] = [0.0]
         self._bit_rd: List[float] = [0.0]
         self._bit_pkt: List[float] = [0.0]
-        self._live = 0  # buckets with count > 0
+        # The live buckets (count > 0) as sorted ``(deadline, sum_rate,
+        # sum_rate_deadline, sum_packet)`` rows: what the linear sweeps
+        # walk, free of tombstones and of the slot/overflow split.
+        self._live: List[Tuple[float, float, float, float]] = []
         self._total_rate = 0.0
         self._ops_since_compact = 0
         self.version = 0  # bumped on every mutation (path-cache invalidation)
@@ -236,7 +243,7 @@ class DeadlineLedger:
             bisect.insort(self._overflow, deadline)
 
     def _tombstones(self) -> int:
-        return len(self._slots) + len(self._overflow) - self._live
+        return len(self._slots) + len(self._overflow) - len(self._live)
 
     def _compact(self) -> None:
         """Re-sort live deadlines into fresh slots, rebuild the tree.
@@ -272,13 +279,25 @@ class DeadlineLedger:
         self._ops_since_compact = 0
         self.compactions += 1
 
-    def _finish_mutation(self, deadline: float, set_change: int) -> None:
+    def _finish_mutation(self, bucket: _DeadlineBucket, set_change: int) -> None:
+        """Mirror *bucket* into the live rows, publish the event."""
+        deadline = bucket.deadline
+        index = bisect.bisect_left(self._live, (deadline,))
+        if set_change < 0:
+            del self._live[index]
+        else:
+            row = (deadline, bucket.sum_rate, bucket.sum_rate_deadline,
+                   bucket.sum_packet)
+            if set_change > 0:
+                self._live.insert(index, row)
+            else:
+                self._live[index] = row
         self.version += 1
         self._events.append((self.version, deadline, set_change))
         self._ops_since_compact += 1
         if (
             len(self._overflow) > _OVERFLOW_LIMIT
-            or self._tombstones() > _TOMBSTONE_LIMIT + self._live
+            or self._tombstones() > _TOMBSTONE_LIMIT + len(self._live)
             or self._ops_since_compact >= _COMPACT_PERIOD
         ):
             self._compact()
@@ -313,11 +332,8 @@ class DeadlineLedger:
         if pos is not None:
             self._bit_update(pos, entry.rate, entry.rate * d, entry.max_packet)
         self._total_rate += entry.rate
-        set_change = 0
-        if bucket.count == 1:  # new distinct deadline (or revived tombstone)
-            self._live += 1
-            set_change = 1
-        self._finish_mutation(d, set_change)
+        # count == 1: new distinct deadline (or revived tombstone)
+        self._finish_mutation(bucket, 1 if bucket.count == 1 else 0)
 
     def remove(self, key: str) -> LedgerEntry:
         """Remove reservation *key*, returning its entry.
@@ -335,11 +351,8 @@ class DeadlineLedger:
             self._bit_update(pos, -entry.rate, -entry.rate * d,
                              -entry.max_packet)
         self._total_rate -= entry.rate
-        set_change = 0
-        if bucket.count == 0:  # tombstone: slot retained for reuse
-            self._live -= 1
-            set_change = -1
-        self._finish_mutation(d, set_change)
+        # count == 0: tombstone, slot retained for reuse
+        self._finish_mutation(bucket, -1 if bucket.count == 0 else 0)
         return entry
 
     def update_rate(self, key: str, rate: float) -> None:
@@ -365,7 +378,7 @@ class DeadlineLedger:
         if pos is not None:
             self._bit_update(pos, delta, delta * d, 0.0)
         self._total_rate += delta
-        self._finish_mutation(d, 0)
+        self._finish_mutation(bucket, 0)
 
     # ------------------------------------------------------------------
     # delta subscription
@@ -421,24 +434,7 @@ class DeadlineLedger:
     @property
     def distinct_deadlines(self) -> Tuple[float, ...]:
         """The sorted distinct (live) deadlines ``d^1 < ... < d^M``."""
-        return tuple(
-            d for d in self._iter_live_deadlines()
-        )
-
-    def _iter_live_deadlines(self) -> Iterator[float]:
-        """Sorted merge of live slot and overflow deadlines."""
-        slots, over, buckets = self._slots, self._overflow, self._buckets
-        si, oi = 0, 0
-        ns, no = len(slots), len(over)
-        while si < ns or oi < no:
-            if oi >= no or (si < ns and slots[si] <= over[oi]):
-                d = slots[si]
-                si += 1
-            else:
-                d = over[oi]
-                oi += 1
-            if buckets[d].count > 0:
-                yield d
+        return tuple(row[0] for row in self._live)
 
     def _aggregates_upto(self, t: float) -> Tuple[float, float, float]:
         """``(sum r_j, sum r_j d_j, sum L_j)`` over flows with ``d_j <= t``."""
@@ -491,46 +487,35 @@ class DeadlineLedger:
         """
         return self._aggregates_upto(t)
 
-    def iter_deadline_slacks(
+    def deadline_slacks(
         self, from_t: Optional[float] = None
-    ) -> Iterator[Tuple[float, float]]:
-        """Yield ``(d^k, W(d^k))`` for live deadlines ``d^k >= from_t``.
+    ) -> List[Tuple[float, float]]:
+        """``(d^k, W(d^k))`` for the live deadlines ``d^k >= from_t``.
 
         One O(log M) prefix query seeds the running aggregates; every
         subsequent breakpoint costs O(1) — the linear-sweep primitive
         behind path-level breakpoint folding.
         """
-        slots, over, buckets = self._slots, self._overflow, self._buckets
-        if from_t is None:
-            rate = rd = pkt = 0.0
-            si = oi = 0
-        else:
+        start = 0
+        rate = rd = pkt = 0.0
+        if from_t is not None:
+            start = bisect.bisect_left(self._live, (from_t,))
             rate, rd, pkt = self._aggregates_below(from_t)
-            si = bisect.bisect_left(slots, from_t)
-            oi = bisect.bisect_left(over, from_t)
         capacity = self.capacity
-        ns, no = len(slots), len(over)
-        while si < ns or oi < no:
-            if oi >= no or (si < ns and slots[si] <= over[oi]):
-                d = slots[si]
-                si += 1
-            else:
-                d = over[oi]
-                oi += 1
-            bucket = buckets[d]
-            if bucket.count == 0:
-                continue
-            rate += bucket.sum_rate
-            rd += bucket.sum_rate_deadline
-            pkt += bucket.sum_packet
-            yield d, capacity * d - (rate * d - rd + pkt)
+        slacks = []
+        for d, sum_rate, sum_rd, sum_pkt in self._live[start:]:
+            rate += sum_rate
+            rd += sum_rd
+            pkt += sum_pkt
+            slacks.append((d, capacity * d - (rate * d - rd + pkt)))
+        return slacks
 
     def is_schedulable(self) -> bool:
         """Does the current reservation set satisfy eq. (5)?"""
         if self._total_rate > self.capacity * (1 + 1e-12):
             return False
         return all(
-            slack >= -1e-9 for _d, slack in self.iter_deadline_slacks()
+            slack >= -1e-9 for _d, slack in self.deadline_slacks()
         )
 
     def admissible(self, rate: float, deadline: float, max_packet: float) -> bool:
@@ -555,23 +540,12 @@ class DeadlineLedger:
             return False
         # Every existing breakpoint above d, via a running-aggregate
         # sweep (a breakpoint equal to d is the own-deadline check).
-        slots, over, buckets = self._slots, self._overflow, self._buckets
-        si = bisect.bisect_right(slots, deadline)
-        oi = bisect.bisect_right(over, deadline)
-        ns, no = len(slots), len(over)
-        while si < ns or oi < no:
-            if oi >= no or (si < ns and slots[si] <= over[oi]):
-                d = slots[si]
-                si += 1
-            else:
-                d = over[oi]
-                oi += 1
-            bucket = buckets[d]
-            if bucket.count == 0:
-                continue
-            r_sum += bucket.sum_rate
-            rd_sum += bucket.sum_rate_deadline
-            p_sum += bucket.sum_packet
+        # (deadline, inf) sorts after the row at `deadline` itself.
+        start = bisect.bisect_left(self._live, (deadline, math.inf))
+        for d, sum_rate, sum_rd, sum_pkt in self._live[start:]:
+            r_sum += sum_rate
+            rd_sum += sum_rd
+            p_sum += sum_pkt
             needed = rate * (d - deadline) + max_packet
             if capacity * d - (r_sum * d - rd_sum + p_sum) + 1e-9 < needed:
                 return False

@@ -618,12 +618,14 @@ class BrokerService:
         scan_tests = 0
         scan_intervals = 0
         scan_early_breaks = 0
+        scan_verifications = 0
         for path in self.broker.path_mib.records():
             bp_delta_folds += path.bp_delta_folds
             bp_full_rebuilds += path.bp_full_rebuilds
             scan_tests += path.scan_tests
             scan_intervals += path.scan_intervals
             scan_early_breaks += path.scan_early_breaks
+            scan_verifications += path.scan_verifications
         # Aggregation-module counters (mutated only under the all-shard
         # lock; each read is an atomic point-in-time value) and the
         # telemetry sink's own counters, when a store is attached.
@@ -660,6 +662,7 @@ class BrokerService:
                 scan_tests=scan_tests,
                 scan_intervals=scan_intervals,
                 scan_early_breaks=scan_early_breaks,
+                scan_verifications=scan_verifications,
                 aggregate_feedback_events=aggregate.feedback_events,
                 aggregate_feedback_releases=aggregate.feedback_releases,
                 adapt_shrinks=aggregate.adapt_shrinks,

@@ -100,8 +100,13 @@ class ServiceStats:
     :param scan_tests: Figure-4 mixed-path admission scans executed.
     :param scan_intervals: deadline intervals those scans visited;
         ``scan_intervals / scan_tests`` is the mean scan length.
-    :param scan_early_breaks: scans cut short because the suffix lower
-        bound already exceeded the best feasible rate.
+    :param scan_early_breaks: scans that stopped with intervals left
+        unvisited: intervals are visited in ascending order of their
+        lower bound on the rate, and the next bound could no longer
+        beat the best verified candidate.
+    :param scan_verifications: ground-truth ``DeadlineLedger.admissible``
+        sweeps those scans ran, one per delay-based hop a candidate was
+        checked at (O(M) each — the scan's dominant per-candidate cost).
     :param feedbacks: Section 4.2.1 edge-feedback operations served
         (``op="feedback"``) — a macroflow's edge conditioner reported
         its buffer drained.
@@ -160,6 +165,7 @@ class ServiceStats:
     scan_tests: int = 0
     scan_intervals: int = 0
     scan_early_breaks: int = 0
+    scan_verifications: int = 0
     feedbacks: int = 0
     feedback_released: int = 0
     aggregate_feedback_events: int = 0
@@ -252,6 +258,7 @@ class ServiceStats:
             "scan_intervals": self.scan_intervals,
             "mean_scan_intervals": round(self.mean_scan_intervals, 3),
             "scan_early_breaks": self.scan_early_breaks,
+            "scan_verifications": self.scan_verifications,
             "feedbacks": self.feedbacks,
             "feedback_released": self.feedback_released,
             "aggregate_feedback_events": self.aggregate_feedback_events,
@@ -466,6 +473,7 @@ class StatsRecorder:
         scan_tests: int = 0,
         scan_intervals: int = 0,
         scan_early_breaks: int = 0,
+        scan_verifications: int = 0,
         aggregate_feedback_events: int = 0,
         aggregate_feedback_releases: int = 0,
         adapt_shrinks: int = 0,
@@ -512,6 +520,7 @@ class StatsRecorder:
                 scan_tests=scan_tests,
                 scan_intervals=scan_intervals,
                 scan_early_breaks=scan_early_breaks,
+                scan_verifications=scan_verifications,
                 feedbacks=self.feedbacks,
                 feedback_released=self.feedback_released,
                 aggregate_feedback_events=aggregate_feedback_events,

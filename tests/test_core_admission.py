@@ -193,6 +193,24 @@ class TestMixedAdmission:
         decision = ac.test(AdmissionRequest("f", type0_spec, 0.2), path1)
         assert not decision.admitted
 
+    def test_rejection_names_the_flow(self, mixed_stack, type0_spec):
+        """A mixed-path rejection carries the request's flow id out of
+        ``test()``, ``admit()`` and ``admit_batch()``; only the bare
+        probe, which has no request, leaves it blank."""
+        ac, path1, _p2, _mib = mixed_stack
+        hopeless = AdmissionRequest("x1", type0_spec, 0.0001)
+        for decision in (
+            ac.test(hopeless, path1),
+            ac.admit(hopeless, path1),
+            ac.admit_batch([hopeless], path1)[0],
+        ):
+            assert not decision.admitted
+            assert decision.flow_id == "x1"
+            assert decision.path_id == path1.path_id
+            assert decision.reason is not None
+        probe = ac.probe_min_rate_pair(type0_spec, 0.0001, path1)
+        assert not probe.admitted and probe.flow_id == ""
+
     def test_release_on_mixed_path(self, mixed_stack, type0_spec):
         ac, path1, _p2, _mib = mixed_stack
         ac.admit(AdmissionRequest("f", type0_spec, 2.19), path1)

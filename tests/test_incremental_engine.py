@@ -18,7 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.admission import AdmissionRequest, PerFlowAdmission
+from repro.core.admission import (
+    AdmissionDecision,
+    AdmissionRequest,
+    PerFlowAdmission,
+    RejectionReason,
+)
 from repro.core.mibs import FlowMIB, LinkQoSState, NodeMIB, PathMIB, PathRecord
 from repro.core.schedulability import DeadlineLedger
 from repro.traffic.spec import TSpec
@@ -290,21 +295,25 @@ class TestPathBreakpointsDifferential:
         assert path.bp_cache_hits == hits + 1
 
 
+def build_path_stack(kinds, capacity, paths=1):
+    """*paths* link-disjoint chains of the given hop kinds."""
+    node_mib, path_mib = NodeMIB(), PathMIB()
+    records = []
+    for p in range(paths):
+        names = [f"p{p}n{i}" for i in range(len(kinds) + 1)]
+        links = [
+            node_mib.register_link(LinkQoSState(
+                (src, dst), capacity, kind, max_packet=12000.0))
+            for src, dst, kind in zip(names, names[1:], kinds)
+        ]
+        records.append(path_mib.register(PathRecord(f"p{p}", names, links)))
+    return PerFlowAdmission(node_mib, FlowMIB(), path_mib), records
+
+
 def build_mixed_stack():
     """A fresh broker stack over one mixed path (2 rate + 2 delay hops)."""
-    node_mib = NodeMIB()
-    kinds = [R, D, D, R]
-    links = [
-        LinkQoSState((f"m{i}", f"m{i+1}"), CAPACITY, kind, max_packet=12000.0)
-        for i, kind in enumerate(kinds)
-    ]
-    for link in links:
-        node_mib.register_link(link)
-    path = PathRecord("mixed", [f"m{i}" for i in range(len(kinds) + 1)], links)
-    path_mib = PathMIB()
-    path_mib.register(path)
-    admission = PerFlowAdmission(node_mib, FlowMIB(), path_mib)
-    return admission, path, links
+    admission, (path,) = build_path_stack([R, D, D, R], CAPACITY)
+    return admission, path, path.links
 
 
 def request(index, spec, delay_requirement):
@@ -377,12 +386,9 @@ class TestMixedDecisionEquality:
         batch_decisions = batch_adm.admit_batch(requests, batch_path)
         seq_decisions = [seq_adm.admit(r, seq_path) for r in requests]
         assert any(not d.admitted for d in seq_decisions)  # saturated
-        for got, want in zip(batch_decisions, seq_decisions):
-            assert got.admitted == want.admitted
-            assert got.rate == want.rate
-            assert got.delay == want.delay
-            assert got.reason == want.reason
-            assert got.detail == want.detail
+        for got, want, asked in zip(batch_decisions, seq_decisions, requests):
+            assert got == want  # every field, floats with ==
+            assert got.flow_id == asked.flow_id  # rejections included
 
     def test_early_break_changes_no_decision(self):
         """Counters prove early termination fires while every granted
@@ -403,9 +409,268 @@ class TestMixedDecisionEquality:
                 assert decision.reason == baseline.reason
                 assert decision.detail == baseline.detail
         # The saturating sequence must have exercised early
-        # termination: tight low-deadline slack pushes the suffix
-        # lower bound past the running best.
+        # termination: a verified candidate below the next interval's
+        # lower bound ends the walk.
         assert path.scan_early_breaks > 0
         assert path.scan_intervals < path.scan_tests * (
             len(path.deadline_breakpoints()) + 1
         )
+
+
+# ----------------------------------------------------------------------
+# Figure 4 against a frozen reference
+# ----------------------------------------------------------------------
+
+_EPS = 1e-9
+
+
+def reference_own_deadline_bound(delay_links, d_lo, t_nu, xi, l_max):
+    """Frozen copy of ``PerFlowAdmission._own_deadline_bound``."""
+    bound = 0.0
+    for link in delay_links:
+        ledger = link.ledger
+        rate_sum, rate_dl_sum, packet_sum = ledger.segment_aggregates(d_lo)
+        slope = ledger.capacity - rate_sum
+        intercept = rate_dl_sum - packet_sum
+        if slope <= _EPS * ledger.capacity:
+            if intercept + _EPS < l_max:
+                return 0.0, True
+            continue
+        d_min = (l_max - intercept) / slope
+        if d_min <= d_lo:
+            continue
+        if d_min >= t_nu - _EPS:
+            return 0.0, True
+        bound = max(bound, xi / (t_nu - d_min))
+    return bound, False
+
+
+def reference_min_rate_pair(spec, delay_requirement, path, hits):
+    """The Figure-4 walk as it stood before intervals were ordered by
+    their lower bound, frozen here with every pruning rule taken out:
+    all intervals, top down, each evaluated in full with the same
+    tolerances and the same boundary nudge, and the lowest verified
+    rate wins.  It shares no code with ``_find_min_rate_pair`` — only
+    the path's public ``deadline_breakpoints()`` and the ledgers'
+    ``segment_aggregates`` / ``admissible``.
+
+    Returns ``(rate, delay)`` or ``(reason, detail)``; *hits* collects
+    the names of the rare branches the call went through.
+    """
+    profile = path.profile()
+    delay_hops = profile.delay_based_hops
+    t_nu = (delay_requirement - profile.d_tot + spec.t_on) / delay_hops
+    xi = (
+        spec.t_on * spec.peak
+        + (profile.rate_based_hops + 1) * spec.max_packet
+    ) / delay_hops
+    l_max = spec.max_packet
+    if t_nu <= 0:
+        return (RejectionReason.DELAY_UNACHIEVABLE,
+                "fixed path latency alone exceeds the requirement")
+    rate_cap = min(spec.peak, path.residual_bandwidth())
+    if rate_cap < spec.rho * (1 - _EPS):
+        return (RejectionReason.INSUFFICIENT_BANDWIDTH,
+                f"residual bandwidth {path.residual_bandwidth():.1f} b/s "
+                f"below the sustained rate {spec.rho:.1f} b/s")
+    hi_global = rate_cap
+    below, bounds = [], []
+    for d_k, s_k in path.deadline_breakpoints():
+        gap = d_k - t_nu
+        if gap > _EPS:
+            hi_global = min(hi_global, (s_k - xi - l_max) / gap)
+        elif gap >= -_EPS:
+            if s_k + _EPS < xi + l_max:
+                hits.add("fatal")
+                return (RejectionReason.UNSCHEDULABLE,
+                        f"residual service at deadline {d_k:.6f}s cannot "
+                        f"absorb the new flow at any rate")
+        else:
+            below.append((d_k, s_k))
+            bounds.append((xi + l_max - s_k) / (t_nu - d_k))
+    if hi_global <= 0:
+        hits.add("no-residual")
+        return (RejectionReason.UNSCHEDULABLE,
+                "a long-deadline reservation leaves no residual service")
+    suffix_lb = [0.0] * (len(below) + 1)
+    for k in range(len(below) - 1, -1, -1):
+        suffix_lb[k] = max(suffix_lb[k + 1], bounds[k])
+    delay_links = path.delay_based_links()
+    boundaries = [0.0] + [d for d, _ in below]
+
+    def admissible(rate, delay):
+        return all(link.ledger.admissible(rate, delay, l_max)
+                   for link in delay_links)
+
+    best = None
+    for m in range(len(boundaries), 0, -1):
+        d_lo = boundaries[m - 1]
+        d_hi = below[m - 1][0] if m - 1 < len(below) else t_nu
+        lo = max(spec.rho, suffix_lb[m - 1])
+        if t_nu - d_lo <= _EPS:
+            continue
+        lo = max(lo, xi / (t_nu - d_lo))
+        hi = hi_global
+        if d_hi < t_nu - _EPS:
+            hi = min(hi, xi / (t_nu - d_hi))
+        if lo > hi * (1 + _EPS):
+            continue
+        lo_own, infeasible = reference_own_deadline_bound(
+            delay_links, d_lo, t_nu, xi, l_max)
+        if infeasible:
+            continue
+        if lo_own > lo:
+            hits.add("own-deadline-binds")
+        lo = max(lo, lo_own)
+        if lo > hi * (1 + _EPS):
+            continue
+        rate = lo
+        delay = max(0.0, t_nu - xi / rate)
+        if not admissible(rate, delay):
+            rate = lo * (1 + 1e-12) + 1e-12
+            delay = max(0.0, t_nu - xi / rate)
+            if rate > hi * (1 + _EPS) or not admissible(rate, delay):
+                continue
+            hits.add("nudge")
+        if best is None or rate < best[0]:
+            best = (rate, delay)
+    if best is None:
+        hits.add("none-feasible")
+        return (RejectionReason.UNSCHEDULABLE,
+                "no feasible rate-delay pair on any deadline interval")
+    hits.add("granted")
+    return best
+
+
+def assert_scan_matches_reference(admission, spec, delay_requirement, path,
+                                  hits):
+    """``==`` on the granted floats, and on reason and detail of a
+    rejection."""
+    want = reference_min_rate_pair(spec, delay_requirement, path, hits)
+    got = admission.probe_min_rate_pair(spec, delay_requirement, path)
+    if isinstance(got, AdmissionDecision):
+        assert not got.admitted and got.flow_id == ""
+        got = (got.reason, got.detail)
+    assert got == want
+
+
+#: The flow and delay range of the repo benchmark's ``engine_deep``
+#: workload (4 hops, the last 2 delay-based, 45 Mb/s links).
+DEEP_SPEC = TSpec(sigma=8000.0, rho=32000.0, peak=64000.0, max_packet=4000.0)
+DEEP_KINDS = [R, R, D, D]
+DEEP_CAPACITY = 45_000_000.0
+
+
+def deep_delays(rng, count, offset):
+    """An even grid over [0.5, 3.0] in seeded order: one deadline per
+    flow on the delay-based hops."""
+    grid = [0.5 + 2.5 * (k + offset) / count for k in range(count)]
+    rng.shuffle(grid)
+    return grid
+
+
+class TestFigure4AgainstFrozenReference:
+    def test_dyadic_churn(self):
+        """The churn of ``test_fresh_path_record_agrees_after_churn``,
+        judged by the reference instead of by the scan itself."""
+        rng = random.Random(5)
+        admission, path, _links = build_mixed_stack()
+        admitted, hits = [], set()
+        for index in range(60):
+            if admitted and rng.random() < 0.3:
+                admission.release(admitted.pop(rng.randrange(len(admitted))))
+            d_req = 0.05 + rng.randint(1, 100) / 1024.0
+            assert_scan_matches_reference(admission, SPEC, d_req, path, hits)
+            decision = admission.admit(request(index, SPEC, d_req), path)
+            if decision.admitted:
+                admitted.append(decision.flow_id)
+        assert "granted" in hits
+
+    def test_engine_deep_shape(self):
+        """700 standing flows over two 4-hop paths (350 deadlines per
+        delay-based link), then admit/teardown pairs at fresh
+        deadlines — none of the values is dyadic."""
+        rng = random.Random(1)
+        admission, paths = build_path_stack(
+            DEEP_KINDS, DEEP_CAPACITY, paths=2)
+        live = []
+        for index, d_req in enumerate(deep_delays(rng, 700, 0.25)):
+            decision = admission.admit(
+                request(index, DEEP_SPEC, d_req), paths[index % 2])
+            assert decision.admitted
+            live.append(decision.flow_id)
+        hits = set()
+        for index, d_req in enumerate(deep_delays(rng, 30, 0.75)):
+            path = paths[index % 2]
+            assert_scan_matches_reference(
+                admission, DEEP_SPEC, d_req, path, hits)
+            decision = admission.admit(
+                request(700 + index, DEEP_SPEC, d_req), path)
+            assert decision.admitted
+            live.append(decision.flow_id)
+            admission.release(live.pop(rng.randrange(len(live))))
+        assert hits == {"granted"}
+
+    def test_saturating_sequences_reach_the_rare_branches(self):
+        """Random specs on small links until they saturate, a fifth of
+        the requests aimed so that ``t_nu`` lands on an existing
+        deadline: rejections of every kind, the own-deadline bound
+        and the boundary nudge all occur and all agree."""
+        hits = set()
+        for seed in range(8):
+            rng = random.Random(seed)
+            capacity = rng.choice([1.5e6, 10e6])
+            kinds = rng.choice([[R, D, D, R], [D, D], [R, D], [D, R, D, D]])
+            admission, (path,) = build_path_stack(kinds, capacity)
+            profile = path.profile()
+            live = []
+            for index in range(80):
+                rho = rng.uniform(5000, capacity / 12)
+                spec = TSpec(
+                    sigma=rng.uniform(12000, 100000), rho=rho,
+                    peak=rho + rng.uniform(1000, capacity / 6),
+                    max_packet=rng.choice([4000.0, 12000.0]),
+                )
+                d_req = rng.uniform(0.05, 3.0)
+                roll = rng.random()
+                if live and roll < 0.25:
+                    admission.release(live.pop(rng.randrange(len(live))))
+                if live and roll > 0.8:
+                    d_k, _s_k = rng.choice(path.deadline_breakpoints())
+                    d_req = (d_k * profile.delay_based_hops
+                             + profile.d_tot - spec.t_on)
+                    if d_req <= 0:
+                        continue
+                assert_scan_matches_reference(
+                    admission, spec, d_req, path, hits)
+                decision = admission.admit(request(index, spec, d_req), path)
+                if decision.admitted:
+                    live.append(decision.flow_id)
+        assert hits >= {"granted", "fatal", "no-residual", "none-feasible",
+                        "own-deadline-binds", "nudge"}
+
+
+class TestScanScaling:
+    """Counts, not clocks: the scan's work per admit must not grow
+    with the number of deadlines per link."""
+
+    @pytest.mark.parametrize("deadlines", [100, 350, 1000])
+    def test_work_per_admit_is_flat_in_m(self, deadlines):
+        rng = random.Random(deadlines)
+        admission, (path,) = build_path_stack(DEEP_KINDS, DEEP_CAPACITY)
+        delay_hops = len(path.delay_based_links())
+        live = []
+        for index, d_req in enumerate(deep_delays(rng, deadlines, 0.25)):
+            assert admission.admit(request(index, DEEP_SPEC, d_req), path)
+            live.append(f"flow{index}")
+        assert len(path.deadline_breakpoints()) == deadlines
+        for index, d_req in enumerate(deep_delays(rng, 40, 0.75)):
+            flow = request(deadlines + index, DEEP_SPEC, d_req)
+            assert admission.admit(flow, path)
+            live.append(flow.flow_id)
+            admission.release(live.pop(rng.randrange(len(live))))
+        scans = path.scan_tests
+        assert scans == deadlines + 40
+        assert path.scan_intervals <= 4 * scans
+        assert path.scan_verifications <= 2 * delay_hops * scans
+        assert path.scan_early_breaks > 0
