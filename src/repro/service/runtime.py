@@ -23,6 +23,11 @@ daemon engineered around that bottleneck:
 * **admission batching** — queued requests with the same batch key
   are coalesced and served with one resolution + one hoisted
   schedulability scan (:mod:`repro.service.batching`);
+* **teardown runs** — consecutive teardowns at the queue head (up to
+  ``batch_limit``) are popped together; each is applied under its own
+  shard locks and journaled write-ahead, and one group commit covers
+  the run.  The run stops at the first other op, so it reorders
+  nothing;
 * **observability** — :meth:`BrokerService.stats` returns a
   :class:`~repro.service.stats.ServiceStats` snapshot (queue depth,
   shed/expired counts, batch shape, p50/p99 service time, per-shard
@@ -131,6 +136,13 @@ class ServiceRequest:
         wall clock that drives deadlines.
     :param timeout: seconds this request may spend queued before it
         is shed (``None``: the service default).
+    :param lease: ``(agent, duration)`` of the edge lease this admit
+        grants or this teardown releases (the edge gateway sets it).
+        With a WAL, the service journals the ``lease`` marker
+        (``grant`` for an admitted flow, ``release`` for a completed
+        teardown) in the op's own commit group — after the decision,
+        before the group commit — so the marker is durable exactly
+        when the decision is.  ``None``: no marker.
     """
 
     flow_id: str
@@ -144,6 +156,7 @@ class ServiceRequest:
     now: float = 0.0
     timeout: Optional[float] = None
     rate: float = 0.0
+    lease: Optional[Tuple[str, float]] = None
 
 
 @dataclass(frozen=True)
@@ -197,13 +210,29 @@ class PendingReply:
         self.enqueued_at = enqueued_at
         self.deadline = deadline
 
-    def _resolve(self, reply: ServiceReply) -> None:
+    def _resolve(self, reply: ServiceReply) -> int:
+        """Publish *reply* and run the registered callbacks, each in
+        isolation; returns how many of them raised.  A raising
+        callback must not kill the resolving worker and strand the
+        rest of its batch."""
         with self._cb_lock:
             self._reply = reply
             self._event.set()
             callbacks, self._callbacks = self._callbacks, []
+        failed = 0
         for callback in callbacks:
-            callback(reply)
+            try:
+                callback(reply)
+            except Exception:
+                failed += 1
+                # Imported on this rare path only: nothing else in a
+                # serving process loads ``logging`` (~0.2 MB RSS each).
+                import logging
+
+                logging.getLogger(__name__).exception(
+                    "done-callback for %r raised", reply.request.flow_id
+                )
+        return failed
 
     def add_done_callback(self, callback) -> "PendingReply":
         """Run ``callback(reply)`` once the reply resolves.
@@ -214,7 +243,9 @@ class PendingReply:
         This is how a network front-end (the edge gateway) answers
         many in-flight requests without parking a thread per request.
         Callbacks must not block: they run on the worker that just
-        served the batch.
+        served the batch.  An exception raised there is logged with
+        its traceback and counted (``ServiceStats.callback_errors``);
+        one raised by an immediate call propagates to the caller.
         """
         with self._cb_lock:
             if not self._event.is_set():
@@ -265,8 +296,9 @@ class BrokerService:
         journaled in their commit order and replay reproduces it), and
         the reply future is resolved only after the group commit
         covering the entry returns.  One fsync covers the whole batch
-        plus whatever other workers appended meanwhile — durability is
-        amortized exactly like admission batching.
+        (or teardown run), its edge-lease markers, and whatever other
+        workers appended meanwhile — durability is amortized exactly
+        like admission batching.
     :param replicator: optional
         :class:`~repro.service.replication.ReplicationHub` over the
         same ``wal`` (which is then required) — after each group
@@ -689,7 +721,10 @@ class BrokerService:
 
         Non-matching requests keep their relative order and are left
         for the other workers (which are re-notified when any
-        remain).  Returns ``None`` on shutdown with a drained queue.
+        remain).  A teardown head instead takes the run of teardowns
+        directly behind it, stopping at the first other op so no
+        request overtakes another.  Returns ``None`` on shutdown with
+        a drained queue.
         """
         with self._cond:
             while not self._queue:
@@ -698,6 +733,11 @@ class BrokerService:
                 self._cond.wait()
             head = self._queue.popleft()
             batch = [head]
+            if head.request.op == "teardown":
+                while (self._queue and len(batch) < self.batch_limit
+                       and self._queue[0].request.op == "teardown"):
+                    batch.append(self._queue.popleft())
+                return batch
             key = batch_key(head.request)
             if key is not None and self.batch_limit > 1 and self._queue:
                 rest: Deque[_Job] = deque()
@@ -731,8 +771,7 @@ class BrokerService:
         if not live:
             return
         if live[0].request.op == "teardown":
-            for job in live:
-                self._serve_teardown(job)
+            self._serve_teardowns(live)
             return
         if live[0].request.op == "advance":
             for job in live:
@@ -793,6 +832,9 @@ class BrokerService:
                 decisions = self._batcher.execute(
                     resolved, [job.request for job in jobs]
                 )
+                for job, decision in zip(jobs, decisions):
+                    if decision.admitted:
+                        self._journal_lease_marker("grant", job.request)
                 if self.edge_rtt > 0 and any(
                     decision.admitted for decision in decisions
                 ):
@@ -819,38 +861,54 @@ class BrokerService:
             return
         self._reply_all(jobs, decisions)
 
-    def _serve_teardown(self, job: _Job) -> None:
-        flow_id = job.request.flow_id
-        record = self.broker.flow_mib.get(flow_id)
-        if record is None:
-            detail = f"flow {flow_id!r} is not admitted"
-            self._recorder.on_error(self._elapsed(job))
-            self._finish(job, ERROR, None, detail=detail)
-            return
-        if record.class_id:
-            shard_ids = self.shards.all_shards()
-        else:
-            path = self.broker.path_mib.get(record.path_id)
-            shard_ids = self.shards.shards_for(path.links)
-        try:
-            with self.shards.locked(shard_ids):
-                if self.wal is not None:
-                    self.wal.append("terminate", {
-                        "flow_id": flow_id, "now": job.request.now,
-                    })
-                self.broker.terminate(flow_id, now=job.request.now)
-                if self.edge_rtt > 0:
-                    time.sleep(self.edge_rtt)
-        except Exception as exc:
-            self._recorder.on_error(self._elapsed(job))
-            self._finish(job, ERROR, None, detail=str(exc))
+    def _serve_teardowns(self, jobs: List[_Job]) -> None:
+        """Serve a run of teardowns with one group commit.
+
+        Each teardown is applied under its own shard locks and
+        journaled write-ahead; an unknown or failing one is answered
+        ``ERROR`` at once.  The applied rest share one commit, and a
+        replication-gate failure turns all of them into ``ERROR``.
+        """
+        applied: List[_Job] = []
+        for job in jobs:
+            request = job.request
+            record = self.broker.flow_mib.get(request.flow_id)
+            if record is None:
+                detail = f"flow {request.flow_id!r} is not admitted"
+                self._recorder.on_error(self._elapsed(job))
+                self._finish(job, ERROR, None, detail=detail)
+                continue
+            if record.class_id:
+                shard_ids = self.shards.all_shards()
+            else:
+                path = self.broker.path_mib.get(record.path_id)
+                shard_ids = self.shards.shards_for(path.links)
+            try:
+                with self.shards.locked(shard_ids):
+                    if self.wal is not None:
+                        self.wal.append("terminate", {
+                            "flow_id": request.flow_id,
+                            "now": request.now,
+                        })
+                    self.broker.terminate(request.flow_id,
+                                          now=request.now)
+                    self._journal_lease_marker("release", request)
+                    if self.edge_rtt > 0:
+                        time.sleep(self.edge_rtt)
+            except Exception as exc:
+                self._recorder.on_error(self._elapsed(job))
+                self._finish(job, ERROR, None, detail=str(exc))
+                continue
+            applied.append(job)
+        if not applied:
             return
         stall = self._commit_wal()
         if stall is not None:
-            self._fail_group([job], stall)
+            self._fail_group(applied, stall)
             return
-        self._recorder.on_reply("done", self._elapsed(job))
-        self._finish(job, OK, None)
+        for job in applied:
+            self._recorder.on_reply("done", self._elapsed(job))
+            self._finish(job, OK, None)
 
     def _serve_feedback(self, job: _Job) -> None:
         # Releasing a macroflow's contingency bandwidth mutates link
@@ -950,20 +1008,44 @@ class BrokerService:
 
     def journal_lease(self, event: str, flow_id: str, agent: str, *,
                       duration: float = 0.0, now: float = 0.0) -> None:
-        """Journal one edge-lease lifecycle event (no-op without WAL).
+        """Journal one edge-lease lifecycle event and commit it (no-op
+        without WAL).
 
         The edge gateway's soft-state flow leases live outside the
-        broker MIBs, but their lifecycle must ride the same WAL so a
-        restarted gateway rebuilds its lease table from the directory
-        it recovers the broker from (and replicas see the markers in
-        shipped order).  Replay treats ``"lease"`` entries as no-ops —
-        the broker-visible effect of a reap is its own ``terminate``
-        entry.  Group-committed like every other append: a lease is
-        not *granted* (acknowledged to the agent) before its marker is
-        durable.
+        broker MIBs; their markers are an audit trail in the same WAL
+        (replicas see them in shipped order).  Nothing reads them
+        back: replay treats ``"lease"`` entries as no-ops, and a
+        restarted gateway starts with an empty lease table — a flow's
+        lease returns when its owner re-signals the admit (orphan
+        adoption).  The broker-visible effect of a reap is its own
+        ``terminate`` entry.
+
+        Grants and releases of agent admits/teardowns do not come
+        through here: they ride their decision's own commit group via
+        :attr:`ServiceRequest.lease`.  This call is for the events the
+        gateway originates itself (``expire``, ``reclaim``, the
+        orphan-adoption ``grant``) and costs one group commit of its
+        own.
         """
         if self.wal is None:
             return
+        self._append_lease(event, flow_id, agent, duration, now)
+        stall = self._commit_wal()
+        if stall is not None:
+            raise StateError(stall)
+
+    def _journal_lease_marker(self, event: str,
+                              request: ServiceRequest) -> None:
+        """Append the lease marker *request* carries, uncommitted: the
+        caller's group commit makes it durable with the decision."""
+        if self.wal is None or request.lease is None:
+            return
+        agent, duration = request.lease
+        self._append_lease(event, request.flow_id, agent, duration,
+                           request.now)
+
+    def _append_lease(self, event: str, flow_id: str, agent: str,
+                      duration: float, now: float) -> None:
         self.wal.append("lease", {
             "event": event,
             "flow_id": flow_id,
@@ -971,9 +1053,6 @@ class BrokerService:
             "duration": duration,
             "now": now,
         })
-        stall = self._commit_wal()
-        if stall is not None:
-            raise StateError(stall)
 
     def _journal_requests(self, jobs: List[_Job]) -> None:
         """Append one write-ahead entry per admission in the batch."""
@@ -1033,7 +1112,7 @@ class BrokerService:
                 decision: Optional[AdmissionDecision], *,
                 detail: str = "", batch_size: int = 1,
                 retry_after: float = 0.0) -> None:
-        job.pending._resolve(ServiceReply(
+        failed = job.pending._resolve(ServiceReply(
             request=job.request,
             status=status,
             decision=decision,
@@ -1042,6 +1121,8 @@ class BrokerService:
             batch_size=batch_size,
             retry_after=retry_after,
         ))
+        if failed:
+            self._recorder.on_callback_error(failed)
 
     @staticmethod
     def _elapsed(job: _Job) -> float:

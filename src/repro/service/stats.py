@@ -130,6 +130,9 @@ class ServiceStats:
     :param telemetry_reports: edge utilization report frames accepted
         into the telemetry store (0 when none is attached).
     :param telemetry_samples: individual samples those reports carried.
+    :param callback_errors: reply done-callbacks that raised on a
+        worker; each was swallowed so the rest of its batch still
+        resolved (non-zero means a front-end callback has a bug).
     """
 
     workers: int
@@ -176,6 +179,7 @@ class ServiceStats:
     adapt_rate_pregranted: float = 0.0
     telemetry_reports: int = 0
     telemetry_samples: int = 0
+    callback_errors: int = 0
 
     @property
     def mean_batch(self) -> float:
@@ -270,6 +274,7 @@ class ServiceStats:
             "adapt_rate_pregranted": round(self.adapt_rate_pregranted, 1),
             "telemetry_reports": self.telemetry_reports,
             "telemetry_samples": self.telemetry_samples,
+            "callback_errors": self.callback_errors,
         }
 
 
@@ -379,6 +384,7 @@ class StatsRecorder:
         self.replication_stalls = 0
         self.feedbacks = 0
         self.feedback_released = 0
+        self.callback_errors = 0
         self._samples: Deque[float] = deque(maxlen=SAMPLE_WINDOW)
 
     def on_submit(self) -> None:
@@ -421,6 +427,12 @@ class StatsRecorder:
         with self._lock:
             self.feedbacks += 1
             self.feedback_released += released
+
+    def on_callback_error(self, count: int) -> None:
+        """*count* done-callbacks of one reply raised (and were
+        swallowed)."""
+        with self._lock:
+            self.callback_errors += count
 
     def retry_hint(self, queue_depth: int, workers: int) -> float:
         """A machine-readable retry-after suggestion, in seconds.
@@ -531,4 +543,5 @@ class StatsRecorder:
                 adapt_rate_pregranted=adapt_rate_pregranted,
                 telemetry_reports=telemetry_reports,
                 telemetry_samples=telemetry_samples,
+                callback_errors=self.callback_errors,
             )

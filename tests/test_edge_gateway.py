@@ -12,14 +12,21 @@ end-to-end.
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
 
 from repro.core.aggregate import ContingencyMethod, ServiceClass
 from repro.core.broker import BandwidthBroker
+from repro.core.persistence import checkpoint_broker
 from repro.edge import EdgeGateway, protocol
-from repro.service import BrokerService, FileJournal, read_journal
+from repro.service import (
+    BrokerService,
+    FileJournal,
+    read_journal,
+    recover_broker,
+)
 from repro.service.transport import pipe_pair, ping_frame
 from repro.workloads.profiles import flow_type
 from repro.workloads.topologies import SchedulerSetting, fig8_domain
@@ -36,6 +43,15 @@ def make_broker() -> BandwidthBroker:
         ServiceClass("gold", delay_bound=2.44, class_delay=0.24)
     )
     return broker
+
+
+def canonical(broker: BandwidthBroker) -> str:
+    """The broker's checkpointable state, flow order normalized (a
+    concurrent primary and its replay insert flows in different
+    orders)."""
+    data = checkpoint_broker(broker)
+    data["flows"] = sorted(data["flows"], key=lambda f: f["flow_id"])
+    return json.dumps(data, sort_keys=True)
 
 
 class RawSession:
@@ -419,8 +435,6 @@ class TestDurability:
         assert kinds.count("terminate") == 2
 
     def test_feedback_journals_and_replays(self, broker, tmp_path):
-        from repro.service import recover_broker
-
         wal = FileJournal(str(tmp_path))
         with BrokerService(broker, workers=2, shards=4,
                            wal=wal) as service:
@@ -447,6 +461,73 @@ class TestDurability:
         assert macro.total_rate == \
             broker.aggregate.macroflows[key].total_rate
         assert report.applied > 0 and report.skipped == 0
+
+    def test_one_commit_per_admit_and_per_teardown(self, broker,
+                                                   tmp_path):
+        """A lease marker shares its decision's group commit instead
+        of paying a second one."""
+        wal = FileJournal(str(tmp_path))
+        with BrokerService(broker, workers=2, shards=4,
+                           wal=wal) as service:
+            gateway = EdgeGateway(service, lease_duration=10.0)
+            session = RawSession(gateway)
+            before = wal.fsyncs
+            session.rpc(admit_frame("i1", "f1", now=0.0))
+            assert wal.fsyncs - before == 1
+            before = wal.fsyncs
+            session.rpc(protocol.make_teardown("edge-1", "i2", "f1",
+                                               now=1.0))
+            assert wal.fsyncs - before == 1
+            session.close()
+        wal.close()
+
+    def test_pipelined_replies_never_outrun_their_lease_marker(
+            self, broker, tmp_path):
+        """When a reply reaches the agent, the WAL is durable past the
+        op's lease marker — and the window's WAL replays to the live
+        MIB."""
+        wal = FileJournal(str(tmp_path))
+        durable_at_send = {}
+        with BrokerService(broker, workers=2, shards=4,
+                           wal=wal) as service:
+            gateway = EdgeGateway(service, lease_duration=10.0)
+            send = gateway._send_to_agent
+
+            def spy(agent, frame):
+                durable_at_send[frame["idem"]] = wal.durable_position
+                send(agent, frame)
+
+            gateway._send_to_agent = spy
+            session = RawSession(gateway)
+            flows = [f"f{index}" for index in range(12)]
+            for index, flow_id in enumerate(flows):
+                session.conn.send(admit_frame(f"a{index}", flow_id))
+            for _ in flows:
+                assert session.recv()["decision"]["admitted"] is True
+            for index, flow_id in enumerate(flows[::2]):
+                session.conn.send(protocol.make_teardown(
+                    "edge-1", f"d{index}", flow_id, now=1.0))
+            for _ in flows[::2]:
+                assert session.recv()["status"] == protocol.STATUS_OK
+            session.close()
+        wal.close()
+        markers = {
+            (entry.payload["event"], entry.payload["flow_id"]): entry.seq
+            for entry in read_journal(str(tmp_path)).entries
+            if entry.kind == "lease"
+        }
+        for index, flow_id in enumerate(flows):
+            assert durable_at_send[f"a{index}"] >= \
+                markers[("grant", flow_id)]
+        for index, flow_id in enumerate(flows[::2]):
+            assert durable_at_send[f"d{index}"] >= \
+                markers[("release", flow_id)]
+        report = recover_broker(str(tmp_path), broker_factory=make_broker)
+        assert report.skipped == 0
+        assert sorted(
+            record.flow_id for record in report.broker.flow_mib.records()
+        ) == sorted(flows[1::2])
+        assert canonical(report.broker) == canonical(broker)
 
 
 class TestCodecNegotiation:

@@ -10,7 +10,9 @@ honoured, errors become error replies, and the stats reconcile.
 
 from __future__ import annotations
 
+import logging
 import threading
+from contextlib import contextmanager
 
 import pytest
 
@@ -20,12 +22,16 @@ from repro.core.broker import BandwidthBroker
 from repro.core.signaling import FlowServiceRequest, FlowTeardown
 from repro.errors import StateError
 from repro.service import (
+    ERROR,
     EXPIRED,
     OK,
     SHED,
+    SYNC,
     BrokerService,
     FileJournal,
+    ReplicationHub,
     ServiceRequest,
+    read_journal,
 )
 from repro.workloads.profiles import flow_type
 from repro.workloads.topologies import SchedulerSetting, fig8_domain
@@ -50,6 +56,43 @@ def admit_request(flow_id: str, **overrides) -> ServiceRequest:
     )
     fields.update(overrides)
     return ServiceRequest(**fields)
+
+
+@contextmanager
+def parked_worker(service: BrokerService):
+    """Park a 1-worker service's only worker until the block exits.
+
+    The worker serves an ``advance`` and then blocks inside its
+    done-callback, so everything submitted inside the block is queued
+    behind it and popped together once it exits; counters read inside
+    the block no longer move.
+    """
+    parked, release = threading.Event(), threading.Event()
+
+    def park(_reply) -> None:
+        parked.set()
+        release.wait(10.0)
+
+    # The shard locks hold the advance unserved until its callback is
+    # registered, so the callback runs on the worker.
+    with service.shards.locked(service.shards.all_shards()):
+        service.submit(ServiceRequest("", op="advance")).add_done_callback(
+            park
+        )
+    assert parked.wait(10.0)
+    try:
+        yield
+    finally:
+        release.set()
+
+
+def terminated(directory) -> list:
+    """Flow ids of the journal's ``terminate`` records, in order."""
+    return [
+        entry.payload["flow_id"]
+        for entry in read_journal(directory).entries
+        if entry.kind == "terminate"
+    ]
 
 
 class TestLifecycle:
@@ -299,6 +342,144 @@ class TestBatching:
             replies = [pending.wait(10.0) for pending in pendings]
         assert all(reply.status == OK for reply in replies)
         assert all(reply.admitted for reply in replies)
+
+
+class TestTeardownRuns:
+    """Consecutive teardowns at the queue head share one group commit."""
+
+    @staticmethod
+    def admit(service: BrokerService, *flow_ids: str) -> None:
+        for flow_id in flow_ids:
+            assert service.request(flow_id, SPEC, 2.44, "I1", "E1").admitted
+
+    def test_queued_teardowns_share_one_commit(self, broker, tmp_path):
+        wal = FileJournal(tmp_path)
+        flows = [f"f{index}" for index in range(5)]
+        with BrokerService(broker, workers=1, shards=2,
+                           wal=wal) as service:
+            self.admit(service, *flows)
+            with parked_worker(service):
+                before = wal.fsyncs
+                pendings = [
+                    service.submit(ServiceRequest(flow_id, op="teardown"))
+                    for flow_id in reversed(flows)
+                ]
+            replies = [pending.wait(5.0) for pending in pendings]
+            assert wal.fsyncs - before == 1
+            stats = service.stats()
+        wal.close()
+        assert all(reply.status == OK for reply in replies)
+        assert broker.stats().active_flows == 0
+        # Journaled in submit order, not admission order.
+        assert terminated(tmp_path) == list(reversed(flows))
+        # mean_batch keeps describing admission batches only.
+        assert (stats.batches, stats.batched_requests) == (5, 5)
+
+    def test_run_stops_at_the_first_other_op(self, broker, tmp_path):
+        wal = FileJournal(tmp_path)
+        with BrokerService(broker, workers=1, shards=2,
+                           wal=wal) as service:
+            self.admit(service, "f0", "f1")
+            with parked_worker(service):
+                pendings = [
+                    service.submit(ServiceRequest("f0", op="teardown")),
+                    service.submit(admit_request("f2")),
+                    service.submit(ServiceRequest("f1", op="teardown")),
+                ]
+            replies = [pending.wait(5.0) for pending in pendings]
+        wal.close()
+        assert all(reply.status == OK for reply in replies)
+        served = [
+            (entry.kind, entry.payload["flow_id"])
+            for entry in read_journal(tmp_path).entries
+            if entry.kind in ("request", "terminate")
+        ]
+        assert served[-3:] == [
+            ("terminate", "f0"), ("request", "f2"), ("terminate", "f1"),
+        ]
+
+    def test_unknown_flow_in_a_run_errors_alone(self, broker, tmp_path):
+        wal = FileJournal(tmp_path)
+        with BrokerService(broker, workers=1, shards=2,
+                           wal=wal) as service:
+            self.admit(service, "f0", "f1")
+            with parked_worker(service):
+                before = wal.fsyncs
+                pendings = [
+                    service.submit(ServiceRequest(flow_id, op="teardown"))
+                    for flow_id in ("f0", "ghost", "f1")
+                ]
+            replies = [pending.wait(5.0) for pending in pendings]
+            assert wal.fsyncs - before == 1
+        wal.close()
+        assert [reply.status for reply in replies] == [OK, ERROR, OK]
+        assert "ghost" in replies[1].detail
+        assert terminated(tmp_path) == ["f0", "f1"]
+
+    def test_replication_stall_fails_the_whole_run(self, broker,
+                                                   tmp_path):
+        """Mirror of the admit-batch gate: with no follower to ack a
+        ``sync`` write, every teardown of the run is answered
+        ``ERROR`` by one stalled commit — never a false ``ok``."""
+        flows = ["f0", "f1", "f2"]
+        # Admitted behind the journal's back: with no follower to ship
+        # to, nothing ever replays these records.
+        for flow_id in flows:
+            assert broker.request_service(
+                flow_id, SPEC, 2.44, "I1", "E1"
+            ).admitted
+        wal = FileJournal(tmp_path, fsync=False)
+        hub = ReplicationHub(wal, mode=SYNC, quorum=1, ack_timeout=0.2)
+        with BrokerService(broker, workers=1, shards=2, wal=wal,
+                           replicator=hub) as service:
+            # The parking advance stalls too; count from after it.
+            with parked_worker(service):
+                stalls = service.stats().replication_stalls
+                pendings = [
+                    service.submit(ServiceRequest(flow_id, op="teardown"))
+                    for flow_id in flows
+                ]
+            replies = [pending.wait(5.0) for pending in pendings]
+            assert service.stats().replication_stalls - stalls == 1
+        hub.close()
+        wal.close()
+        for reply in replies:
+            assert reply.status == ERROR
+            assert "0/1" in reply.detail
+
+
+class TestCallbackIsolation:
+    def test_raising_callback_spares_its_batch_and_worker(self, broker,
+                                                           caplog):
+        """Regression: a done-callback that raised on the worker used to
+        kill it mid-batch — the batch's later futures never resolved
+        and the next request timed out."""
+        caplog.set_level(logging.ERROR, logger="repro.service.runtime")
+        with BrokerService(broker, workers=1, shards=2) as service:
+            with parked_worker(service):
+                pendings = [
+                    service.submit(admit_request(f"f{index}"))
+                    for index in range(3)
+                ]
+
+                def boom(_reply) -> None:
+                    raise OSError("front-end callback failed")
+
+                pendings[0].add_done_callback(boom)
+                answered = []
+                for pending in pendings[1:]:
+                    pending.add_done_callback(answered.append)
+            replies = [pending.wait(5.0) for pending in pendings]
+            assert [reply.batch_size for reply in replies] == [3, 3, 3]
+            assert all(reply.admitted for reply in replies)
+            # The worker survived: it serves the next request.
+            assert service.request("f3", SPEC, 2.44, "I1", "E1",
+                                   wait=5.0).admitted
+            stats = service.stats()
+        assert len(answered) == 2
+        assert stats.callback_errors == 1
+        assert stats.as_dict()["callback_errors"] == 1
+        assert "front-end callback failed" in caplog.text
 
 
 class TestBusEndpoint:
