@@ -6,14 +6,14 @@ reliability as the price (footnote 2). This example operates the
 machinery that pays it:
 
 1. a **primary** broker serves a mixed request stream through a
-   write-ahead :class:`~repro.core.journal.JournaledBroker`;
+   :class:`~repro.service.runtime.BrokerService` that write-aheads
+   every decision to an on-disk WAL (:mod:`repro.service.durability`);
 2. a **checkpoint** is taken mid-stream; more requests follow;
-3. the primary "crashes"; a **standby** restores the checkpoint and
-   replays the journal suffix — then both answer the next request
-   identically (verified);
-4. the same stream runs again with a **durable** on-disk WAL
-   (`repro.service.durability`); the "crash" tears the journal's tail
-   record, and `recover_broker` rebuilds the exact state anyway;
+3. the primary "crashes"; a **standby** recovers from the directory
+   (newest checkpoint + journal suffix) — then both answer the next
+   request identically (verified);
+4. the "crash" then tears the journal's tail record, and
+   `recover_broker` rebuilds the acknowledged state anyway;
 5. finally the broker's state is used for **buffer dimensioning**:
    the worst-case queue each router needs, computed centrally.
 
@@ -25,29 +25,26 @@ import random
 import tempfile
 import warnings
 
-from repro.core import (
-    BandwidthBroker,
-    JournaledBroker,
-    ServiceClass,
-    buffer_requirements,
-    checkpoint_broker,
-    replay,
-    restore_broker,
-)
+from repro.core import BandwidthBroker, ServiceClass, buffer_requirements
 from repro.experiments.reporting import render_table
-from repro.service import FileJournal, recover_broker, write_checkpoint
+from repro.service import (
+    BrokerService,
+    FileJournal,
+    recover_broker,
+    write_checkpoint,
+)
 from repro.workloads.profiles import flow_type
 from repro.workloads.topologies import SchedulerSetting, fig8_domain
 
 
-def fresh_primary() -> JournaledBroker:
+def fresh_primary() -> BandwidthBroker:
     broker = BandwidthBroker()
     fig8_domain(SchedulerSetting.MIXED).provision_broker(broker)
     broker.register_class(ServiceClass("gold", 2.44, 0.24))
-    return JournaledBroker(broker)
+    return broker
 
 
-def drive(jb: JournaledBroker, count: int, rng: random.Random,
+def drive(service: BrokerService, count: int, rng: random.Random,
           start_index: int, now: float) -> float:
     active = []
     for offset in range(count):
@@ -56,77 +53,73 @@ def drive(jb: JournaledBroker, count: int, rng: random.Random,
         if rng.random() < 0.6 or not active:
             profile = flow_type(rng.randrange(4))
             use_class = rng.random() < 0.35
-            decision = jb.request_service(
+            reply = service.request(
                 f"f{index}", profile.spec,
                 0.0 if use_class else profile.loose_delay,
                 "I1", "E1",
                 service_class="gold" if use_class else "",
                 now=now,
             )
-            if decision.admitted:
+            if reply.admitted:
                 active.append(f"f{index}")
         else:
-            jb.terminate(active.pop(0), now=now)
+            service.teardown(active.pop(0), now=now)
     return now
 
 
 def main() -> None:
     rng = random.Random(2026)
     primary = fresh_primary()
-
-    now = drive(primary, 30, rng, 0, 0.0)
-    print(f"primary after 30 operations: "
-          f"{primary.broker.stats().active_flows} active flows, "
-          f"journal at seq {primary.journal.position}")
-
-    snapshot = checkpoint_broker(primary.broker)
-    marker = primary.journal.position
-    print(f"checkpoint taken at journal seq {marker} "
-          f"({len(snapshot['flows'])} flow records, "
-          f"{len(snapshot['macroflows'])} macroflows)")
-
-    now = drive(primary, 30, rng, 100, now)
-    suffix = primary.journal.entries_after(marker)
-    print(f"primary handled {len(suffix)} more operations after the "
-          f"checkpoint\n")
-
-    # ---- the primary "crashes"; bring up the standby -----------------
-    standby = restore_broker(snapshot)
-    applied, skipped = replay(standby, suffix)
-    print(f"standby replayed {applied} entries "
-          f"({skipped} skipped as deterministic failures)")
-    a, b = primary.broker.stats(), standby.stats()
-    print("failover check           primary  standby")
-    print(f"  active flows          {a.active_flows:7d}  {b.active_flows:7d}")
-    print(f"  macroflows            {a.macroflows:7d}  {b.macroflows:7d}")
-    print(f"  link-state entries    {a.qos_state_entries:7d}  "
-          f"{b.qos_state_entries:7d}")
-    assert (a.active_flows, a.macroflows, a.qos_state_entries) == (
-        b.active_flows, b.macroflows, b.qos_state_entries
-    )
-
-    spec = flow_type(0).spec
-    now += 50.0
-    d1 = primary.request_service("probe", spec, 2.19, "I1", "E1", now=now)
-    d2 = standby.request_service("probe", spec, 2.19, "I1", "E1", now=now)
-    assert d1.admitted == d2.admitted and abs(d1.rate - d2.rate) < 1e-6
-    print(f"  next decision         {'ADMIT' if d1.admitted else 'reject':>7}"
-          f"  {'ADMIT' if d2.admitted else 'reject':>7}  "
-          f"(r = {d1.rate:.1f} b/s on both)")
-
-    # ---- the same story, durably: WAL + torn tail + recovery ---------
-    print("\nDurable replay (file-backed WAL, torn-tail crash):")
-    rng = random.Random(2026)
-    durable = fresh_primary()
     with tempfile.TemporaryDirectory(prefix="repro-failover-") as state:
         wal = FileJournal(state)
-        write_checkpoint(state, durable.broker, wal)  # topology anchor
-        drive(durable, 30, rng, 0, 0.0)
-        for entry in durable.journal:                 # mirror to disk
-            wal.append(entry.kind, entry.payload)
-        wal.commit()
+        write_checkpoint(state, primary, wal)  # topology anchor
+        with BrokerService(primary, workers=1, wal=wal) as service:
+            now = drive(service, 30, rng, 0, 0.0)
+            print(f"primary after 30 operations: "
+                  f"{primary.stats().active_flows} active flows, "
+                  f"journal at seq {wal.position}")
+
+            path = write_checkpoint(state, primary, wal)
+            marker = wal.position
+            print(f"checkpoint taken at journal seq {marker} "
+                  f"({os.path.basename(path)})")
+
+            now = drive(service, 30, rng, 100, now)
+            print(f"primary handled {wal.position - marker} more "
+                  f"operations after the checkpoint\n")
         wal.close()
-        # The crash tears the last record mid-write.
+
+        # ---- the primary "crashes"; bring up the standby -------------
+        report = recover_broker(state)
+        standby = report.broker
+        print(f"standby restored the checkpoint and replayed "
+              f"{report.applied} entries ({report.skipped} skipped as "
+              f"deterministic failures)")
+        a, b = primary.stats(), standby.stats()
+        print("failover check           primary  standby")
+        print(f"  active flows          {a.active_flows:7d}  "
+              f"{b.active_flows:7d}")
+        print(f"  macroflows            {a.macroflows:7d}  {b.macroflows:7d}")
+        print(f"  link-state entries    {a.qos_state_entries:7d}  "
+              f"{b.qos_state_entries:7d}")
+        assert (a.active_flows, a.macroflows, a.qos_state_entries) == (
+            b.active_flows, b.macroflows, b.qos_state_entries
+        )
+
+        spec = flow_type(0).spec
+        now += 50.0
+        d1 = primary.request_service("probe", spec, 2.19, "I1", "E1",
+                                     now=now)
+        d2 = standby.request_service("probe", spec, 2.19, "I1", "E1",
+                                     now=now)
+        assert d1.admitted == d2.admitted and abs(d1.rate - d2.rate) < 1e-6
+        print(f"  next decision         "
+              f"{'ADMIT' if d1.admitted else 'reject':>7}"
+              f"  {'ADMIT' if d2.admitted else 'reject':>7}  "
+              f"(r = {d1.rate:.1f} b/s on both)")
+
+        # ---- the crash tears the last record mid-write ---------------
+        print("\nTorn-tail crash:")
         segment = max(
             os.path.join(state, name) for name in os.listdir(state)
             if name.startswith("wal-")
@@ -135,13 +128,14 @@ def main() -> None:
             handle.truncate(os.path.getsize(segment) - 5)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            report = recover_broker(state)
-        print(f"  recovered {report.applied} entries "
-              f"(torn tail: {report.torn_tail}; "
+            torn = recover_broker(state)
+        print(f"  recovered {torn.applied} entries "
+              f"(torn tail: {torn.torn_tail}; "
               f"{len(caught)} warning(s))")
         print(f"  active flows after recovery: "
-              f"{report.broker.stats().active_flows} "
+              f"{torn.broker.stats().active_flows} "
               f"(the torn operation was never acknowledged)")
+        assert torn.torn_tail and torn.last_seq == report.last_seq - 1
 
     # ---- buffer dimensioning from the same state ----------------------
     print("\nWorst-case buffer requirements (from broker state alone):")

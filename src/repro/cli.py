@@ -530,44 +530,38 @@ def _cmd_shard_bench(args: argparse.Namespace) -> int:
 def _cmd_recover_shard_dir(args: argparse.Namespace) -> int:
     import os as _os
 
-    from repro.cluster import cluster_journal_extension
-    from repro.service import recover_broker
+    from repro.cluster import shard_dirs
+    from repro.core.journal import Replay
+    from repro.service import read_journal, recover_broker
 
     root = args.directory
-    if not _os.path.isdir(root):
-        print(f"recovery failed: no such directory: {root!r}",
-              file=sys.stderr)
-        return 1
-    shard_dirs = sorted(
-        entry for entry in _os.listdir(root)
-        if _os.path.isdir(_os.path.join(root, entry))
-        and entry != "coordinator"
-    )
-    if not shard_dirs:
-        print(f"recovery failed: no shard subdirectories under {root!r}",
-              file=sys.stderr)
+    coordinator_dir = _os.path.join(root, "coordinator")
+    log = Replay()
+    try:
+        names = shard_dirs(root)
+        if _os.path.isdir(coordinator_dir):
+            log.apply(read_journal(coordinator_dir).entries)
+    except Exception as exc:
+        print(f"recovery failed: {exc}", file=sys.stderr)
         return 1
     rows = []
-    for name in shard_dirs:
-        state = cluster_journal_extension()
+    for name in names:
         try:
-            report = recover_broker(
-                _os.path.join(root, name), extension=state,
-            )
+            report = recover_broker(_os.path.join(root, name))
         except Exception as exc:
             print(f"recovery of shard {name!r} failed: {exc}",
                   file=sys.stderr)
             return 1
-        stats = report.broker.stats()
         rows.append([
             name, report.checkpoint_seq, report.applied,
             "yes" if report.torn_tail else "no", report.last_seq,
-            stats.active_flows, len(state.prepared()),
+            report.broker.stats().active_flows,
+            len(report.prepared()),
         ])
-    if _os.path.isdir(_os.path.join(root, "coordinator")):
-        print("note: coordinator decision log present — replay it "
-              "with ClusterCoordinator.recover() to resolve in-doubt "
-              "transactions")
+    decided = (log.decisions_in("decided-commit")
+               + log.decisions_in("decided-abort"))
+    print(f"coordinator decision log: {len(log.decisions_in('open'))} "
+          f"open, {len(decided)} decided but not done transaction(s)")
     print(render_table(
         ["shard", "checkpoint seq", "replayed", "torn tail",
          "recovered to seq", "active flows", "prepared holds"],
@@ -728,37 +722,27 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
 def _cmd_promote_shard_dir(args: argparse.Namespace) -> int:
     import os as _os
 
-    from repro.cluster import cluster_journal_extension
+    from repro.cluster import shard_dirs
+    from repro.errors import StateError
     from repro.service import promote_directory
 
     root = args.directory
-    if not _os.path.isdir(root):
-        print(f"promotion failed: no such directory: {root!r}",
-              file=sys.stderr)
-        return 1
-    shard_dirs = sorted(
-        entry for entry in _os.listdir(root)
-        if _os.path.isdir(_os.path.join(root, entry))
-        and entry != "coordinator"
-    )
-    if not shard_dirs:
-        print(f"promotion failed: no shard subdirectories under {root!r}",
-              file=sys.stderr)
+    try:
+        names = shard_dirs(root)
+    except StateError as exc:
+        print(f"promotion failed: {exc}", file=sys.stderr)
         return 1
     rows = []
-    for name in shard_dirs:
+    for name in names:
         try:
-            report = promote_directory(
-                _os.path.join(root, name),
-                extension=cluster_journal_extension(),
-            )
+            report = promote_directory(_os.path.join(root, name))
         except Exception as exc:
             print(f"promotion of shard {name!r} failed: {exc}",
                   file=sys.stderr)
             return 1
-        stats = report.broker.stats()
         rows.append([
-            name, report.epoch, report.last_seq, stats.active_flows,
+            name, report.epoch, report.last_seq,
+            report.broker.stats().active_flows,
         ])
         report.journal.close()
     print(render_table(

@@ -25,13 +25,7 @@ from repro.cluster.procs import (
     build_proc_cluster,
 )
 from repro.cluster.remote import FrameServer, OpClient, ShardServer
-from repro.cluster.shard import (
-    BrokerShard,
-    ClusterJournalState,
-    ShardRecovery,
-    cluster_journal_extension,
-    recover_shard,
-)
+from repro.cluster.shard import BrokerShard, ShardRecovery, recover_shard
 from repro.cluster.topology import (
     ClusterLoadReport,
     PodCluster,
@@ -41,13 +35,13 @@ from repro.cluster.topology import (
     plan_pod_domain,
     run_cluster_loop,
     shard_broker,
+    shard_dirs,
 )
 
 __all__ = [
     "BrokerShard",
     "ClusterCoordinator",
     "ClusterDecision",
-    "ClusterJournalState",
     "ClusterLoadReport",
     "ClusterServiceClient",
     "CoordinatorRecovery",
@@ -63,11 +57,11 @@ __all__ = [
     "ShardServer",
     "build_pod_cluster",
     "build_proc_cluster",
-    "cluster_journal_extension",
     "domain_atlas",
     "link_id_str",
     "plan_pod_domain",
     "recover_shard",
     "run_cluster_loop",
     "shard_broker",
+    "shard_dirs",
 ]

@@ -46,6 +46,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.admission import _EPS
 from repro.core.broker import BandwidthBroker
+from repro.core.journal import Replay
 from repro.errors import StateError, TopologyError
 from repro.service.durability import FileJournal
 from repro.traffic.spec import TSpec
@@ -53,7 +54,6 @@ from repro.vtrs.delay_bounds import min_feasible_rate_rate_based
 from repro.vtrs.timestamps import SchedulerKind
 
 from repro.cluster.partition import PartitionMap
-from repro.cluster.shard import _spec_payload
 
 __all__ = [
     "ClusterCoordinator",
@@ -212,7 +212,7 @@ class ClusterCoordinator:
         try:
             reply = self.handles[shard].admit({
                 "flow_id": flow_id,
-                "spec": _spec_payload(spec),
+                "spec": spec.to_dict(),
                 "delay_requirement": delay_requirement,
                 "ingress": ingress,
                 "egress": egress,
@@ -311,7 +311,7 @@ class ClusterCoordinator:
                 "txid": txid,
                 "flow_id": flow_id,
                 "links": [list(pair) for pair in by_name[shard]],
-                "spec": _spec_payload(spec),
+                "spec": spec.to_dict(),
                 "delay_requirement": delay_requirement,
                 "now": now,
                 "coordinator": self.name,
@@ -690,50 +690,21 @@ class ClusterCoordinator:
         to not-admitted on every shard.
         """
         journal = FileJournal(directory, fsync=fsync)
-        txns: Dict[str, Dict[str, Any]] = {}
-        registry: Dict[str, Dict[str, Any]] = {}
-        max_seq = 0
-        for entry in journal.read_durable(0):
-            kind, payload = entry.kind, entry.payload
-            if kind == "cbegin":
-                txns[payload["txid"]] = {"state": "open", **payload}
-                max_seq = max(max_seq, _txid_seq(payload["txid"], name))
-            elif kind == "cdecide":
-                txn = txns.setdefault(
-                    payload["txid"], {"state": "open", **payload}
-                )
-                txn.update(payload)
-                txn["state"] = f"decided-{payload['outcome']}"
-            elif kind == "cdone":
-                txn = txns.get(payload["txid"])
-                if txn is not None:
-                    if (
-                        payload.get("outcome") == "commit"
-                        and txn.get("flow_id")
-                    ):
-                        registry[txn["flow_id"]] = {
-                            "kind": "spanning",
-                            "shards": txn.get("shards", []),
-                            "txid": payload["txid"],
-                        }
-                    txn["state"] = "done"
-            elif kind == "clocal":
-                registry[payload["flow_id"]] = {
-                    "kind": "local", "shard": payload["shard"],
-                }
-            elif kind == "cteardown":
-                registry.pop(payload["flow_id"], None)
+        state = Replay()
+        state.apply(journal.read_durable(0))
         coordinator = cls(
             partition, handles, atlas, wal=journal, name=name,
         )
-        coordinator._seq = itertools.count(max_seq + 1)
+        coordinator._seq = itertools.count(1 + max(
+            (_txid_seq(txid, name) for txid in state.decisions), default=0,
+        ))
+        registry = state.flows
         report = CoordinatorRecovery()
-        for txid, txn in sorted(txns.items()):
-            state = txn["state"]
-            if state == "done":
+        for txid, txn in sorted(state.decisions.items()):
+            if txn["state"] == "done":
                 continue
-            if state in ("open", "decided-abort"):
-                if state == "open":
+            if txn["state"] in ("open", "decided-abort"):
+                if txn["state"] == "open":
                     coordinator._journal("cdecide", {
                         "txid": txid, "outcome": "abort",
                         "flow_id": txn.get("flow_id", ""),
@@ -751,7 +722,7 @@ class ClusterCoordinator:
                     "cdone", {"txid": txid, "outcome": "abort"}
                 )
                 report.aborted.append(txid)
-            elif state == "decided-commit":
+            elif txn["state"] == "decided-commit":
                 outcome = coordinator._drive_commit(
                     txid, txn["flow_id"], txn.get("shards", []), now,
                 )
@@ -773,10 +744,5 @@ class ClusterCoordinator:
 
 
 def _txid_seq(txid: str, name: str) -> int:
-    prefix = f"{name}-"
-    if txid.startswith(prefix):
-        try:
-            return int(txid[len(prefix):])
-        except ValueError:
-            return 0
-    return 0
+    prefix, _, seq = txid.rpartition("-")
+    return int(seq) if prefix == name and seq.isdigit() else 0

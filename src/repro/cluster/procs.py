@@ -57,6 +57,7 @@ from repro.service.transport import (
     is_pong,
     ping_frame,
 )
+from repro.traffic.spec import TSpec
 from repro.units import bytes_, mbps
 
 from repro.cluster.coordinator import ClusterCoordinator
@@ -68,11 +69,7 @@ from repro.cluster.remote import (
     OpTable,
     ShardServer,
 )
-from repro.cluster.shard import (
-    BrokerShard,
-    _spec_from,
-    recover_shard,
-)
+from repro.cluster.shard import BrokerShard, recover_shard
 from repro.cluster.topology import (
     PodDomainSpec,
     domain_atlas,
@@ -329,7 +326,7 @@ class _CoordinatorOps:
         path_nodes = frame.get("path_nodes")
         decision = self.coordinator.admit(
             frame["flow_id"],
-            _spec_from(frame["spec"]),
+            TSpec.from_dict(frame["spec"]),
             frame.get("delay_requirement", 0.0),
             frame.get("ingress", ""),
             frame.get("egress", ""),
@@ -493,8 +490,6 @@ class ClusterServiceClient:
     def _execute(self, request: "ServiceRequest") -> "ServiceReply":
         from repro.service.runtime import ServiceReply
 
-        from repro.cluster.shard import _spec_payload
-
         started = time.monotonic()
         if request.op not in ("admit", "teardown"):
             return ServiceReply(
@@ -506,7 +501,7 @@ class ClusterServiceClient:
             if request.op == "admit":
                 payload = self._coordinator.admit({
                     "flow_id": request.flow_id,
-                    "spec": _spec_payload(request.spec),
+                    "spec": request.spec.to_dict(),
                     "delay_requirement": request.delay_requirement,
                     "ingress": request.ingress,
                     "egress": request.egress,

@@ -50,8 +50,15 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.admission import AdmissionDecision, PerFlowAdmission, _EPS
 from repro.core.broker import BandwidthBroker
-from repro.core.journal import JournalEntry
-from repro.core.mibs import FlowRecord, LinkQoSState, PathRecord
+from repro.core.journal import (
+    _apply_abort,
+    _apply_commit,
+    _apply_prepare,
+    _apply_release,
+    _flow_keys,
+    _resolve_links,
+)
+from repro.core.mibs import LinkQoSState, PathRecord
 from repro.edge.leases import LeaseTable
 from repro.errors import StateError, TopologyError
 from repro.service.durability import (
@@ -63,196 +70,14 @@ from repro.service.durability import (
 from repro.service.runtime import BrokerService
 from repro.traffic.spec import TSpec
 from repro.vtrs.delay_bounds import PathProfile
-from repro.vtrs.timestamps import SchedulerKind
 
 from repro.cluster.partition import PartitionMap
 
 __all__ = [
     "BrokerShard",
-    "ClusterJournalState",
     "ShardRecovery",
-    "cluster_journal_extension",
     "recover_shard",
 ]
-
-#: Journal record kinds the cluster layer adds to the shared WAL.
-CLUSTER_KINDS = ("cprepare", "ccommit", "cabort", "crelease")
-
-
-def _hold_key(txid: str) -> str:
-    return f"txn:{txid}"
-
-
-def _spec_payload(spec: TSpec) -> Dict[str, float]:
-    return {
-        "sigma": spec.sigma, "rho": spec.rho,
-        "peak": spec.peak, "max_packet": spec.max_packet,
-    }
-
-
-def _spec_from(payload: Dict[str, Any]) -> TSpec:
-    return TSpec(
-        sigma=payload["sigma"], rho=payload["rho"],
-        peak=payload["peak"], max_packet=payload["max_packet"],
-    )
-
-
-def _resolve_links(broker: BandwidthBroker,
-                   pairs: Sequence[Sequence[str]]) -> List[LinkQoSState]:
-    return [broker.node_mib.link(src, dst) for src, dst in pairs]
-
-
-# ----------------------------------------------------------------------
-# deterministic state transitions (shared by the live ops and replay)
-# ----------------------------------------------------------------------
-
-def _apply_prepare(broker: BandwidthBroker, txn: Dict[str, Any]) -> None:
-    """Place the hold reservations a ``cprepare`` record describes."""
-    key = _hold_key(txn["txid"])
-    spec = _spec_from(txn["spec"])
-    for link in _resolve_links(broker, txn["links"]):
-        if link.kind is SchedulerKind.DELAY_BASED:
-            link.reserve(key, txn["rate"], deadline=txn["delay"],
-                         max_packet=spec.max_packet)
-        else:
-            link.reserve(key, txn["rate"])
-
-
-def _apply_abort(broker: BandwidthBroker, txn: Dict[str, Any]) -> None:
-    """Release a prepared transaction's holds."""
-    key = _hold_key(txn["txid"])
-    for link in _resolve_links(broker, txn["links"]):
-        if link.holds(key):
-            link.release(key)
-
-
-def _apply_commit(broker: BandwidthBroker, txn: Dict[str, Any],
-                  now: float) -> List[str]:
-    """Convert a prepared transaction's holds into native flow state.
-
-    Each maximal contiguous run of the segment's links becomes a
-    pinned path carrying a :class:`FlowRecord` (key ``<flow_id>`` for
-    the first run, ``<flow_id>#<n>`` for later ones — the
-    hash-fallback case where a shard owns non-adjacent hops).  Native
-    records are the point: checkpoint/restore and plain termination
-    handle committed spanning flows with zero cluster-specific code.
-    """
-    links = _resolve_links(broker, txn["links"])
-    hold = _hold_key(txn["txid"])
-    for link in links:
-        if link.holds(hold):
-            link.release(hold)
-    spec = _spec_from(txn["spec"])
-    runs: List[List[LinkQoSState]] = [[links[0]]]
-    for link in links[1:]:
-        if runs[-1][-1].link_id[1] == link.link_id[0]:
-            runs[-1].append(link)
-        else:
-            runs.append([link])
-    keys: List[str] = []
-    for index, run in enumerate(runs):
-        key = txn["flow_id"] if index == 0 else f"{txn['flow_id']}#{index}"
-        nodes = [run[0].link_id[0]] + [link.link_id[1] for link in run]
-        path = broker.routing.pin_path(nodes)
-        for link in run:
-            if link.kind is SchedulerKind.DELAY_BASED:
-                link.reserve(key, txn["rate"], deadline=txn["delay"],
-                             max_packet=spec.max_packet)
-            else:
-                link.reserve(key, txn["rate"])
-        broker.flow_mib.add(FlowRecord(
-            flow_id=key,
-            spec=spec,
-            delay_requirement=txn.get("delay_requirement", 0.0),
-            path_id=path.path_id,
-            rate=txn["rate"],
-            delay=txn["delay"],
-            admitted_at=now,
-        ))
-        keys.append(key)
-    return keys
-
-
-def _flow_keys(broker: BandwidthBroker, flow_id: str) -> List[str]:
-    """All local record keys of *flow_id* (base + segment suffixes)."""
-    keys = [flow_id] if flow_id in broker.flow_mib else []
-    index = 1
-    while f"{flow_id}#{index}" in broker.flow_mib:
-        keys.append(f"{flow_id}#{index}")
-        index += 1
-    return keys
-
-
-def _apply_release(broker: BandwidthBroker, flow_id: str) -> List[str]:
-    """Tear down every local record of *flow_id*; returns removed keys."""
-    removed = []
-    for key in _flow_keys(broker, flow_id):
-        record = broker.flow_mib.remove(key)
-        for link in broker.path_mib.get(record.path_id).links:
-            link.release(key)
-        removed.append(key)
-    return removed
-
-
-class ClusterJournalState:
-    """Stateful :func:`~repro.core.journal.replay` extension.
-
-    Applies the cluster's journal kinds to a broker during recovery
-    and accumulates the transaction table the live
-    :class:`BrokerShard` resumes from.  Replay is deterministic: a
-    ``ccommit``/``cabort`` for a transaction whose ``cprepare`` is
-    not in the suffix (impossible after a hold-quiescent checkpoint,
-    but tolerated) is a no-op tombstone, exactly as the live path
-    treats late decisions.
-    """
-
-    def __init__(self) -> None:
-        self.txns: Dict[str, Dict[str, Any]] = {}
-        self.applied = 0
-
-    def __call__(self, broker: BandwidthBroker,
-                 entry: JournalEntry) -> bool:
-        payload = entry.payload
-        if entry.kind == "cprepare":
-            txn = dict(payload)
-            txn["state"] = "prepared"
-            _apply_prepare(broker, txn)
-            self.txns[payload["txid"]] = txn
-        elif entry.kind == "ccommit":
-            txn = self.txns.get(payload["txid"])
-            if txn is not None and txn["state"] == "prepared":
-                _apply_commit(broker, txn, payload.get("now", 0.0))
-                txn["state"] = "committed"
-        elif entry.kind == "cabort":
-            txn = self.txns.get(payload["txid"])
-            if txn is not None and txn["state"] == "prepared":
-                _apply_abort(broker, txn)
-            base = txn if txn is not None else {"txid": payload["txid"]}
-            base["state"] = "aborted"
-            self.txns[payload["txid"]] = base
-        elif entry.kind == "crelease":
-            _apply_release(broker, payload["flow_id"])
-        else:
-            return False
-        self.applied += 1
-        return True
-
-    def prepared(self) -> List[Dict[str, Any]]:
-        """Transactions still holding capacity after replay."""
-        return [
-            txn for txn in self.txns.values()
-            if txn.get("state") == "prepared"
-        ]
-
-
-def cluster_journal_extension() -> ClusterJournalState:
-    """A fresh replay extension for cluster-kind journal entries.
-
-    Pass to :func:`~repro.service.durability.recover_broker` (or a
-    :class:`~repro.service.replication.ReplicaServer`) when the
-    directory belongs to a cluster shard.
-    """
-    return ClusterJournalState()
 
 
 # ----------------------------------------------------------------------
@@ -399,7 +224,7 @@ class BrokerShard:
         path_nodes = frame.get("path_nodes")
         reply = self.service.request(
             frame["flow_id"],
-            _spec_from(frame["spec"]),
+            TSpec.from_dict(frame["spec"]),
             frame.get("delay_requirement", 0.0),
             frame.get("ingress", ""),
             frame.get("egress", ""),
@@ -477,7 +302,7 @@ class BrokerShard:
                     "status": "error", "error": "unknown-link",
                     "txid": txid, "shard": self.name, "detail": str(exc),
                 }
-            spec = _spec_from(frame["spec"])
+            spec = TSpec.from_dict(frame["spec"])
             flow_id = frame["flow_id"]
             reply: Optional[Dict[str, Any]] = None
             txn: Optional[Dict[str, Any]] = None
@@ -501,7 +326,7 @@ class BrokerShard:
                             "links": [list(l.link_id) for l in links],
                             "rate": rate,
                             "delay": delay,
-                            "spec": _spec_payload(spec),
+                            "spec": spec.to_dict(),
                             "delay_requirement": frame.get(
                                 "delay_requirement", 0.0
                             ),
@@ -818,7 +643,8 @@ class ShardRecovery:
     """What :func:`recover_shard` rebuilt.
 
     :param shard: the recovered shard (service not yet started).
-    :param report: the underlying broker recovery report.
+    :param report: the underlying broker recovery report; its
+        ``txns`` is the replayed transaction table.
     :param prepared: txids still holding capacity — the coordinator's
         recovery (or a reap after the hold lease runs out) resolves
         them.
@@ -827,7 +653,6 @@ class ShardRecovery:
     shard: BrokerShard
     report: RecoveryReport
     prepared: Tuple[str, ...] = ()
-    cluster_entries: int = 0
 
 
 def recover_shard(
@@ -845,47 +670,31 @@ def recover_shard(
 
     One replay pass over the shared WAL rebuilds both the service
     state (requests/terminations) and the cluster state (holds and
-    the transaction table) via :class:`ClusterJournalState`; the
-    journal is then reopened for appending (sequence numbers resume)
-    and a fresh shard is assembled around the recovered broker.
-    Recovered holds restart their expiry lease at *now* — the
-    conservative choice, since the original grant instant did not
-    survive the crash.
+    the transaction table); the journal is then reopened for
+    appending (sequence numbers resume) and a fresh shard is
+    assembled around the recovered broker.  Recovered holds restart
+    their expiry lease at *now* — the conservative choice, since the
+    original grant instant did not survive the crash.
     """
-    state = cluster_journal_extension()
     report = recover_broker(
         directory, policy=policy, broker_factory=broker_factory,
-        extension=state,
     )
     journal = FileJournal(directory, fsync=fsync)
     shard = BrokerShard(
         name, report.broker, partition, wal=journal, **shard_kwargs,
     )
-    prepared: List[str] = []
-    for txid, txn in state.txns.items():
-        resumed = dict(txn)
-        if resumed["state"] == "prepared":
-            resumed["reply"] = {
-                "status": "prepared", "txid": txid, "shard": name,
-                "rate": resumed["rate"], "delay": resumed["delay"],
-            }
+    for txid, txn in report.txns.items():
+        status = txn["state"]
+        reply = {"status": status, "txid": txid, "shard": name}
+        if status != "aborted":
+            reply.update(rate=txn["rate"], delay=txn["delay"])
+        if status == "committed":
+            reply["flows"] = []
+        elif status == "prepared":
             shard.holds.grant(txid, "recovered", now)
-            prepared.append(txid)
-        elif resumed["state"] == "committed":
-            resumed["reply"] = {
-                "status": "committed", "txid": txid, "shard": name,
-                "rate": resumed["rate"], "delay": resumed["delay"],
-                "flows": [],
-            }
-        else:
-            resumed.setdefault("links", [])
-            resumed["reply"] = {
-                "status": "aborted", "txid": txid, "shard": name,
-            }
-        shard._txns[txid] = resumed
+        shard._txns[txid] = dict(txn, reply=reply)
     return ShardRecovery(
         shard=shard,
         report=report,
-        prepared=tuple(prepared),
-        cluster_entries=state.applied,
+        prepared=tuple(report.prepared()),
     )

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.broker import BandwidthBroker
+from repro.errors import StateError
 from repro.service.durability import FileJournal
 from repro.traffic.spec import TSpec
 from repro.units import bytes_, mbps
@@ -50,6 +51,7 @@ __all__ = [
     "plan_pod_domain",
     "domain_atlas",
     "shard_broker",
+    "shard_dirs",
     "build_pod_cluster",
     "run_cluster_loop",
 ]
@@ -180,6 +182,22 @@ def shard_broker(domain: PodDomainSpec, name: str) -> BandwidthBroker:
         if len(owners) == 1 and owners[0] == name:
             broker.routing.pin_path(nodes)
     return broker
+
+
+def shard_dirs(wal_root: str) -> List[str]:
+    """Names of the shard journal directories under a cluster WAL root:
+    every subdirectory except the coordinator's decision log.  Raises
+    :class:`~repro.errors.StateError` when there is none."""
+    if not os.path.isdir(wal_root):
+        raise StateError(f"no such directory: {wal_root!r}")
+    names = sorted(
+        entry for entry in os.listdir(wal_root)
+        if os.path.isdir(os.path.join(wal_root, entry))
+        and entry != "coordinator"
+    )
+    if not names:
+        raise StateError(f"no shard subdirectories under {wal_root!r}")
+    return names
 
 
 @dataclass

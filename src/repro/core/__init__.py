@@ -19,7 +19,9 @@ the routers. The package mirrors Figure 1 of the paper:
 * :mod:`repro.core.signaling` — the ingress<->broker message protocol
   (the COPS role in the paper);
 * :mod:`repro.core.broker` — the :class:`BandwidthBroker` facade that
-  ties the service modules together.
+  ties the service modules together;
+* :mod:`repro.core.journal` — the journal record table and the one
+  replay that reads the broker's state back after a crash.
 """
 
 from repro.core.admission import (
@@ -36,7 +38,7 @@ from repro.core.aggregate import (
 )
 from repro.core.broker import BandwidthBroker
 from repro.core.dimensioning import buffer_requirements
-from repro.core.journal import DecisionJournal, JournaledBroker, replay
+from repro.core.journal import KINDS, JournalEntry, Replay, replay
 from repro.core.mibs import FlowMIB, LinkQoSState, NodeMIB, PathMIB, PathRecord
 from repro.core.persistence import checkpoint_broker, restore_broker
 from repro.core.policy import PolicyModule, PolicyRule
@@ -66,8 +68,9 @@ __all__ = [
     "HoeffdingAdmission",
     "checkpoint_broker",
     "restore_broker",
-    "DecisionJournal",
-    "JournaledBroker",
+    "JournalEntry",
+    "KINDS",
+    "Replay",
     "replay",
     "buffer_requirements",
 ]

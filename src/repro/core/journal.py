@@ -1,35 +1,34 @@
-"""Broker decision journal: audit trail + exact failover replay.
+"""The journal's record table and its one replay.
 
-Checkpoints (:mod:`repro.core.persistence`) alone leave a gap: every
-request handled after the last checkpoint is lost on failover. The
-:class:`DecisionJournal` closes it — it records the *inputs* of every
-control operation (service requests, terminations, time advances) in
-arrival order, so a standby can
-
-1. restore the latest checkpoint, then
-2. :func:`replay` the journal suffix recorded after it,
-
-and arrive at the primary's exact state: because every admission
-decision is a deterministic function of broker state and request
-inputs, replaying inputs reproduces decisions (verified by tests).
-Entries are JSON-compatible, so the journal can be shipped over any
-transport or appended to a file.
+Every durable record is a :class:`JournalEntry` in one segmented
+:class:`~repro.service.durability.FileJournal`: service decisions and
+lease markers, a cluster shard's 2PC records and a coordinator's
+decision log.  :data:`KINDS` decides once what each kind means — the
+function that applies it to a :class:`Replay` state, and whether the
+primary may have raised on it.  Recovery, replicas, promotion, shard
+and coordinator recovery and the soak audit all fold records through
+it, so none of them can read a record differently.  Every decision is
+a deterministic function of broker state and request inputs, so
+replaying the inputs reproduces the decisions (verified by tests).
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from repro.errors import StateError
 from repro.core.broker import BandwidthBroker
+from repro.core.mibs import FlowRecord, LinkQoSState
 from repro.traffic.spec import TSpec
+from repro.vtrs.timestamps import SchedulerKind
 
 __all__ = [
     "JournalEntry",
-    "DecisionJournal",
-    "JournaledBroker",
+    "KINDS",
+    "Replay",
     "replay",
     "request_payload",
 ]
@@ -39,18 +38,10 @@ def request_payload(flow_id: str, spec: TSpec, delay_requirement: float,
                     ingress: str, egress: str, *,
                     service_class: str = "", path_nodes=None,
                     now: float = 0.0) -> Dict[str, Any]:
-    """The JSON-compatible journal payload of one service request.
-
-    Shared by every write path (the in-memory :class:`JournaledBroker`
-    and the file-backed service WAL) so :func:`replay` reads one
-    format.
-    """
+    """The JSON-compatible journal payload of one service request."""
     return {
         "flow_id": flow_id,
-        "spec": {
-            "sigma": spec.sigma, "rho": spec.rho,
-            "peak": spec.peak, "max_packet": spec.max_packet,
-        },
+        "spec": spec.to_dict(),
         "delay_requirement": delay_requirement,
         "ingress": ingress,
         "egress": egress,
@@ -64,6 +55,7 @@ def request_payload(flow_id: str, spec: TSpec, delay_requirement: float,
 class JournalEntry:
     """One recorded control operation.
 
+    :param kind: one of :data:`KINDS`.
     :param epoch: the primary **epoch** under which the entry was
         written (0 for an unreplicated broker).  Replication stamps a
         monotonically increasing epoch into every shipped record so a
@@ -73,8 +65,7 @@ class JournalEntry:
     """
 
     seq: int
-    kind: str  # "request" | "terminate" | "advance" | "feedback"
-               # | "resize" | "lease"
+    kind: str
     payload: Dict[str, Any]
     epoch: int = 0
 
@@ -94,175 +85,292 @@ class JournalEntry:
         )
 
 
-class DecisionJournal:
-    """Append-only, sequence-numbered operation log."""
+# ----------------------------------------------------------------------
+# 2PC participant transitions (shared by the live shard ops and replay)
+# ----------------------------------------------------------------------
 
-    def __init__(self) -> None:
-        self._entries: List[JournalEntry] = []
-        self._seq = itertools.count(1)
-
-    def append(self, kind: str, payload: Dict[str, Any]) -> JournalEntry:
-        """Record one operation."""
-        entry = JournalEntry(seq=next(self._seq), kind=kind,
-                             payload=payload)
-        self._entries.append(entry)
-        return entry
-
-    @property
-    def position(self) -> int:
-        """Sequence number of the latest entry (0 when empty)."""
-        return self._entries[-1].seq if self._entries else 0
-
-    def entries_after(self, seq: int) -> List[JournalEntry]:
-        """All entries recorded after sequence number *seq*."""
-        return [entry for entry in self._entries if entry.seq > seq]
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)
+def _hold_key(txid: str) -> str:
+    return f"txn:{txid}"
 
 
-class JournaledBroker:
-    """A broker facade that journals every control operation.
+def _resolve_links(broker: BandwidthBroker,
+                   pairs: Sequence[Sequence[str]]) -> List[LinkQoSState]:
+    return [broker.node_mib.link(src, dst) for src, dst in pairs]
 
-    Exposes the same three control calls as
-    :class:`~repro.core.broker.BandwidthBroker` (``request_service``,
-    ``terminate``, ``advance``) and records each *before* executing it
-    — write-ahead, so a crash mid-operation is replayed rather than
-    lost.
+
+def _reserve(link: LinkQoSState, key: str, txn: Dict[str, Any]) -> None:
+    if link.kind is SchedulerKind.DELAY_BASED:
+        link.reserve(key, txn["rate"], deadline=txn["delay"],
+                     max_packet=txn["spec"]["max_packet"])
+    else:
+        link.reserve(key, txn["rate"])
+
+
+def _apply_prepare(broker: BandwidthBroker, txn: Dict[str, Any]) -> None:
+    """Place the hold reservations a ``cprepare`` record describes."""
+    key = _hold_key(txn["txid"])
+    for link in _resolve_links(broker, txn["links"]):
+        _reserve(link, key, txn)
+
+
+def _apply_abort(broker: BandwidthBroker, txn: Dict[str, Any]) -> None:
+    """Release a prepared transaction's holds."""
+    key = _hold_key(txn["txid"])
+    for link in _resolve_links(broker, txn["links"]):
+        if link.holds(key):
+            link.release(key)
+
+
+def _apply_commit(broker: BandwidthBroker, txn: Dict[str, Any],
+                  now: float) -> List[str]:
+    """Convert a prepared transaction's holds into native flow state.
+
+    Each maximal contiguous run of the segment's links becomes a
+    pinned path carrying a :class:`FlowRecord` (key ``<flow_id>`` for
+    the first run, ``<flow_id>#<n>`` for later ones — the
+    hash-fallback case where a shard owns non-adjacent hops).  Native
+    records are the point: checkpoint/restore and plain termination
+    handle committed spanning flows with zero cluster-specific code.
+    """
+    _apply_abort(broker, txn)  # the holds become the flow's reservations
+    links = _resolve_links(broker, txn["links"])
+    spec = TSpec.from_dict(txn["spec"])
+    runs: List[List[LinkQoSState]] = [[links[0]]]
+    for link in links[1:]:
+        if runs[-1][-1].link_id[1] == link.link_id[0]:
+            runs[-1].append(link)
+        else:
+            runs.append([link])
+    keys: List[str] = []
+    for index, run in enumerate(runs):
+        key = txn["flow_id"] if index == 0 else f"{txn['flow_id']}#{index}"
+        nodes = [run[0].link_id[0]] + [link.link_id[1] for link in run]
+        path = broker.routing.pin_path(nodes)
+        for link in run:
+            _reserve(link, key, txn)
+        broker.flow_mib.add(FlowRecord(
+            flow_id=key,
+            spec=spec,
+            delay_requirement=txn.get("delay_requirement", 0.0),
+            path_id=path.path_id,
+            rate=txn["rate"],
+            delay=txn["delay"],
+            admitted_at=now,
+        ))
+        keys.append(key)
+    return keys
+
+
+def _flow_keys(broker: BandwidthBroker, flow_id: str) -> List[str]:
+    """All local record keys of *flow_id* (base + segment suffixes)."""
+    keys = [flow_id] if flow_id in broker.flow_mib else []
+    index = 1
+    while f"{flow_id}#{index}" in broker.flow_mib:
+        keys.append(f"{flow_id}#{index}")
+        index += 1
+    return keys
+
+
+def _apply_release(broker: BandwidthBroker, flow_id: str) -> List[str]:
+    """Tear down every local record of *flow_id*; returns removed keys."""
+    removed = []
+    for key in _flow_keys(broker, flow_id):
+        record = broker.flow_mib.remove(key)
+        for link in broker.path_mib.get(record.path_id).links:
+            link.release(key)
+        removed.append(key)
+    return removed
+
+
+# ----------------------------------------------------------------------
+# the replay state and the record table
+# ----------------------------------------------------------------------
+
+class Replay:
+    """The state one pass over a journal rebuilds.
+
+    :param broker: the broker the service and shard kinds apply to —
+        a restored checkpoint or a provisioned-but-empty twin.  A
+        coordinator's decision log never touches one, so it replays
+        with ``None``.
+
+    Besides the broker it holds ``txns``, a shard's 2PC table (txid ->
+    the ``cprepare`` payload plus ``state``: ``prepared``,
+    ``committed`` or ``aborted``), and the coordinator's side:
+    ``decisions`` (txid -> its ``cbegin``/``cdecide`` payloads plus
+    ``state``: ``open``, ``decided-commit``, ``decided-abort`` or
+    ``done``) and ``flows``, its registry (flow id -> placement).
     """
 
-    def __init__(self, broker: BandwidthBroker,
-                 journal: Optional[DecisionJournal] = None) -> None:
+    def __init__(self, broker: Optional[BandwidthBroker] = None) -> None:
         self.broker = broker
-        self.journal = journal or DecisionJournal()
+        self.txns: Dict[str, Dict[str, Any]] = {}
+        self.decisions: Dict[str, Dict[str, Any]] = {}
+        self.flows: Dict[str, Dict[str, Any]] = {}
+        self.applied = 0
+        self.skipped = 0
 
-    def request_service(self, flow_id: str, spec: TSpec,
-                        delay_requirement: float, ingress: str,
-                        egress: str, *, service_class: str = "",
-                        path_nodes=None, now: float = 0.0):
-        """Journal + execute a service request."""
-        self.journal.append(
-            "request",
-            request_payload(
-                flow_id, spec, delay_requirement, ingress, egress,
-                service_class=service_class, path_nodes=path_nodes,
-                now=now,
-            ),
+    def apply(self, entries: Iterable[JournalEntry]) -> Tuple[int, int]:
+        """Apply *entries* in order; returns ``(applied, skipped)``.
+
+        Rejected requests are re-executed and re-rejected (their
+        outcome is a function of the same state), so they count as
+        applied.  A *skippable* kind that raises
+        :class:`~repro.errors.StateError` raised identically on the
+        primary (journaling is write-ahead, so a failed terminate is
+        still recorded); neither run mutated state for it, so it is
+        counted as skipped.  Any other failure, and an unknown kind,
+        raises.
+        """
+        applied = skipped = 0
+        for entry in entries:
+            row = KINDS.get(entry.kind)
+            if row is None:
+                raise StateError(
+                    f"unknown journal entry kind {entry.kind!r}"
+                )
+            apply, skippable = row
+            try:
+                apply(self, entry.payload)
+            except StateError:
+                if not skippable:
+                    raise
+                skipped += 1
+                continue
+            applied += 1
+        self.applied += applied
+        self.skipped += skipped
+        return applied, skipped
+
+    def prepared(self) -> List[str]:
+        """Shard txids still holding capacity."""
+        return [
+            txid for txid, txn in self.txns.items()
+            if txn["state"] == "prepared"
+        ]
+
+    def decisions_in(self, state: str) -> List[str]:
+        """Coordinator txids whose log ends in *state*, sorted."""
+        return sorted(
+            txid for txid, txn in self.decisions.items()
+            if txn["state"] == state
         )
-        return self.broker.request_service(
-            flow_id, spec, delay_requirement, ingress, egress,
-            service_class=service_class, path_nodes=path_nodes, now=now,
-        )
 
-    def terminate(self, flow_id: str, *, now: float = 0.0) -> None:
-        """Journal + execute a flow termination."""
-        self.journal.append("terminate", {"flow_id": flow_id, "now": now})
-        self.broker.terminate(flow_id, now=now)
 
-    def advance(self, now: float) -> int:
-        """Journal + execute a contingency-timer advance."""
-        self.journal.append("advance", {"now": now})
-        return self.broker.advance(now)
+def _request(state: Replay, p: Dict[str, Any]) -> None:
+    path_nodes = p.get("path_nodes")
+    state.broker.request_service(
+        p["flow_id"], TSpec.from_dict(p["spec"]), p["delay_requirement"],
+        p["ingress"], p["egress"],
+        service_class=p["service_class"],
+        path_nodes=tuple(path_nodes) if path_nodes is not None else None,
+        now=p["now"],
+    )
+
+
+def _resize(state: Replay, p: Dict[str, Any]) -> None:
+    # Shrink clamps to the safe floor broker-side, inflate is gated by
+    # capacity: both deterministic, so replay reproduces the rate.
+    aggregate = state.broker.aggregate
+    resize = aggregate.shrink if p["mode"] == "shrink" else aggregate.inflate
+    resize(p["macroflow_key"], p["rate"], now=p["now"])
+
+
+def _cprepare(state: Replay, p: Dict[str, Any]) -> None:
+    txn = dict(p, state="prepared")
+    _apply_prepare(state.broker, txn)
+    state.txns[p["txid"]] = txn
+
+
+def _ccommit(state: Replay, p: Dict[str, Any]) -> None:
+    # A decision for a txid whose prepare is not in the suffix is a
+    # no-op tombstone, exactly as the live shard treats late ones.
+    txn = state.txns.get(p["txid"])
+    if txn is not None and txn["state"] == "prepared":
+        _apply_commit(state.broker, txn, p.get("now", 0.0))
+        txn["state"] = "committed"
+
+
+def _cabort(state: Replay, p: Dict[str, Any]) -> None:
+    txn = state.txns.get(p["txid"])
+    if txn is None:
+        txn = state.txns[p["txid"]] = {"txid": p["txid"], "links": []}
+    elif txn["state"] == "prepared":
+        _apply_abort(state.broker, txn)
+    txn["state"] = "aborted"
+
+
+def _cbegin(state: Replay, p: Dict[str, Any]) -> None:
+    state.decisions[p["txid"]] = dict(p, state="open")
+
+
+def _cdecide(state: Replay, p: Dict[str, Any]) -> None:
+    txn = state.decisions.setdefault(p["txid"], {})
+    txn.update(p)
+    txn["state"] = f"decided-{p['outcome']}"
+
+
+def _cdone(state: Replay, p: Dict[str, Any]) -> None:
+    txn = state.decisions.get(p["txid"])
+    if txn is None:
+        return
+    if p.get("outcome") == "commit" and txn.get("flow_id"):
+        state.flows[txn["flow_id"]] = {
+            "kind": "spanning", "shards": txn.get("shards", []),
+            "txid": p["txid"],
+        }
+    txn["state"] = "done"
+
+
+def _clocal(state: Replay, p: Dict[str, Any]) -> None:
+    state.flows[p["flow_id"]] = {"kind": "local", "shard": p["shard"]}
+
+
+#: kind -> ``(apply(state, payload), skippable)``: every record kind
+#: the repo writes, and the one place that says what it means.
+KINDS: Dict[str, Tuple[Callable[[Replay, Dict[str, Any]], None], bool]] = {
+    # BrokerService decisions (repro.service.runtime).
+    "request": (_request, True),
+    "terminate": (
+        lambda state, p: state.broker.terminate(p["flow_id"], now=p["now"]),
+        True,
+    ),
+    "advance": (lambda state, p: state.broker.advance(p["now"]), False),
+    # Section 4.2.1 edge feedback: the macroflow's edge buffer
+    # drained, so its contingency bandwidth is released early.
+    "feedback": (
+        lambda state, p: state.broker.aggregate.notify_edge_empty(
+            p["macroflow_key"], p["now"]
+        ),
+        False,
+    ),
+    "resize": (_resize, True),
+    # Edge-lease markers: leases live at the gateway, not in the
+    # broker MIBs, and a reap's broker-visible effect is its own
+    # "terminate" record, so a marker replays as a no-op.
+    "lease": (lambda state, p: None, False),
+    # BrokerShard 2PC participant records (repro.cluster.shard).
+    "cprepare": (_cprepare, False),
+    "ccommit": (_ccommit, False),
+    "cabort": (_cabort, False),
+    "crelease": (
+        lambda state, p: _apply_release(state.broker, p["flow_id"]),
+        False,
+    ),
+    # ClusterCoordinator decision log (repro.cluster.coordinator).
+    "cbegin": (_cbegin, False),
+    "cdecide": (_cdecide, False),
+    "cdone": (_cdone, False),
+    "clocal": (_clocal, False),
+    "cteardown": (lambda state, p: state.flows.pop(p["flow_id"], None),
+                  False),
+}
 
 
 def replay(broker: BandwidthBroker,
-           entries: Sequence[JournalEntry],
-           *, extension=None) -> Tuple[int, int]:
-    """Apply journal *entries* to *broker* in order.
+           entries: Iterable[JournalEntry]) -> Tuple[int, int]:
+    """Apply *entries* to *broker* in one fresh :class:`Replay`.
 
-    Rejected requests are re-executed and re-rejected (their outcome is
-    a function of the same state). Operations that *raised* on the
-    primary (journaling is write-ahead, so a failed terminate is still
-    recorded) raise identically here and are **skipped** — in both
-    runs they mutated nothing, so equivalence is preserved. Unknown
-    entry kinds raise.
-
-    :param extension: optional hook ``extension(broker, entry) -> bool``
-        consulted for entry kinds this function does not know.  A
-        subsystem that journals its own record kinds into the shared
-        WAL (e.g. the cluster 2PC entries of :mod:`repro.cluster`)
-        passes a stateful applier here; returning ``False`` (or
-        omitting the hook) keeps the unknown-kind :class:`StateError`.
-
-    Returns ``(applied, skipped)``: entries executed to a decision
-    versus entries whose re-execution raised the primary's
-    deterministic :class:`~repro.errors.StateError` — so a recovery
-    path can report exactly what it skipped instead of silently
-    counting failures as applied.
+    Returns ``(applied, skipped)`` (see :meth:`Replay.apply`).
     """
-    applied = 0
-    skipped = 0
-    for entry in entries:
-        payload = entry.payload
-        try:
-            if entry.kind == "request":
-                spec = TSpec(
-                    sigma=payload["spec"]["sigma"],
-                    rho=payload["spec"]["rho"],
-                    peak=payload["spec"]["peak"],
-                    max_packet=payload["spec"]["max_packet"],
-                )
-                path_nodes = payload.get("path_nodes")
-                broker.request_service(
-                    payload["flow_id"], spec,
-                    payload["delay_requirement"],
-                    payload["ingress"], payload["egress"],
-                    service_class=payload["service_class"],
-                    path_nodes=(
-                        tuple(path_nodes) if path_nodes is not None
-                        else None
-                    ),
-                    now=payload["now"],
-                )
-            elif entry.kind == "terminate":
-                broker.terminate(payload["flow_id"], now=payload["now"])
-            elif entry.kind == "advance":
-                broker.advance(payload["now"])
-            elif entry.kind == "feedback":
-                # Section 4.2.1 edge feedback: the macroflow's edge
-                # buffer drained, so its contingency bandwidth is
-                # released early.  Deterministic given state + inputs,
-                # exactly like the other kinds.
-                broker.aggregate.notify_edge_empty(
-                    payload["macroflow_key"], payload["now"]
-                )
-            elif entry.kind == "resize":
-                # Adaptive re-dimensioning (shrink clamps to the safe
-                # floor broker-side; inflate is gated by capacity).
-                # Both are deterministic functions of state + inputs,
-                # so replay reproduces the committed rate exactly.
-                if payload["mode"] == "shrink":
-                    broker.aggregate.shrink(
-                        payload["macroflow_key"], payload["rate"],
-                        now=payload["now"],
-                    )
-                else:
-                    broker.aggregate.inflate(
-                        payload["macroflow_key"], payload["rate"],
-                        now=payload["now"],
-                    )
-            elif entry.kind == "lease":
-                # Edge-plane soft-state marker (grant/expire/reap of a
-                # flow lease).  Leases live at the gateway, not in the
-                # broker MIBs: the broker-visible effect of a reap is
-                # its own "terminate" entry, so the marker replays as
-                # a no-op — it exists so a restarted gateway can
-                # rebuild its lease table from the same WAL.
-                pass
-            else:
-                if extension is None or not extension(broker, entry):
-                    raise StateError(
-                        f"unknown journal entry kind {entry.kind!r}"
-                    )
-        except StateError:
-            if entry.kind not in ("request", "terminate", "resize"):
-                raise
-            # The same deterministic failure occurred on the primary;
-            # neither run mutated state for this entry.
-            skipped += 1
-            continue
-        applied += 1
-    return applied, skipped
+    return Replay(broker).apply(entries)

@@ -23,7 +23,6 @@ from repro.errors import StateError
 from repro.core.aggregate import (
     ContingencyAllocation,
     ContingencyMethod,
-    Macroflow,
     ServiceClass,
 )
 from repro.core.broker import BandwidthBroker
@@ -42,22 +41,6 @@ __all__ = ["checkpoint_broker", "restore_broker", "CHECKPOINT_VERSION"]
 #: knows which primary generation wrote it.  Older checkpoints still
 #: restore, with the missing fields taken as 0.
 CHECKPOINT_VERSION = 3
-
-
-def _tspec_to_dict(spec: TSpec) -> Dict[str, float]:
-    return {
-        "sigma": spec.sigma,
-        "rho": spec.rho,
-        "peak": spec.peak,
-        "max_packet": spec.max_packet,
-    }
-
-
-def _tspec_from_dict(data: Dict[str, float]) -> TSpec:
-    return TSpec(
-        sigma=data["sigma"], rho=data["rho"], peak=data["peak"],
-        max_packet=data["max_packet"],
-    )
 
 
 def checkpoint_broker(broker: BandwidthBroker, *,
@@ -104,7 +87,7 @@ def checkpoint_broker(broker: BandwidthBroker, *,
     flows = [
         {
             "flow_id": record.flow_id,
-            "spec": _tspec_to_dict(record.spec),
+            "spec": record.spec.to_dict(),
             "delay_requirement": record.delay_requirement,
             "path_id": record.path_id,
             "rate": record.rate,
@@ -120,7 +103,7 @@ def checkpoint_broker(broker: BandwidthBroker, *,
             "class_id": macro.service_class.class_id,
             "path_id": macro.path.path_id,
             "members": {
-                flow_id: _tspec_to_dict(spec)
+                flow_id: spec.to_dict()
                 for flow_id, spec in macro.members.items()
             },
             "base_rate": macro.base_rate,
@@ -193,7 +176,7 @@ def restore_broker(
     for flow in data["flows"]:
         record = FlowRecord(
             flow_id=flow["flow_id"],
-            spec=_tspec_from_dict(flow["spec"]),
+            spec=TSpec.from_dict(flow["spec"]),
             delay_requirement=flow["delay_requirement"],
             path_id=flow["path_id"],
             rate=flow["rate"],
@@ -223,7 +206,7 @@ def restore_broker(
         macro = aggregate.macroflow(klass, path)
         assert macro.key == entry["key"]
         macro.members = {
-            flow_id: _tspec_from_dict(spec)
+            flow_id: TSpec.from_dict(spec)
             for flow_id, spec in entry["members"].items()
         }
         if macro.members:

@@ -16,7 +16,7 @@ aggregates.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import TopologyError
 from repro.core.mibs import NodeMIB, PathMIB, PathRecord
@@ -113,9 +113,17 @@ class RoutingModule:
         return [self.pin_path(nodes) for nodes in ordered]
 
     def pin_path(self, nodes: Sequence[str]) -> PathRecord:
-        """Register an explicit node sequence as a path (MPLS-style pin)."""
+        """Register an explicit node sequence as a path (MPLS-style pin).
+
+        An already pinned path is returned as is, without building a
+        throw-away record for :meth:`PathMIB.register` to discard.
+        """
+        path_id = "->".join(nodes)
+        if path_id in self.path_mib:
+            existing = self.path_mib.get(path_id)
+            if existing.nodes == tuple(nodes):
+                return existing
         links = [
             self.node_mib.link(src, dst) for src, dst in zip(nodes, nodes[1:])
         ]
-        path_id = "->".join(nodes)
         return self.path_mib.register(PathRecord(path_id, nodes, links))

@@ -113,10 +113,7 @@ class ProtocolError(SignalingError):
 
 def encode_spec(spec: TSpec) -> Dict[str, float]:
     """JSON-compatible representation of a dual-token-bucket TSpec."""
-    return {
-        "sigma": spec.sigma, "rho": spec.rho,
-        "peak": spec.peak, "max_packet": spec.max_packet,
-    }
+    return spec.to_dict()
 
 
 def decode_spec(data: Dict[str, Any]) -> TSpec:

@@ -1,11 +1,12 @@
 """Durable write-ahead journaling and crash recovery for the broker.
 
 The paper's footnote 2 names broker reliability as the price of
-centralizing a domain's QoS state.  :mod:`repro.core.journal` already
-gives the *logical* half of the answer — every control operation is a
-deterministic function of broker state and request inputs, so a log of
-inputs replays to identical decisions — but its journal lives in
-memory and dies with the process.  This module is the *physical* half:
+centralizing a domain's QoS state.  :mod:`repro.core.journal` gives
+the *logical* half of the answer — the record table and the one
+:class:`~repro.core.journal.Replay` every reader folds records
+through; every control operation is a deterministic function of
+broker state and request inputs, so a log of inputs replays to
+identical decisions.  This module is the *physical* half:
 
 * :class:`FileJournal` — an append-only, file-backed journal of
   length-prefixed, CRC-checksummed JSON records with **segment
@@ -22,7 +23,9 @@ memory and dies with the process.  This module is the *physical* half:
 * :func:`recover_broker` — restores the newest *valid* checkpoint in
   a directory, replays the journal suffix recorded after it, and
   tolerates a torn tail record (the partial write of a crash mid-
-  append): the tail is truncated with a warning, never a crash.
+  append): the tail is truncated with a warning, never a crash.  Its
+  report *is* the replayed :class:`~repro.core.journal.Replay` that
+  replicas, promotion and cluster shard recovery resume from.
 
 Record format (one record per journal entry)::
 
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.broker import BandwidthBroker
-from repro.core.journal import JournalEntry, replay
+from repro.core.journal import JournalEntry, Replay
 from repro.core.persistence import checkpoint_broker, restore_broker
 from repro.core.policy import PolicyModule
 from repro.errors import StateError
@@ -596,35 +599,33 @@ def write_checkpoint(directory, broker: BandwidthBroker,
     return path
 
 
-@dataclass
-class RecoveryReport:
-    """What :func:`recover_broker` rebuilt and from where.
+class RecoveryReport(Replay):
+    """The :class:`~repro.core.journal.Replay` :func:`recover_broker`
+    rebuilt, and from where.
 
-    :param broker: the recovered broker, ready to serve.
-    :param checkpoint_path: the checkpoint restored (``None`` when
+    The replayed state carries the recovered ``broker``, ready to
+    serve, the 2PC and coordinator tables, and ``applied``/``skipped``
+    counts (skipped entries raised the primary's deterministic
+    failure — reported, not silently applied).  Recovery adds:
+
+    :ivar checkpoint_path: the checkpoint restored (``None`` when
         recovery started from a caller-provided factory broker).
-    :param checkpoint_seq: journal position embedded in it.
-    :param applied: journal entries replayed to a decision.
-    :param skipped: journal entries whose replay raised the primary's
-        deterministic failure (reported, not silently applied).
-    :param torn_tail: the journal ended in a partial record that was
+    :ivar checkpoint_seq: journal position embedded in it.
+    :ivar torn_tail: the journal ended in a partial record that was
         dropped (the crash signature; the torn operation was never
         acknowledged).
-    :param last_seq: sequence number of the last replayed entry
+    :ivar last_seq: sequence number of the last replayed entry
         (``checkpoint_seq`` when the suffix was empty).
-    :param epoch: the highest replication epoch seen in the restored
+    :ivar epoch: the highest replication epoch seen in the restored
         checkpoint or any replayed record — a promotion must fence
         *above* this.
     """
 
-    broker: BandwidthBroker
-    checkpoint_path: Optional[str]
-    checkpoint_seq: int
-    applied: int
-    skipped: int
-    torn_tail: bool
-    last_seq: int
-    epoch: int = 0
+    checkpoint_path: Optional[str] = None
+    checkpoint_seq = 0
+    torn_tail = False
+    last_seq = 0
+    epoch = 0
 
 
 def recover_broker(
@@ -633,7 +634,6 @@ def recover_broker(
     policy: Optional[PolicyModule] = None,
     broker_factory: Optional[Callable[[], BandwidthBroker]] = None,
     repair: bool = True,
-    extension=None,
 ) -> RecoveryReport:
     """Rebuild a broker from *directory* after a crash.
 
@@ -652,10 +652,7 @@ def recover_broker(
     directory = os.fspath(directory)
     if not os.path.isdir(directory):
         raise StateError(f"no such recovery directory: {directory!r}")
-    broker: Optional[BandwidthBroker] = None
-    checkpoint_path: Optional[str] = None
-    checkpoint_seq = 0
-    checkpoint_epoch = 0
+    report: Optional[RecoveryReport] = None
     for seq, path in reversed(_list_checkpoints(directory)):
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -674,31 +671,24 @@ def recover_broker(
                 stacklevel=2,
             )
             continue
-        checkpoint_path = path
-        checkpoint_seq = int(data.get("journal_seq", seq))
-        checkpoint_epoch = int(data.get("epoch", 0))
+        report = RecoveryReport(broker)
+        report.checkpoint_path = path
+        report.checkpoint_seq = int(data.get("journal_seq", seq))
+        report.epoch = int(data.get("epoch", 0))
         break
-    if broker is None:
+    if report is None:
         if broker_factory is None:
             raise StateError(
                 f"no usable checkpoint in {directory!r} and no "
                 "broker_factory for cold recovery"
             )
-        broker = broker_factory()
-        checkpoint_seq = 0
+        report = RecoveryReport(broker_factory())
     scan = read_journal(directory, repair=repair)
-    suffix = [e for e in scan.entries if e.seq > checkpoint_seq]
-    applied, skipped = replay(broker, suffix, extension=extension)
-    return RecoveryReport(
-        broker=broker,
-        checkpoint_path=checkpoint_path,
-        checkpoint_seq=checkpoint_seq,
-        applied=applied,
-        skipped=skipped,
-        torn_tail=scan.torn_tail,
-        last_seq=suffix[-1].seq if suffix else checkpoint_seq,
-        epoch=max(
-            [checkpoint_epoch]
-            + [entry.epoch for entry in scan.entries]
-        ),
+    suffix = [e for e in scan.entries if e.seq > report.checkpoint_seq]
+    report.apply(suffix)
+    report.torn_tail = scan.torn_tail
+    report.last_seq = suffix[-1].seq if suffix else report.checkpoint_seq
+    report.epoch = max(
+        [report.epoch] + [entry.epoch for entry in scan.entries]
     )
+    return report

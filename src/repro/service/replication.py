@@ -57,7 +57,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.admission import (
     AdmissionDecision,
@@ -65,7 +65,7 @@ from repro.core.admission import (
     RejectionReason,
 )
 from repro.core.broker import BandwidthBroker, BrokerStats
-from repro.core.journal import JournalEntry, replay
+from repro.core.journal import JournalEntry
 from repro.core.mibs import PathRecord
 from repro.core.persistence import checkpoint_broker
 from repro.core.policy import PolicyModule
@@ -593,24 +593,21 @@ class ReplicaServer:
         policy: Optional[PolicyModule] = None,
         fsync: bool = True,
         segment_bytes: Optional[int] = None,
-        replay_extension=None,
     ) -> None:
         self.directory = os.fspath(directory)
         os.makedirs(self.directory, exist_ok=True)
         self.follower_id = follower_id
-        # Stateful applier for journal kinds beyond the core set (a
-        # cluster shard's 2PC records); shared by catch-up recovery and
-        # the live apply loop so both see one txn table.
-        self._replay_extension = replay_extension
         report = recover_broker(
             self.directory, policy=policy, broker_factory=broker_factory,
-            extension=replay_extension,
         )
         kwargs: Dict[str, Any] = {"fsync": fsync}
         if segment_bytes is not None:
             kwargs["segment_bytes"] = segment_bytes
         self.journal = FileJournal(self.directory, **kwargs)
         self.journal.set_epoch(max(report.epoch, self.journal.epoch))
+        #: The replay the live apply loop continues: catch-up recovery
+        #: and shipped records fold into one state (broker, 2PC table).
+        self.state = report
         self.broker = report.broker
         #: Journal position replayed into the standby broker.
         self.applied_seq = self.journal.position
@@ -785,9 +782,7 @@ class ReplicaServer:
             for entry in fresh:
                 self.journal.append_entry(entry)
             self.journal.commit()
-            applied, skipped = replay(
-                self.broker, fresh, extension=self._replay_extension,
-            )
+            applied, skipped = self.state.apply(fresh)
             self.applied_entries += applied
             self.skipped_entries += skipped
             self.applied_seq = self.journal.position
@@ -903,7 +898,6 @@ def promote_directory(
     *,
     policy: Optional[PolicyModule] = None,
     broker_factory: Optional[Callable[[], BandwidthBroker]] = None,
-    extension=None,
 ) -> PromotionReport:
     """Promote a replica's journal *directory* to a new primary.
 
@@ -915,7 +909,6 @@ def promote_directory(
     """
     report = recover_broker(
         directory, policy=policy, broker_factory=broker_factory,
-        extension=extension,
     )
     journal = FileJournal(directory)
     new_epoch = max(report.epoch, journal.epoch) + 1

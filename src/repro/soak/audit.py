@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.broker import BandwidthBroker
+from repro.core.journal import Replay
+from repro.errors import StateError
 from repro.traffic.spec import TSpec
 
 __all__ = [
@@ -482,8 +484,7 @@ def replay_shard_dirs(
     transactions still ``prepared`` after the full suffix replayed.
     Never mutates the directories (``repair=False``).
     """
-    from repro.cluster.shard import cluster_journal_extension
-    from repro.cluster.topology import shard_broker
+    from repro.cluster.topology import shard_broker, shard_dirs
     from repro.service.durability import recover_broker
 
     report = AuditReport()
@@ -491,18 +492,12 @@ def replay_shard_dirs(
     wal_root = _wal_root(root)
     if domain is None:
         domain = load_domain_spec(root)
-    shard_names = sorted(
-        entry for entry in os.listdir(wal_root)
-        if os.path.isdir(os.path.join(wal_root, entry))
-        and entry != "coordinator"
-    )
-    if not shard_names:
-        report.extend([Finding(
-            "unreadable", wal_root, "no shard subdirectories",
-        )])
+    try:
+        shard_names = shard_dirs(wal_root)
+    except StateError as exc:
+        report.extend([Finding("unreadable", wal_root, str(exc))])
         return views, report
     for name in shard_names:
-        state = cluster_journal_extension()
         factory: Optional[Callable[[], BandwidthBroker]] = None
         if domain is not None and name in domain.shard_names:
             factory = (lambda n=name: shard_broker(domain, n))
@@ -511,8 +506,7 @@ def replay_shard_dirs(
                 warnings.simplefilter("ignore")
                 recovery = recover_broker(
                     os.path.join(wal_root, name),
-                    extension=state, broker_factory=factory,
-                    repair=False,
+                    broker_factory=factory, repair=False,
                 )
         except Exception as exc:
             report.extend([Finding("unreadable", name, str(exc))])
@@ -523,10 +517,10 @@ def replay_shard_dirs(
                 "journal ends in a partial record (unacknowledged op "
                 "dropped)",
             )])
-        for txn in state.prepared():
+        for txid in recovery.prepared():
             report.extend([Finding(
                 "prepared-hold", name,
-                f"txn {txn.get('txid')!r} still prepared after replay",
+                f"txn {txid!r} still prepared after replay",
             )])
         views[name] = link_view_of_broker(recovery.broker)
         report.count("replayed_entries", recovery.applied)
@@ -547,28 +541,21 @@ def _scan_coordinator_log(root: str) -> AuditReport:
     directory = os.path.join(_wal_root(root), "coordinator")
     if not os.path.isdir(directory) or not os.listdir(directory):
         return report
+    log = Replay()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            scan = read_journal(directory, repair=False)
+            log.apply(read_journal(directory, repair=False).entries)
     except Exception as exc:
         report.extend([Finding("unreadable", "coordinator", str(exc))])
         return report
-    decided: Dict[str, str] = {}
-    done = set()
-    for entry in scan.entries:
-        payload = entry.payload
-        if entry.kind == "cdecide":
-            decided[payload["txid"]] = payload.get("outcome", "")
-        elif entry.kind == "cdone":
-            done.add(payload["txid"])
-    for txid, outcome in sorted(decided.items()):
-        if outcome == "commit" and txid not in done:
-            report.extend([Finding(
-                "in-doubt", txid,
-                "commit decided but never driven to completion",
-            )])
-    report.count("decisions", len(decided))
+    for txid in log.decisions_in("decided-commit"):
+        report.extend([Finding(
+            "in-doubt", txid,
+            "commit decided but never driven to completion",
+        )])
+    report.count("decisions", len(log.decisions) - len(
+        log.decisions_in("open")))
     return report
 
 
@@ -605,12 +592,6 @@ def audit_shard_dirs(
     the coordinator log.  With *live_dumps* (shard name -> ``dump``
     frame) it additionally proves WAL replay == live MIB state.
     """
-    if not os.path.isdir(root):
-        report = AuditReport()
-        report.extend([Finding(
-            "unreadable", root, "no such directory",
-        )])
-        return report
     views, report = replay_shard_dirs(root, domain=domain)
     merged: Dict[str, LinkView] = {}
     for view in views.values():

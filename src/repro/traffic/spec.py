@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Dict, Iterable, Mapping
 
 from repro.errors import TrafficSpecError
 from repro.units import feq
@@ -69,6 +69,21 @@ class TSpec:
             raise TrafficSpecError(
                 f"peak rate ({self.peak}) must be >= sustained rate ({self.rho})"
             )
+
+    def to_dict(self) -> Dict[str, float]:
+        """JSON-compatible form (journal records, checkpoints, frames)."""
+        return {
+            "sigma": self.sigma, "rho": self.rho,
+            "peak": self.peak, "max_packet": self.max_packet,
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, float]) -> "TSpec":
+        """Inverse of :meth:`to_dict` (validation applies)."""
+        return cls(
+            sigma=data["sigma"], rho=data["rho"],
+            peak=data["peak"], max_packet=data["max_packet"],
+        )
 
     # ------------------------------------------------------------------
     # derived quantities

@@ -1,5 +1,7 @@
 """The ``python -m repro`` command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -158,7 +160,40 @@ class TestClusterCommands:
         assert "shard0" in out
         assert "shard1" in out
         assert "prepared holds" in out
-        assert "coordinator decision log present" in out
+        # Every spanning admit finished before the crash.
+        assert "coordinator decision log: 0 open, 0 decided but not " \
+            "done" in out
+
+    def test_recover_single_shard_directory(self, capsys, tmp_path):
+        # A shard journal carrying 2PC records after its checkpoint
+        # recovers through the plain ``recover`` command.
+        from repro.cluster import PartitionMap
+        from repro.cluster.shard import BrokerShard
+        from repro.core.broker import BandwidthBroker
+        from repro.service import FileJournal
+        from repro.vtrs.timestamps import SchedulerKind
+        from repro.workloads.profiles import flow_type
+
+        spec = flow_type(0).spec
+        broker = BandwidthBroker()
+        broker.add_link("a", "b", 10e6, SchedulerKind.RATE_BASED)
+        pmap = PartitionMap(["s0"])
+        shard = BrokerShard("s0", broker, pmap,
+                            wal=FileJournal(tmp_path, fsync=False))
+        shard.checkpoint()
+        shard.prepare({
+            "txid": "tx-1", "flow_id": "f1", "links": [["a", "b"]],
+            "spec": spec.to_dict(), "delay_requirement": 2.44,
+            "mode": "fixed", "rate": spec.rho, "delay": 0.0,
+            "now": 0.0, **pmap.stamp(),
+        })
+        shard.commit({"txid": "tx-1", "flow_id": "f1", "now": 1.0,
+                      **pmap.stamp()})
+        shard.wal.close()
+        assert main(["recover", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"entries replayed\s+2\b", out)
+        assert re.search(r"active flows\s+1\b", out)
 
     def test_recover_shard_dir_rejects_empty_root(self, capsys,
                                                   tmp_path):

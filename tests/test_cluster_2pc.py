@@ -30,7 +30,7 @@ from repro.cluster import (
     build_pod_cluster,
 )
 from repro.cluster.remote import _OPS
-from repro.cluster.shard import BrokerShard, _spec_payload
+from repro.cluster.shard import BrokerShard
 from repro.core.broker import BandwidthBroker
 from repro.errors import SignalingError
 from repro.service.transport import TcpListener, connect_tcp, pipe_pair
@@ -285,7 +285,7 @@ class TestIdempotency:
         return {
             "txid": txid, "flow_id": flow_id,
             "links": [list(p) for p in by_name["shard0"]],
-            "spec": _spec_payload(SPEC),
+            "spec": SPEC.to_dict(),
             "delay_requirement": D_REQ,
             "mode": "fixed", "rate": SPEC.rho, "delay": 0.0,
             "now": 0.0, **duo.partition.stamp(),
@@ -343,7 +343,7 @@ class TestHoldExpiry:
                           for l in cluster.partition.segments(
                               cluster.spanning_paths[0])[0][1]
                           if cluster.partition.shard_of(l) == "shard0"],
-                "spec": _spec_payload(SPEC),
+                "spec": SPEC.to_dict(),
                 "delay_requirement": D_REQ,
                 "mode": "fixed", "rate": SPEC.rho, "delay": 0.0,
                 "now": 100.0, **cluster.partition.stamp(),
@@ -375,7 +375,7 @@ class TestRemoteHandles:
             assert status["shard"] == "shard0"
             nodes = duo.pod_paths[0]
             reply = handle.admit({
-                "flow_id": "f1", "spec": _spec_payload(SPEC),
+                "flow_id": "f1", "spec": SPEC.to_dict(),
                 "delay_requirement": D_REQ,
                 "ingress": nodes[0], "egress": nodes[-1],
                 "path_nodes": list(nodes), "now": 0.0,

@@ -26,11 +26,10 @@ from repro.cluster import (
     ClusterCoordinator,
     PartitionMap,
     build_pod_cluster,
-    cluster_journal_extension,
     recover_shard,
 )
 from repro.cluster.partition import link_id_str
-from repro.cluster.shard import BrokerShard, _spec_payload
+from repro.cluster.shard import BrokerShard
 from repro.core.broker import BandwidthBroker
 from repro.errors import StateError
 from repro.service.durability import FileJournal, recover_broker
@@ -366,7 +365,7 @@ class TestShardRecovery:
         shard = BrokerShard("s0", broker, pmap, wal=wal)
         frame = {
             "txid": "tx-1", "flow_id": "f1", "links": [["a", "b"]],
-            "spec": _spec_payload(SPEC), "delay_requirement": D_REQ,
+            "spec": SPEC.to_dict(), "delay_requirement": D_REQ,
             "mode": "fixed", "rate": SPEC.rho, "delay": 0.0,
             "now": 0.0, **pmap.stamp(),
         }
@@ -396,7 +395,7 @@ class TestShardRecovery:
         )
         frame = {
             "txid": "tx-1", "flow_id": "f1", "links": [["a", "b"]],
-            "spec": _spec_payload(SPEC), "delay_requirement": D_REQ,
+            "spec": SPEC.to_dict(), "delay_requirement": D_REQ,
             "mode": "fixed", "rate": SPEC.rho, "delay": 0.0,
             "now": 0.0, **pmap.stamp(),
         }
@@ -422,6 +421,8 @@ class TestShardRecovery:
 
 class TestReplicaChain:
     def test_replica_applies_cluster_records(self, tmp_path):
+        # A plain replica: the one record table knows the 2PC kinds,
+        # so no cluster-specific wiring is needed to follow a shard.
         primary_dir = tmp_path / "primary"
         replica_dir = tmp_path / "replica"
         pmap = PartitionMap(["s0"])
@@ -434,7 +435,6 @@ class TestReplicaChain:
         replica = ReplicaServer(
             str(replica_dir), _single_link_broker,
             follower_id="r1", fsync=False,
-            replay_extension=cluster_journal_extension(),
         )
         primary_end, follower_end = pipe_pair()
         hub.add_follower(primary_end)
@@ -443,7 +443,7 @@ class TestReplicaChain:
             frame = {
                 "txid": "tx-1", "flow_id": "f1",
                 "links": [["a", "b"]],
-                "spec": _spec_payload(SPEC),
+                "spec": SPEC.to_dict(),
                 "delay_requirement": D_REQ,
                 "mode": "fixed", "rate": SPEC.rho, "delay": 0.0,
                 "now": 0.0, **pmap.stamp(),
@@ -460,6 +460,8 @@ class TestReplicaChain:
                 key.startswith("txn:")
                 for key in link.reservation_keys()
             )
+            assert replica.following, replica.detail
+            assert replica.state.txns["tx-1"]["state"] == "committed"
         finally:
             replica.close()
             hub.close()
@@ -471,7 +473,7 @@ class TestReplicaChain:
         shard = BrokerShard("s0", _single_link_broker(), pmap, wal=wal)
         frame = {
             "txid": "tx-1", "flow_id": "f1", "links": [["a", "b"]],
-            "spec": _spec_payload(SPEC), "delay_requirement": D_REQ,
+            "spec": SPEC.to_dict(), "delay_requirement": D_REQ,
             "mode": "fixed", "rate": SPEC.rho, "delay": 0.0,
             "now": 0.0, **pmap.stamp(),
         }
@@ -482,24 +484,33 @@ class TestReplicaChain:
         wal.close()
         report = promote_directory(
             str(tmp_path), broker_factory=_single_link_broker,
-            extension=cluster_journal_extension(),
         )
         assert report.epoch == epoch + 1
         assert "f1" in report.broker.flow_mib
         report.journal.close()
 
-    def test_plain_recover_broker_rejects_cluster_kinds(self, tmp_path):
-        # Without the extension, cluster records are a loud error —
-        # never silently dropped state.
+    def test_plain_recover_broker_replays_cluster_kinds(self, tmp_path):
+        # A shard directory recovers like any other: the 2PC table
+        # comes back in the report, never silently dropped.
         pmap = PartitionMap(["s0"])
         wal = FileJournal(str(tmp_path), fsync=False)
         shard = BrokerShard("s0", _single_link_broker(), pmap, wal=wal)
-        shard.abort({"txid": "tx-1", "now": 0.0, **pmap.stamp()})
+        shard.prepare({
+            "txid": "tx-1", "flow_id": "f1", "links": [["a", "b"]],
+            "spec": SPEC.to_dict(), "delay_requirement": D_REQ,
+            "mode": "fixed", "rate": SPEC.rho, "delay": 0.0,
+            "now": 0.0, **pmap.stamp(),
+        })
+        shard.abort({"txid": "tx-2", "now": 0.0, **pmap.stamp()})
         wal.close()
-        with pytest.raises(StateError, match="unknown journal entry"):
-            recover_broker(
-                str(tmp_path), broker_factory=_single_link_broker
-            )
+        report = recover_broker(
+            str(tmp_path), broker_factory=_single_link_broker
+        )
+        assert report.applied == 2
+        assert report.prepared() == ["tx-1"]
+        assert report.txns["tx-2"]["state"] == "aborted"
+        link = report.broker.node_mib.link("a", "b")
+        assert "txn:tx-1" in link.reservation_keys()
 
 
 def _single_link_broker() -> BandwidthBroker:
