@@ -15,25 +15,16 @@ re-verified against the eq.-(19) oracle — and the differential
 genuinely comes from the controller (shrinks, pre-inflates and idle
 lease reclaims all engaged, not just one leg).
 
-Set ``REPRO_BENCH_SMOKE=1`` (the CI smoke job does) to shrink the
-sweep to the saturated load only.  Every run appends its rows to the
-repo-root ``BENCH_adapt.json`` ledger via :mod:`benchmarks.record`.
+The sweep's rows land in a JSON artifact under pytest's ``tmp_path``;
+nothing in the checkout is written.
 """
 
 import json
-import os
 
 from repro.adapt.bench import run_adapt_comparison
 from repro.experiments.reporting import render_table
 
-from benchmarks.record import record
-
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
-LOADS = (48,) if SMOKE else (24, 48, 72)
-LEDGER = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_adapt.json",
-)
+LOADS = (24, 48, 72)
 
 
 def test_bench_adapt_differential(benchmark, tmp_path):
@@ -86,11 +77,4 @@ def test_bench_adapt_differential(benchmark, tmp_path):
     # knee (under-saturated loads legitimately tie).
     assert max(row["gain"] for row in rows) > 0, (
         "no load showed an admitted-calls gain with adaptation on"
-    )
-
-    record(
-        LEDGER, rows,
-        note=("adaptation on/off differential sweep"
-              + (" (smoke)" if SMOKE else "")),
-        source="benchmarks/test_bench_adapt.py",
     )

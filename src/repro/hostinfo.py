@@ -1,8 +1,7 @@
-"""Host and process-topology facts for benchmark ledgers.
+"""Host and process-topology facts for benchmark results.
 
-Every bench ledger entry (``BENCH_*.json`` via
-:mod:`benchmarks.record`) and every ``repro shard-bench`` /
-``edge-bench`` result embeds :func:`host_info`, because a throughput
+Every ``repro shard-bench`` / ``edge-bench`` / ``soak`` result
+embeds :func:`host_info`, because a throughput
 number without the CPU count behind it is unfalsifiable: an 8-shard
 "speedup" measured on a 1-CPU runner says nothing about multi-core
 scaling.  :func:`process_topology` records *how* the run was laid out
@@ -50,7 +49,7 @@ def process_topology(
     workers_per_shard: Optional[int] = None,
     **extra: Any,
 ) -> Dict[str, Any]:
-    """Describe a run's process layout for the bench ledger.
+    """Describe a run's process layout for a bench result.
 
     :param mode: ``"threads"`` (everything in one process, one GIL) or
         ``"procs"`` (shards and/or gateway workers are separate OS

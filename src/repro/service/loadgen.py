@@ -8,11 +8,11 @@ self-adjusts to the service's capacity and the interesting outputs
 are throughput and the response-time distribution.
 
 Also provides :func:`provision_parallel_paths`, the link-disjoint
-fan of ingress->core->egress chains used by the throughput benchmarks
-(``repro serve-bench`` and ``benchmarks/test_bench_service_through-
-put.py``): with the paths disjoint, shard parallelism is the only
-coupling between clients, which is exactly the axis the worker/shard
-grid sweeps.
+fan of ingress->core->egress chains used by ``repro serve-bench`` and
+the ``edge_pipelined``/``engine_deep`` workloads of
+``python -m benchmarks.e2e``: with the paths disjoint, shard
+parallelism is the only coupling between clients, which is exactly
+the axis the worker/shard grid sweeps.
 """
 
 from __future__ import annotations

@@ -15,7 +15,9 @@ central claims:
 * **idempotency** — every phase answers retries with the cached
   verdict; aborts tombstone unknown txids so late prepares lose;
 * **hold expiry** — the lease reaper turns an undecided hold into the
-  same journaled abort an explicit ABORT produces.
+  same journaled abort an explicit ABORT produces;
+* **no leaks under load** — a concurrent closed loop with spanning
+  admits ends with every hold and every reservation released.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.cluster import (
     PartitionMap,
     ShardServer,
     build_pod_cluster,
+    run_cluster_loop,
 )
 from repro.cluster.remote import _OPS
 from repro.cluster.shard import BrokerShard
@@ -362,6 +365,27 @@ class TestHoldExpiry:
             reply = shard.commit({"txid": "tx-orphan", "flow_id": "f1",
                                   "now": 107.0, **stamp})
             assert reply["status"] == "aborted"
+
+
+class TestConcurrentLoad:
+    def test_spanning_closed_loop_leaves_nothing_reserved(self):
+        """Concurrent clients on every pod, every 2nd admit crossing
+        into the neighbour pod: 2PC under contention ends with no
+        error, no stranded ``txn:`` hold and every link back at zero
+        load once each admitted flow is torn down."""
+        cluster = build_pod_cluster(4, workers=1, edge_rtt=0.001)
+        with cluster:
+            report = run_cluster_loop(
+                cluster, SPEC, D_REQ, clients_per_pod=2,
+                requests_per_client=6, spanning_every=2,
+            )
+            stranded = cluster.outstanding_holds()
+            loads = cluster.link_loads()
+        assert report.errors == 0
+        assert report.admitted == report.requests
+        assert report.spanning_admitted == report.spanning_requests > 0
+        assert stranded == []
+        assert loads and all(abs(load) < 1e-6 for load in loads.values())
 
 
 class TestRemoteHandles:

@@ -655,3 +655,67 @@ class TestMixedFleet:
         assert broker.stats().active_flows == 0
         assert counters["leases"]["granted"] == 16
         assert counters["leases"]["released"] == 16
+
+    def test_concurrent_binary_fleet_is_exactly_once(self):
+        """Several agents pipeline windows of admits over TCP at
+        once, each on its own disjoint path, heartbeat their leases
+        and tear down: every admit lands exactly once and nothing
+        stays reserved."""
+        from repro.edge import AdmitOp, EdgeAgent, tcp_connector
+        from repro.service import provision_parallel_paths
+
+        agents, windows, window = 4, 2, 8
+        broker = BandwidthBroker()
+        pinned = provision_parallel_paths(broker, paths=agents)
+        codecs = [""] * agents
+        errors = []
+        with BrokerService(broker, workers=2, shards=4, edge_rtt=0.001,
+                           batch_limit=window) as service:
+            gateway = EdgeGateway(service, lease_duration=60.0)
+            host, port = gateway.listen()
+
+            def client(rank: int) -> None:
+                nodes = pinned[rank]
+                try:
+                    with EdgeAgent(f"edge-{rank}", tcp_connector(host, port),
+                                   seed=rank, op_budget=30.0,
+                                   codecs=("binary", "json")) as agent:
+                        assert agent.ping()
+                        codecs[rank] = agent.negotiated_codec
+                        admitted = []
+                        for round_no in range(windows):
+                            replies = agent.admit_many(
+                                [AdmitOp(f"a{rank}-w{round_no}-f{k}", SPEC,
+                                         2.44, nodes[0], nodes[-1],
+                                         path_nodes=nodes)
+                                 for k in range(window)],
+                                now=float(round_no),
+                            )
+                            assert len(replies) == window
+                            for flow_id, reply in replies.items():
+                                assert reply["status"] == "ok", reply
+                                assert reply["decision"]["admitted"]
+                                admitted.append(flow_id)
+                            agent.heartbeat(now=float(round_no))
+                        agent.teardown_many(admitted, now=float(windows))
+                except Exception as exc:  # surfaced after the join
+                    errors.append((rank, repr(exc)))
+
+            threads = [threading.Thread(target=client, args=(rank,))
+                       for rank in range(agents)]
+            gateway.start()
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                    assert not thread.is_alive()
+                counters = gateway.counters()
+            finally:
+                gateway.stop()
+        assert errors == []
+        total = agents * windows * window
+        assert broker.stats().active_flows == 0
+        assert counters["leases"]["granted"] == total
+        assert counters["leases"]["released"] == total
+        assert codecs == ["binary"] * agents

@@ -29,9 +29,12 @@ from repro.service import (
     SYNC,
     BrokerService,
     FileJournal,
+    FlowTemplate,
     ReplicationHub,
     ServiceRequest,
+    provision_parallel_paths,
     read_journal,
+    run_closed_loop,
 )
 from repro.workloads.profiles import flow_type
 from repro.workloads.topologies import SchedulerSetting, fig8_domain
@@ -446,6 +449,36 @@ class TestTeardownRuns:
         for reply in replies:
             assert reply.status == ERROR
             assert "0/1" in reply.detail
+
+
+class TestClosedLoop:
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_disjoint_fan_is_conflict_free(self, durable, tmp_path):
+        """The fan ``repro serve-bench`` drives: concurrent clients,
+        one pinned link-disjoint path each, admit + teardown in a
+        loop.  Nothing conflicts, and every reply waited out the edge
+        round-trip of the batch or teardown that served it."""
+        edge_rtt = 0.001
+        broker = BandwidthBroker()
+        templates = [
+            FlowTemplate(SPEC, 2.44, nodes[0], nodes[-1], path_nodes=nodes)
+            for nodes in provision_parallel_paths(broker, paths=4)
+        ]
+        wal = FileJournal(tmp_path) if durable else None
+        with BrokerService(broker, workers=2, shards=4, edge_rtt=edge_rtt,
+                           wal=wal) as service:
+            report = run_closed_loop(service, templates, clients=4,
+                                     requests_per_client=6)
+            stats = service.stats()
+        if wal is not None:
+            wal.close()
+        assert report.errors == report.rejected == report.shed == 0
+        assert report.admitted == report.requests
+        assert min(report.latencies) >= edge_rtt
+        assert broker.stats().active_flows == 0
+        if durable:
+            # At least one flush, and never more than journal records.
+            assert stats.wal_mean_group >= 1.0
 
 
 class TestCallbackIsolation:
