@@ -94,8 +94,9 @@ def main() -> None:
             else:
                 connect = dial
             agent = EdgeAgent(f"edge-{rank}", connect, seed=rank,
-                              op_budget=10.0, attempt_timeout=0.05,
-                              max_backoff=0.1)
+                              op_budget=10.0)
+            agent.attempt_timeout = 0.05
+            agent.max_backoff = 0.1
             agents.append(agent)
 
         def admit_all(agent: EdgeAgent, rank: int) -> None:

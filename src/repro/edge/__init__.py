@@ -5,17 +5,18 @@ at the *edge* routers while admission authority is centralized in the
 bandwidth broker.  This package is that boundary made a real network
 protocol on top of the :mod:`repro.service` stack:
 
-* :mod:`repro.edge.protocol` — versioned request/reply frames with
-  idempotency keys and deadline propagation;
+* :mod:`repro.edge.protocol` — request/reply frames with idempotency
+  keys and deadline propagation;
 * :mod:`repro.edge.leases` — soft-state flow leases and the
   idempotent-reply dedup window;
 * :mod:`repro.edge.gateway` — :class:`EdgeGateway`, the broker-side
   server terminating agent sessions over pipes or length-prefixed
-  TCP (JSON or negotiated binary payloads), with lease reaping and
-  exactly-once execution;
+  TCP (binary payloads negotiated at ``hello``, JSON as the
+  fallback), with lease reaping and exactly-once execution;
 * :mod:`repro.edge.agent` — :class:`EdgeAgent`, the edge-router-side
-  client owning the per-flow state table, with idempotent retries,
-  reconnects, lease heartbeats and Section 4.2.1 edge feedback.
+  client owning the per-flow state table, with one pipelined
+  retry loop for every operation, reconnects, lease heartbeats and
+  Section 4.2.1 edge feedback.
 
 See ``docs/EDGE.md`` for the frame vocabulary, the lease lifecycle
 and the failure matrix.
@@ -26,14 +27,12 @@ from repro.edge.agent import (
     AgentTimeout,
     EdgeAgent,
     FlowState,
-    default_codecs,
     tcp_connector,
 )
 from repro.edge.gateway import EdgeGateway, decision_to_dict
 from repro.edge.leases import DedupWindow, Lease, LeaseTable
 from repro.edge.protocol import (
     PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     STATUS_ERROR,
     STATUS_OK,
     STATUS_TRY_AGAIN,
@@ -45,7 +44,6 @@ __all__ = [
     "AgentTimeout",
     "EdgeAgent",
     "FlowState",
-    "default_codecs",
     "tcp_connector",
     "EdgeGateway",
     "decision_to_dict",
@@ -53,7 +51,6 @@ __all__ = [
     "Lease",
     "LeaseTable",
     "PROTOCOL_VERSION",
-    "SUPPORTED_VERSIONS",
     "STATUS_OK",
     "STATUS_TRY_AGAIN",
     "STATUS_ERROR",

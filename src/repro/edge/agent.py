@@ -17,10 +17,15 @@ network path introduces:
   budget; every attempt ships the *remaining* budget as ``budget_ms``
   so the gateway (and the service queue behind it) sheds work whose
   client has already given up.
-* **exponential backoff with jitter** — retries after timeouts back
-  off exponentially (seeded RNG jitter, so tests are reproducible);
-  a ``try-again`` reply instead honours the gateway's machine-readable
-  ``retry_after`` hint (capped by the remaining budget).
+* **one send/collect/backoff loop** — a single operation is a
+  pipelined window of one, so every operation shares the loop of
+  :meth:`EdgeAgent.admit_many`: a round writes every pending frame,
+  collects replies until each key has answered or the connection has
+  been idle for :attr:`~EdgeAgent.attempt_timeout`, and resends only
+  the keys still pending.  Between rounds it backs off exponentially
+  (seeded RNG jitter, so tests are reproducible), but never less than
+  the largest ``retry_after`` hint a ``try-again`` reply carried
+  (capped by the remaining budget).
 * **reconnect on** :class:`~repro.service.transport.TransportClosed` —
   the agent redials through its connection factory and replays the
   ``hello`` handshake; in-flight operations then retry over the new
@@ -39,7 +44,7 @@ would watch the real buffer and typically report earlier.)
 
 Threading: all RPCs serialize on one internal lock — the optional
 heartbeat thread and the caller's thread share the connection safely,
-at the price of one outstanding operation per agent.  Scale-out is
+at the price of one outstanding window per agent.  Scale-out is
 horizontal (many agents), which is exactly the paper's model of many
 edge routers against one broker.
 """
@@ -47,7 +52,6 @@ edge routers against one broker.
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import threading
 import time
@@ -71,7 +75,6 @@ __all__ = [
     "AdmitOp",
     "EdgeAgent",
     "tcp_connector",
-    "default_codecs",
 ]
 
 
@@ -107,19 +110,6 @@ class AdmitOp:
     path_nodes: Optional[Sequence[str]] = None
 
 
-def default_codecs() -> Tuple[str, ...]:
-    """The codec preference list an agent offers in its ``hello``.
-
-    ``REPRO_EDGE_CODEC=json`` pins the fleet to the v1 JSON payload
-    (the CI matrix lever); ``binary`` — or unset — prefers the binary
-    codec with JSON as the universal fallback.
-    """
-    preference = os.environ.get("REPRO_EDGE_CODEC", "").strip().lower()
-    if preference == CODEC_JSON:
-        return (CODEC_JSON,)
-    return CODECS
-
-
 def tcp_connector(host: str, port: int, *,
                   timeout: float = 5.0) -> Callable[[], Any]:
     """A reconnecting dial function for :class:`EdgeAgent` (TCP)."""
@@ -142,17 +132,19 @@ class EdgeAgent:
         :class:`TransportClosed`.
     :param op_budget: default overall wall-clock budget per logical
         operation, in seconds (deadline propagation starts from it).
-    :param attempt_timeout: per-attempt reply wait before the agent
-        retransmits, in seconds.
-    :param base_backoff/max_backoff: exponential backoff bounds for
-        timeout-driven retries (jittered).
     :param seed: RNG seed for the jitter (deterministic tests).
     :param codecs: payload codecs to offer in the ``hello``, best
-        first (default: :func:`default_codecs`, which honours
-        ``REPRO_EDGE_CODEC``).  The gateway picks the best codec both
-        sides speak; an old gateway that rejects the v2 hello makes
-        the agent fall back to the v1 JSON protocol automatically.
+        first (default :data:`~repro.service.wire.CODECS`).  The
+        gateway picks the best codec both sides speak.
     """
+
+    #: Idle wait for a round's replies before the pending keys are
+    #: resent, in seconds.
+    attempt_timeout = 0.25
+    #: Bounds of the jittered exponential backoff between rounds, in
+    #: seconds.
+    base_backoff = 0.01
+    max_backoff = 0.5
 
     def __init__(
         self,
@@ -160,20 +152,13 @@ class EdgeAgent:
         connect: Callable[[], Any],
         *,
         op_budget: float = 5.0,
-        attempt_timeout: float = 0.25,
-        base_backoff: float = 0.01,
-        max_backoff: float = 0.5,
         seed: Optional[int] = None,
         codecs: Optional[Sequence[str]] = None,
     ) -> None:
         self.name = name
         self._connect = connect
-        self.codecs = tuple(codecs) if codecs is not None \
-            else default_codecs()
+        self.codecs = tuple(codecs) if codecs is not None else CODECS
         self.op_budget = op_budget
-        self.attempt_timeout = attempt_timeout
-        self.base_backoff = base_backoff
-        self.max_backoff = max_backoff
         self._rng = random.Random(seed)
         self._rpc_lock = threading.RLock()
         self._state_lock = threading.Lock()
@@ -184,10 +169,6 @@ class EdgeAgent:
         self._feedback_due: Dict[str, float] = {}
         self.lease_duration = 0.0   # learned from the welcome frame
         self.gateway_name = ""
-        #: Protocol version spoken on the current session; drops to 1
-        #: after an old gateway rejects the v2 hello (and is re-tried
-        #: at the newest version on every fresh connection).
-        self._proto_version = protocol.PROTOCOL_VERSION
         #: Payload codec the current session negotiated.
         self.negotiated_codec = CODEC_JSON
         self._hb_thread: Optional[threading.Thread] = None
@@ -213,22 +194,15 @@ class EdgeAgent:
     def _ensure_connected(self):
         """Dial + ``hello`` handshake if there is no live connection.
 
-        Every fresh connection first tries the newest protocol (a v2
-        hello advertising versions and codecs).  An old gateway
-        answers that with a ``bad-version`` error reply — the agent
-        then resends a v1 hello *on the same connection* and runs the
-        session as v1 JSON.  A v2 welcome instead carries the codec
-        the gateway chose; the agent switches its send codec to it
+        The hello offers :attr:`codecs`; the welcome carries the codec
+        the gateway chose, and the agent switches its send codec to it
         (receives are auto-detected, so no switchover race exists).
         """
         if self._conn is not None:
             return self._conn
         conn = self._connect()
-        version = protocol.PROTOCOL_VERSION
         try:
-            conn.send(protocol.make_hello(
-                self.name, version=version, codecs=self.codecs,
-            ))
+            conn.send(protocol.make_hello(self.name, codecs=self.codecs))
             deadline = time.monotonic() + max(self.attempt_timeout, 1.0)
             while True:
                 remaining = deadline - time.monotonic()
@@ -239,18 +213,6 @@ class EdgeAgent:
                     raise TransportClosed("no welcome from the gateway")
                 if frame.get("type") == "welcome":
                     break
-                if (
-                    version > 1
-                    and frame.get("type") == "reply"
-                    and frame.get("status") == protocol.STATUS_ERROR
-                    and frame.get("re") == "hello"
-                    and "bad-version" in str(frame.get("detail", ""))
-                ):
-                    # An old gateway refused the v2 hello: downgrade
-                    # to the original protocol on this connection.
-                    version = 1
-                    conn.send(protocol.make_hello(self.name, version=1))
-                    continue
                 # Stale replies from a previous connection's in-flight
                 # operations may arrive first; they are honoured via
                 # the dedup window on retry, so skip them here.
@@ -262,9 +224,8 @@ class EdgeAgent:
             raise
         self.lease_duration = float(frame.get("lease_duration", 0.0))
         self.gateway_name = str(frame.get("gateway", ""))
-        self._proto_version = min(version, int(frame.get("v", 1)))
         codec = frame.get("codec")
-        if codec not in self.codecs or self._proto_version < 2:
+        if codec not in self.codecs:
             codec = CODEC_JSON
         self.negotiated_codec = codec
         if hasattr(conn, "set_codec"):
@@ -286,9 +247,7 @@ class EdgeAgent:
         with self._rpc_lock:
             if self._conn is not None:
                 try:
-                    self._conn.send(protocol.make_bye(
-                        self.name, version=self._proto_version,
-                    ))
+                    self._conn.send(protocol.make_bye(self.name))
                 except TransportClosed:
                     pass
             self._drop_connection()
@@ -310,98 +269,42 @@ class EdgeAgent:
     def _call(self, build_frame: Callable[[float], protocol.Frame],
               idem: str, *, budget: Optional[float] = None,
               surface_try_again: bool = False) -> protocol.Frame:
-        """Send a request until a terminal reply arrives.
-
-        *build_frame* receives the remaining budget in ms and returns
-        the frame for this attempt — same ``idem`` every time, so the
-        attempts are idempotent at the gateway.  Raises
-        :class:`AgentTimeout` when the budget is spent.
-
-        With *surface_try_again* a ``try-again`` reply is returned to
-        the caller instead of being retried here — the shape a proxy
-        tier (the REST control plane) needs to map backpressure to its
-        own protocol (``429`` + ``Retry-After``) and let the *remote*
-        client own the retry.  Transport losses still retry locally
-        either way: they carry no backpressure signal to propagate.
-        """
-        budget = self.op_budget if budget is None else budget
-        deadline = time.monotonic() + budget
-        attempt = 0
-        with self._rpc_lock:
-            self.rpcs += 1
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise AgentTimeout(
-                        f"{self.name}: operation {idem} exhausted its "
-                        f"{budget:.3f}s budget after {attempt} attempt(s)"
-                    )
-                try:
-                    conn = self._ensure_connected()
-                    conn.send(build_frame(remaining * 1000.0))
-                    reply = self._recv_reply(conn, idem, min(
-                        remaining, self.attempt_timeout
-                    ))
-                except TransportClosed:
-                    self._drop_connection()
-                    self.reconnects += 1
-                    reply = None
-                if reply is None:
-                    # Timed out (or reconnecting): back off, retransmit.
-                    attempt += 1
-                    self.retries += 1
-                    self._sleep(self._backoff(attempt), deadline)
-                    continue
-                if reply.get("status") == protocol.STATUS_TRY_AGAIN:
-                    self.try_agains += 1
-                    if surface_try_again:
-                        return reply
-                    # Never executed; honour the gateway's hint.
-                    attempt += 1
-                    hint = float(reply.get("retry_after", 0.0))
-                    self._sleep(max(hint, self._backoff(attempt)),
-                                deadline)
-                    continue
-                return reply
-
-    def _recv_reply(self, conn, idem: str,
-                    timeout: float) -> Optional[protocol.Frame]:
-        """Next reply for *idem*; ``None`` on timeout.
-
-        Skips keepalive pongs and stale replies to earlier attempts'
-        keys — those operations already returned (or timed out and
-        will re-fetch from the dedup window).
-        """
-        deadline = time.monotonic() + timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return None
-            frame = conn.recv(timeout=remaining)
-            if frame is None:
-                return None
-            if is_pong(frame):
-                continue
-            if frame.get("type") == "reply" and frame.get("idem") == idem:
-                return frame
+        """One operation: a pipelined window of one (see
+        :meth:`_call_many`); returns its terminal reply."""
+        return self._call_many(
+            {idem: build_frame}, budget=budget,
+            surface_try_again=surface_try_again,
+        )[idem]
 
     def _call_many(
         self,
         builders: "Dict[str, Callable[[float], protocol.Frame]]",
         *,
         budget: Optional[float] = None,
+        surface_try_again: bool = False,
     ) -> Dict[str, protocol.Frame]:
-        """Run many operations pipelined on one connection.
+        """Run operations pipelined on one connection until each has a
+        terminal reply.
 
         *builders* maps each operation's idempotency key to its frame
-        builder (remaining budget in ms -> frame).  Every pending
-        frame is written with **one** coalesced ``send_many``, then
-        replies are collected as they arrive, correlated by key —
-        N operations in flight cost one round trip, not N.
+        builder (remaining budget in ms -> frame).  A round writes
+        every pending frame with **one** coalesced ``send_many`` and
+        collects replies as they arrive, correlated by key — N
+        operations in flight cost one round trip, not N.  A round ends
+        once every pending key has answered or the connection has been
+        idle for :attr:`attempt_timeout`.  The next round resends
+        *only* the keys still pending (same keys, so the gateway's
+        dedup window keeps the effects exactly-once), after the larger
+        of the jittered backoff and the largest ``retry_after`` a
+        ``try-again`` carried.
 
-        Timeouts and ``try-again`` replies leave their operations
-        pending; the next round resends *only* those (same keys, so
-        the gateway's dedup window keeps the effects exactly-once).
+        With *surface_try_again* a ``try-again`` reply is terminal and
+        returned to the caller — the shape a proxy tier (the REST
+        control plane) needs to map backpressure to its own protocol
+        (``429`` + ``Retry-After``) and let the *remote* client own
+        the retry.  Silence and transport losses still retry here:
+        they carry no backpressure signal to propagate.
+
         Raises :class:`AgentTimeout` when the budget runs out with
         operations still unanswered; terminal replies collected so
         far are reported in the exception's ``partial`` attribute.
@@ -418,12 +321,14 @@ class EdgeAgent:
                 if remaining <= 0:
                     error = AgentTimeout(
                         f"{self.name}: {len(pending)} of "
-                        f"{len(builders)} pipelined operation(s) "
-                        f"exhausted the {budget:.3f}s budget"
+                        f"{len(builders)} operation(s) exhausted the "
+                        f"{budget:.3f}s budget after {attempt} "
+                        f"attempt(s)"
                     )
                     error.partial = replies
                     raise error
                 ms = remaining * 1000.0
+                silent, hint = True, 0.0
                 try:
                     conn = self._ensure_connected()
                     if hasattr(conn, "send_many"):
@@ -433,52 +338,66 @@ class EdgeAgent:
                     else:
                         for build in pending.values():
                             conn.send(build(ms))
-                    self._collect_replies(
+                    silent, hint = self._collect_replies(
                         conn, pending, replies,
                         min(remaining, self.attempt_timeout),
+                        surface_try_again,
                     )
                 except TransportClosed:
                     self._drop_connection()
                     self.reconnects += 1
                 if pending:
                     attempt += 1
-                    self.retries += 1
-                    self._sleep(self._backoff(attempt), deadline)
+                    if silent:
+                        self.retries += 1
+                    self._sleep(max(hint, self._backoff(attempt)),
+                                deadline)
         return replies
 
     def _collect_replies(self, conn, pending: Dict[str, Any],
                          replies: Dict[str, protocol.Frame],
-                         timeout: float) -> None:
-        """Drain replies for *pending* keys until done or idle.
+                         timeout: float, surface_try_again: bool
+                         ) -> Tuple[bool, float]:
+        """One round's replies for *pending* keys.
 
-        Terminal replies move their key from *pending* to *replies*;
-        a ``try-again`` bumps the counter and leaves the key pending
-        for the next (backed-off) resend round.  *timeout* is an
-        **idle** timeout: every reply that lands re-arms it, so a
-        window whose replies are still streaming in is never resent
-        wholesale just because it is large.
+        Terminal replies move their key from *pending* to *replies*; a
+        ``try-again`` bumps the counter and leaves the key pending for
+        the next round (unless *surface_try_again* makes it terminal).
+        *timeout* is an **idle** timeout: every reply that lands
+        re-arms it, so a window whose replies are still streaming in
+        is never resent wholesale just because it is large.
+
+        Returns ``(silent, retry_after)``: whether the round ended idle
+        with some key unanswered, and the largest ``retry_after`` hint
+        a ``try-again`` carried.
         """
+        waiting = set(pending)
+        retry_after = 0.0
         deadline = time.monotonic() + timeout
-        while pending:
+        while waiting:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                return
+                break
             frame = conn.recv(timeout=remaining)
             if frame is None:
-                return
-            if is_pong(frame):
-                continue
-            if frame.get("type") != "reply":
+                break
+            if is_pong(frame) or frame.get("type") != "reply":
                 continue
             idem = frame.get("idem")
-            if idem not in pending:
-                continue  # stale reply to an already-finished op
+            if idem not in waiting:
+                continue  # stale reply to a finished or earlier attempt
             deadline = time.monotonic() + timeout
+            waiting.discard(idem)
             if frame.get("status") == protocol.STATUS_TRY_AGAIN:
                 self.try_agains += 1
-                continue
+                if not surface_try_again:
+                    retry_after = max(
+                        retry_after, float(frame.get("retry_after", 0.0))
+                    )
+                    continue
             del pending[idem]
             replies[idem] = frame
+        return bool(waiting), retry_after
 
     def _backoff(self, attempt: int) -> float:
         base = min(self.max_backoff,
@@ -527,7 +446,6 @@ class EdgeAgent:
                 self.name, idem, flow_id, spec, delay_requirement,
                 ingress, egress, service_class=service_class,
                 path_nodes=path_nodes, now=now, budget_ms=ms,
-                version=self._proto_version,
             ),
             idem, budget=budget, surface_try_again=surface_try_again,
         )
@@ -582,7 +500,6 @@ class EdgeAgent:
         reply = self._call(
             lambda ms: protocol.make_teardown(
                 self.name, idem, flow_id, now=now, budget_ms=ms,
-                version=self._proto_version,
             ),
             idem, budget=budget, surface_try_again=surface_try_again,
         )
@@ -624,7 +541,6 @@ class EdgeAgent:
                     op.delay_requirement, op.ingress, op.egress,
                     service_class=op.service_class,
                     path_nodes=op.path_nodes, now=now, budget_ms=ms,
-                    version=self._proto_version,
                 )
 
             builders[idem] = build
@@ -656,7 +572,6 @@ class EdgeAgent:
                       idem: str = idem) -> protocol.Frame:
                 return protocol.make_teardown(
                     self.name, idem, flow_id, now=now, budget_ms=ms,
-                    version=self._proto_version,
                 )
 
             builders[idem] = build
@@ -701,7 +616,6 @@ class EdgeAgent:
         reply = self._call(
             lambda ms: protocol.make_refresh(
                 self.name, idem, flow_ids, now=now, budget_ms=ms,
-                version=self._proto_version,
             ),
             idem, budget=budget,
         )
@@ -727,8 +641,7 @@ class EdgeAgent:
         idem = self.next_idem()
         reply = self._call(
             lambda ms: protocol.make_feedback(
-                self.name, idem, macroflow_key, now=now,
-                budget_ms=ms, version=self._proto_version,
+                self.name, idem, macroflow_key, now=now, budget_ms=ms,
             ),
             idem, budget=budget,
         )
@@ -770,7 +683,6 @@ class EdgeAgent:
         reply = self._call(
             lambda ms: protocol.make_report(
                 self.name, idem, samples, now=now, budget_ms=ms,
-                version=self._proto_version,
             ),
             idem, budget=budget,
         )
@@ -794,8 +706,7 @@ class EdgeAgent:
         return self._call(
             lambda ms: protocol.make_dry_run(
                 self.name, idem, flow_id, spec, delay_requirement,
-                ingress, egress, path_nodes=path_nodes,
-                budget_ms=ms, version=self._proto_version,
+                ingress, egress, path_nodes=path_nodes, budget_ms=ms,
             ),
             idem, budget=budget,
         )
@@ -929,7 +840,15 @@ class EdgeAgent:
     # ------------------------------------------------------------------
 
     def counters(self) -> Dict[str, Any]:
-        """Lifetime agent-side counters (RPCs, retries, leases)."""
+        """Lifetime agent-side counters (RPCs, retries, leases).
+
+        ``rpcs`` counts operations; ``retries`` counts resend rounds
+        that followed silence (the connection idled for
+        :attr:`attempt_timeout` with a key unanswered) or a lost
+        connection; ``try_agains`` counts ``try-again`` replies.  A
+        round in which every pending key answered ``try-again``
+        counts only in ``try_agains``.
+        """
         with self._state_lock:
             flows = len(self.flows)
             feedback_pending = len(self._feedback_due)

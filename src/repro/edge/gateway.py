@@ -94,17 +94,11 @@ class _Session:
     syscall each, so most replies ride a batch write.
     """
 
-    __slots__ = ("agent", "conn", "version", "outbox", "flushing",
-                 "lock")
+    __slots__ = ("agent", "conn", "outbox", "flushing", "lock")
 
-    def __init__(self, agent: str, conn,
-                 version: int = protocol.PROTOCOL_VERSION) -> None:
+    def __init__(self, agent: str, conn) -> None:
         self.agent = agent
         self.conn = conn
-        #: Protocol version negotiated at hello — every reply routed
-        #: through this session is stamped with it, so a v1 agent
-        #: never sees a v2 frame.
-        self.version = version
         self.outbox: List[Any] = []
         self.flushing = False
         self.lock = threading.Lock()
@@ -321,19 +315,9 @@ class EdgeGateway:
         self._advance_domain_clock(frame.get("now", 0.0))
         if frame_type == "hello":
             resumed = bool(self.leases.owned_by(sender))
-            version = min(int(frame["v"]), protocol.PROTOCOL_VERSION)
-            if version not in protocol.SUPPORTED_VERSIONS:
-                # A future peer clamped past our newest: pick the best
-                # version both sides advertised (validate_request only
-                # let the hello through because the lists overlap).
-                version = max(
-                    v for v in frame.get("versions", ())
-                    if v in protocol.SUPPORTED_VERSIONS
-                )
             codec = protocol.negotiate_codec(frame.get("codecs"))
             with self._lock:
-                self._sessions[sender] = _Session(sender, conn,
-                                                  version)
+                self._sessions[sender] = _Session(sender, conn)
             # The welcome itself rides the pre-negotiation codec; only
             # frames after it use the negotiated one (recv auto-detects
             # per frame, so the switchover point cannot desynchronize).
@@ -341,7 +325,6 @@ class EdgeGateway:
                 self.name,
                 lease_duration=self.leases.duration,
                 resumed=resumed,
-                version=version,
                 codec=codec,
             ))
             if hasattr(conn, "set_codec"):
@@ -367,12 +350,8 @@ class EdgeGateway:
                     self._inflight[(sender, idem)] = frame
             if sender not in self._sessions:
                 # Request without hello (or raced a reconnect): bind
-                # this connection so the reply has somewhere to go,
-                # at the version the request itself speaks.
-                self._sessions[sender] = _Session(
-                    sender, conn,
-                    min(int(frame["v"]), protocol.PROTOCOL_VERSION),
-                )
+                # this connection so the reply has somewhere to go.
+                self._sessions[sender] = _Session(sender, conn)
         if cached is not None:
             self._send_to_agent(sender, cached)
             return agent or sender
@@ -660,10 +639,6 @@ class EdgeGateway:
             session = self._sessions.get(agent)
         if session is None:
             return  # disconnected; the reply waits in the dedup window
-        # Answer in the session's negotiated version (a dedup-cached
-        # reply may have been built for an earlier session).
-        if frame.get("v", session.version) != session.version:
-            frame = dict(frame, v=session.version)
         with session.lock:
             session.outbox.append(frame)
             if session.flushing:

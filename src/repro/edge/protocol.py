@@ -1,4 +1,4 @@
-"""The edge signaling protocol: versioned frames, idempotency keys.
+"""The edge signaling protocol: request/reply frames, idempotency keys.
 
 The paper's architecture keeps per-flow QoS state at the *edges* and
 admission authority at the bandwidth broker; this module defines the
@@ -8,16 +8,13 @@ dicts carried over any :mod:`repro.service.transport` connection
 
 Every request frame carries:
 
-* ``v`` — the protocol version; a gateway serves every version in
-  :data:`SUPPORTED_VERSIONS` and answers an unknown one with a
-  ``bad-version`` error naming what it speaks, so a newer agent can
-  downgrade instead of guessing.  v1 is the original JSON-only
-  vocabulary; v2 adds capability advertisement — ``hello`` carries
-  the agent's ``versions`` and payload ``codecs``, ``welcome``
-  answers with the gateway's lists plus the chosen ``codec`` (see
-  :func:`repro.service.wire.negotiate_codec`).  Negotiation frames
-  themselves are always JSON; the negotiated codec applies from the
-  first frame after the handshake;
+* ``v`` — the protocol version, always :data:`PROTOCOL_VERSION`; a
+  gateway answers any other with a ``bad-version`` error.  The
+  ``hello`` carries the agent's payload ``codecs``, and the
+  ``welcome`` answers with the gateway's list plus the chosen
+  ``codec`` (see :func:`repro.service.wire.negotiate_codec`).  Both
+  handshake frames ride JSON, the fallback every peer speaks; the
+  negotiated codec applies from the first frame after the welcome;
 * ``agent`` — the edge agent's stable name (leases and the dedup
   window are keyed by it, so reconnects keep their identity);
 * ``idem`` — the **idempotency key**, unique per logical operation
@@ -49,7 +46,6 @@ from repro.traffic.spec import TSpec
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "SUPPORTED_VERSIONS",
     "CODECS",
     "negotiate_codec",
     "ProtocolError",
@@ -73,14 +69,9 @@ __all__ = [
     "validate_request",
 ]
 
-#: Newest version of the frame vocabulary below.  Bumped on any change
-#: an old peer could misread; v2 added hello/welcome capability lists.
+#: Version of the frame vocabulary below, stamped on every frame.
+#: Bumped on any change an old peer could misread.
 PROTOCOL_VERSION = 2
-
-#: Every version this code can serve.  ``validate_request`` accepts
-#: any of these; the ``bad-version`` error names the list so a newer
-#: peer knows what to downgrade to.
-SUPPORTED_VERSIONS = (1, 2)
 
 #: Reply ``status`` values.
 STATUS_OK = "ok"
@@ -128,15 +119,13 @@ def decode_spec(data: Dict[str, Any]) -> TSpec:
         raise ProtocolError(f"malformed TSpec payload: {exc}") from exc
 
 
-def _base(frame_type: str, agent: str,
-          version: int = PROTOCOL_VERSION) -> Frame:
-    return {"v": version, "type": frame_type, "agent": agent}
+def _base(frame_type: str, agent: str) -> Frame:
+    return {"v": PROTOCOL_VERSION, "type": frame_type, "agent": agent}
 
 
 def _request(frame_type: str, agent: str, idem: str,
-             budget_ms: Optional[float],
-             version: int = PROTOCOL_VERSION) -> Frame:
-    frame = _base(frame_type, agent, version)
+             budget_ms: Optional[float]) -> Frame:
+    frame = _base(frame_type, agent)
     frame["idem"] = idem
     if budget_ms is not None:
         frame["budget_ms"] = float(budget_ms)
@@ -148,27 +137,18 @@ def _request(frame_type: str, agent: str, idem: str,
 # ----------------------------------------------------------------------
 
 
-def make_hello(agent: str, *, version: int = PROTOCOL_VERSION,
-               codecs: Sequence[str] = CODECS) -> Frame:
-    """Session open: announces the agent name and its capabilities.
-
-    A v2 hello advertises every version and payload codec the agent
-    speaks; ``version=1`` produces the exact pre-capability frame
-    shape, which is what an agent resends after an old gateway
-    answers its v2 hello with ``bad-version``.
-    """
-    frame = _base("hello", agent, version)
-    if version >= 2:
-        frame["versions"] = list(SUPPORTED_VERSIONS)
-        frame["codecs"] = list(codecs)
+def make_hello(agent: str, *, codecs: Sequence[str] = CODECS) -> Frame:
+    """Session open: announces the agent name and the payload codecs
+    it speaks, best first."""
+    frame = _base("hello", agent)
+    frame["codecs"] = list(codecs)
     return frame
 
 
-def make_bye(agent: str, *,
-             version: int = PROTOCOL_VERSION) -> Frame:
+def make_bye(agent: str) -> Frame:
     """Graceful session close (leases keep running until they expire
     or the agent reconnects and tears its flows down)."""
-    return _base("bye", agent, version)
+    return _base("bye", agent)
 
 
 def make_admit(
@@ -184,10 +164,9 @@ def make_admit(
     path_nodes: Optional[Sequence[str]] = None,
     now: float = 0.0,
     budget_ms: Optional[float] = None,
-    version: int = PROTOCOL_VERSION,
 ) -> Frame:
     """A new-flow service request (the paper's ingress->BB signal)."""
-    frame = _request("admit", agent, idem, budget_ms, version)
+    frame = _request("admit", agent, idem, budget_ms)
     frame.update({
         "flow_id": flow_id,
         "spec": encode_spec(spec),
@@ -203,18 +182,16 @@ def make_admit(
 
 def make_teardown(agent: str, idem: str, flow_id: str, *,
                   now: float = 0.0,
-                  budget_ms: Optional[float] = None,
-                  version: int = PROTOCOL_VERSION) -> Frame:
+                  budget_ms: Optional[float] = None) -> Frame:
     """Tear down an admitted flow (releases its lease on success)."""
-    frame = _request("teardown", agent, idem, budget_ms, version)
+    frame = _request("teardown", agent, idem, budget_ms)
     frame.update({"flow_id": flow_id, "now": float(now)})
     return frame
 
 
 def make_refresh(agent: str, idem: str, flow_ids: Iterable[str], *,
                  now: float = 0.0,
-                 budget_ms: Optional[float] = None,
-                 version: int = PROTOCOL_VERSION) -> Frame:
+                 budget_ms: Optional[float] = None) -> Frame:
     """Heartbeat: extend the soft-state leases of the named flows.
 
     The reply partitions the ids into ``refreshed`` and ``unknown`` —
@@ -222,19 +199,18 @@ def make_refresh(agent: str, idem: str, flow_ids: Iterable[str], *,
     expired, e.g. after a partition) and the agent must drop it from
     its flow table.
     """
-    frame = _request("refresh", agent, idem, budget_ms, version)
+    frame = _request("refresh", agent, idem, budget_ms)
     frame.update({"flow_ids": list(flow_ids), "now": float(now)})
     return frame
 
 
 def make_feedback(agent: str, idem: str, macroflow_key: str, *,
                   now: float = 0.0,
-                  budget_ms: Optional[float] = None,
-                  version: int = PROTOCOL_VERSION) -> Frame:
+                  budget_ms: Optional[float] = None) -> Frame:
     """Section 4.2.1 edge feedback: the macroflow's edge conditioner
     reports its buffer drained, releasing contingency bandwidth at
     the broker ahead of the eq.-(17) expiry."""
-    frame = _request("feedback", agent, idem, budget_ms, version)
+    frame = _request("feedback", agent, idem, budget_ms)
     frame.update({"macroflow_key": macroflow_key, "now": float(now)})
     return frame
 
@@ -268,8 +244,7 @@ def encode_sample(
 def make_report(agent: str, idem: str,
                 samples: Sequence[Dict[str, Any]], *,
                 now: float = 0.0,
-                budget_ms: Optional[float] = None,
-                version: int = PROTOCOL_VERSION) -> Frame:
+                budget_ms: Optional[float] = None) -> Frame:
     """Telemetry report: utilization samples for the closed loop.
 
     Each entry of *samples* is an :func:`encode_sample` dict.  Reports
@@ -279,7 +254,7 @@ def make_report(agent: str, idem: str,
     duplicated report is harmless — the idempotency key still dedups
     it to keep the exactly-once accounting uniform.
     """
-    frame = _request("report", agent, idem, budget_ms, version)
+    frame = _request("report", agent, idem, budget_ms)
     frame.update({"samples": list(samples), "now": float(now)})
     return frame
 
@@ -295,10 +270,9 @@ def make_dry_run(
     *,
     path_nodes: Optional[Sequence[str]] = None,
     budget_ms: Optional[float] = None,
-    version: int = PROTOCOL_VERSION,
 ) -> Frame:
     """A read-only admissibility probe (no reservation, no lease)."""
-    frame = _request("dry-run", agent, idem, budget_ms, version)
+    frame = _request("dry-run", agent, idem, budget_ms)
     frame.update({
         "flow_id": flow_id,
         "spec": encode_spec(spec),
@@ -316,29 +290,25 @@ def make_dry_run(
 
 
 def make_welcome(gateway: str, *, lease_duration: float,
-                 resumed: bool, version: int = PROTOCOL_VERSION,
-                 codec: str = CODEC_JSON) -> Frame:
+                 resumed: bool, codec: str = CODEC_JSON) -> Frame:
     """The gateway's answer to ``hello``.
 
     ``lease_duration`` tells the agent how often it must refresh
     (heartbeat well under half of it); ``resumed`` says whether the
-    gateway still holds state for this agent name (a reconnect).  A
-    v2 welcome also carries the gateway's capability lists plus the
-    ``codec`` chosen for this session (the best codec both sides
-    advertised; the welcome itself is always sent as JSON).
+    gateway still holds state for this agent name (a reconnect).  The
+    welcome also carries the gateway's codec list plus the ``codec``
+    chosen for this session (the best codec both sides advertised;
+    the welcome itself is always sent as JSON).
     """
-    frame = {
-        "v": version,
+    return {
+        "v": PROTOCOL_VERSION,
         "type": "welcome",
         "gateway": gateway,
         "lease_duration": float(lease_duration),
         "resumed": bool(resumed),
+        "codecs": list(CODECS),
+        "codec": codec,
     }
-    if version >= 2:
-        frame["versions"] = list(SUPPORTED_VERSIONS)
-        frame["codecs"] = list(CODECS)
-        frame["codec"] = codec
-    return frame
 
 
 def make_reply(
@@ -353,11 +323,10 @@ def make_reply(
     lease: Optional[Dict[str, Any]] = None,
     refreshed: Optional[List[str]] = None,
     unknown: Optional[List[str]] = None,
-    version: int = PROTOCOL_VERSION,
 ) -> Frame:
     """One reply frame (``re`` names the request type it answers)."""
     frame: Frame = {
-        "v": version,
+        "v": PROTOCOL_VERSION,
         "type": "reply",
         "re": re,
         "idem": idem,
@@ -409,23 +378,11 @@ def validate_request(frame: Frame) -> str:
     if not isinstance(frame, dict):
         raise ProtocolError(f"frame must be a dict, got {type(frame)}")
     version = frame.get("v")
-    if version not in SUPPORTED_VERSIONS:
-        # A *future* peer is acceptable at the handshake as long as
-        # its advertised version list overlaps ours: the session is
-        # then clamped to the best common version instead of bounced
-        # (the downgrade path works in both directions).
-        advertised = frame.get("versions")
-        overlaps = (
-            frame.get("type") == "hello"
-            and isinstance(advertised, (list, tuple))
-            and any(v in SUPPORTED_VERSIONS for v in advertised)
+    if version != PROTOCOL_VERSION:
+        raise ProtocolError(
+            f"bad-version: speaking v{PROTOCOL_VERSION}, frame says "
+            f"{version!r}"
         )
-        if not overlaps:
-            supported = ",".join(str(v) for v in SUPPORTED_VERSIONS)
-            raise ProtocolError(
-                f"bad-version: speaking v{{{supported}}}, frame says "
-                f"{version!r}"
-            )
     frame_type = frame.get("type")
     if frame_type not in REQUEST_TYPES:
         raise ProtocolError(f"unknown frame type {frame_type!r}")

@@ -189,10 +189,9 @@ class TestFaultInjection:
                     conn, rng, drop=0.25, duplicate=0.25, delay=0.002,
                 )
 
-            with EdgeAgent(
-                "edge-1", pipe_connector(gateway, wrap),
-                seed=2, op_budget=30.0, attempt_timeout=0.05,
-            ) as agent:
+            with EdgeAgent("edge-1", pipe_connector(gateway, wrap),
+                           seed=2, op_budget=30.0) as agent:
+                agent.attempt_timeout = 0.05
                 admitted, kept = run_workload(agent)
                 counters = agent.counters()
             gateway_counters = gateway.counters()
@@ -218,8 +217,8 @@ class TestFaultInjection:
                 return FaultyConnection(conn, rng, duplicate=1.0)
 
             with EdgeAgent("edge-1", pipe_connector(gateway, wrap),
-                           seed=3, op_budget=30.0,
-                           attempt_timeout=0.2) as agent:
+                           seed=3, op_budget=30.0) as agent:
+                agent.attempt_timeout = 0.2
                 for index in range(8):
                     reply = agent.admit(f"f{index}", SPEC, 2.44,
                                         "I1", "E1")
@@ -251,8 +250,8 @@ class TestFaultInjection:
 
             connector = pipe_connector(gateway, wrap, dialed)
             with EdgeAgent("edge-1", connector, seed=4,
-                           op_budget=30.0,
-                           attempt_timeout=0.2) as agent:
+                           op_budget=30.0) as agent:
+                agent.attempt_timeout = 0.2
                 reply = agent.admit("f1", SPEC, 2.44, "I1", "E1")
                 assert reply["decision"]["admitted"] is True
                 assert agent.reconnects >= 1
@@ -267,8 +266,9 @@ class TestFaultInjection:
         def connect():
             raise TransportClosed("nobody listening")
 
-        agent = EdgeAgent("edge-1", connect, seed=5,
-                          attempt_timeout=0.01, base_backoff=0.001)
+        agent = EdgeAgent("edge-1", connect, seed=5)
+        agent.attempt_timeout = 0.01
+        agent.base_backoff = 0.001
         begin = time.monotonic()
         with pytest.raises(AgentTimeout, match="budget"):
             agent.admit("f1", SPEC, 2.44, "I1", "E1", budget=0.15)
@@ -398,14 +398,9 @@ class TestFeedbackWatcher:
                 assert reported == [key]
 
 
-class V1OnlyGateway:
-    """A stub of the *previous* release's gateway: speaks only
-    protocol v1 over JSON, rejects anything newer with the
-    ``bad-version`` error reply the old ``validate_request`` produced.
-    Serves just enough of the vocabulary for the downgrade tests."""
-
-    def __init__(self) -> None:
-        self.hellos: List[int] = []
+class TryAgainOnceGateway:
+    """A pipe stub gateway that answers each key's first attempt with
+    ``try-again`` (``retry_after`` 10 ms) and its second with ``ok``."""
 
     def connector(self):
         def connect():
@@ -416,67 +411,32 @@ class V1OnlyGateway:
             return client
         return connect
 
-    def _serve(self, conn) -> None:
+    @staticmethod
+    def _serve(conn) -> None:
         from repro.edge import protocol
-        from repro.service.transport import is_ping, pong_frame
+        seen = set()
         while True:
             try:
                 frame = conn.recv(timeout=5.0)
             except TransportClosed:
                 return
-            if frame is None:
+            if frame is None or frame["type"] == "bye":
                 return
-            if is_ping(frame):
-                conn.send(pong_frame(frame))
-                continue
-            kind = frame.get("type", "")
-            if frame.get("v") != 1:
+            if frame["type"] == "hello":
+                conn.send(protocol.make_welcome(
+                    "stub", lease_duration=30.0, resumed=False))
+            elif frame["idem"] not in seen:
+                seen.add(frame["idem"])
                 conn.send(protocol.make_reply(
-                    kind, frame.get("idem", ""),
-                    protocol.STATUS_ERROR, reason="protocol",
-                    detail="bad-version: speaking v{1}, frame says 2",
-                    version=1,
-                ))
-                continue
-            if kind == "hello":
-                self.hellos.append(frame.get("v"))
-                assert "codecs" not in frame, (
-                    "a v1 hello must not carry v2 capability fields"
-                )
-                conn.send({
-                    "v": 1, "type": "welcome", "gateway": "old-gw",
-                    "lease_duration": 30.0, "resumed": False,
-                })
-            elif kind == "admit":
+                    frame["type"], frame["idem"],
+                    protocol.STATUS_TRY_AGAIN, retry_after=0.01))
+            else:
                 conn.send(protocol.make_reply(
-                    "admit", frame["idem"], protocol.STATUS_OK,
-                    decision={"admitted": True, "flow_id":
-                              frame["flow_id"], "path_id": "p0",
-                              "rate": 1.0, "delay": 1.0,
-                              "reason": "", "detail": ""},
-                    lease={"duration": 30.0, "expires_at": 30.0,
-                           "macroflow_key": "", "drain_bound": 0.0},
-                    version=1,
-                ))
-            elif kind == "bye":
-                return
+                    frame["type"], frame["idem"], protocol.STATUS_OK,
+                    decision={"admitted": True}))
 
 
 class TestVersionNegotiation:
-    def test_agent_downgrades_to_a_v1_only_gateway(self):
-        """The fallback path: a v2 agent dialing last release's
-        gateway must land on v1 JSON on the same connection, not
-        error out — newer edges keep working against older brokers."""
-        stub = V1OnlyGateway()
-        with EdgeAgent("edge-new", stub.connector(), seed=3) as agent:
-            reply = agent.admit("f1", SPEC, 2.44, "I1", "E1", now=0.0)
-            assert reply["status"] == "ok"
-            assert agent._proto_version == 1
-            assert agent.negotiated_codec == "json"
-            # One rejected v2 hello, then the v1 retry — no redial.
-            assert stub.hellos == [1]
-            assert agent.reconnects == 0
-
     def test_v2_gateway_negotiates_binary(self):
         broker = make_broker()
         with BrokerService(broker, workers=2, shards=4) as service:
@@ -485,7 +445,6 @@ class TestVersionNegotiation:
                            seed=5,
                            codecs=("binary", "json")) as agent:
                 assert agent.ping()
-                assert agent._proto_version == 2
                 assert agent.negotiated_codec == "binary"
 
     def test_json_pinned_agent_stays_on_json(self):
@@ -495,15 +454,7 @@ class TestVersionNegotiation:
             with EdgeAgent("edge-1", pipe_connector(gateway),
                            seed=5, codecs=("json",)) as agent:
                 assert agent.ping()
-                assert agent._proto_version == 2
                 assert agent.negotiated_codec == "json"
-
-    def test_default_codecs_honours_env_pin(self, monkeypatch):
-        from repro.edge import default_codecs
-        monkeypatch.delenv("REPRO_EDGE_CODEC", raising=False)
-        assert default_codecs() == ("binary", "json")
-        monkeypatch.setenv("REPRO_EDGE_CODEC", "json")
-        assert default_codecs() == ("json",)
 
 
 class TestPipelinedOps:
@@ -564,8 +515,8 @@ class TestPipelinedOps:
                 wrap=lambda conn: FaultyConnection(
                     conn, rng, drop=0.25),
             )
-            with EdgeAgent("edge-1", connector, seed=29,
-                           attempt_timeout=0.1) as agent:
+            with EdgeAgent("edge-1", connector, seed=29) as agent:
+                agent.attempt_timeout = 0.1
                 replies = agent.admit_many(self.ops(16), now=0.0,
                                            budget=30.0)
                 assert len(replies) == 16
@@ -578,9 +529,26 @@ class TestPipelinedOps:
             client, server = pipe_pair()
             return client  # nobody serves: every reply times out
 
-        agent = EdgeAgent("edge-1", connect, seed=1,
-                          attempt_timeout=0.02)
+        agent = EdgeAgent("edge-1", connect, seed=1)
+        agent.attempt_timeout = 0.02
         with pytest.raises(AgentTimeout) as info:
             agent.admit_many(self.ops(4), now=0.0, budget=0.2)
         assert info.value.partial == {}
         agent.close()
+
+    def test_try_again_resends_after_the_hint_not_the_idle_timeout(self):
+        """A window whose first replies are all ``try-again`` resends
+        as soon as the ``retry_after`` hint has passed: the round is
+        over once every key has answered, so it never idles for
+        ``attempt_timeout`` (0.25 s), and a try-again is not a retry
+        after silence."""
+        stub = TryAgainOnceGateway()
+        with EdgeAgent("edge-1", stub.connector(), seed=3) as agent:
+            begin = time.monotonic()
+            replies = agent.admit_many(self.ops(8), now=0.0)
+            elapsed = time.monotonic() - begin
+            assert elapsed < 0.1, f"window took {elapsed * 1000:.0f} ms"
+            assert len(replies) == 8
+            assert all(r["status"] == "ok" for r in replies.values())
+            assert agent.try_agains == 8
+            assert agent.retries == 0

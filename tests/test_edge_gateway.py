@@ -161,6 +161,29 @@ class TestProtocolErrors:
         assert gateway.counters()["protocol_errors"] == 1
         session.close()
 
+    @pytest.mark.parametrize("version, advertised", [
+        (1, None),      # an agent of the JSON-only first release
+        (3, [2, 3]),    # a future agent that still lists v2
+    ], ids=["v1", "v3-advertising-2-3"])
+    def test_bad_version_hello_answered_not_dropped(self, stack, version,
+                                                     advertised):
+        """Only one protocol version is spoken: any other hello gets a
+        ``protocol`` error reply, never a welcome or a downgrade."""
+        _service, gateway = stack
+        session = RawSession(gateway, hello=False)
+        hello = protocol.make_hello("edge-other")
+        hello["v"] = version
+        if advertised is not None:
+            hello["versions"] = advertised
+        session.conn.send(hello)
+        reply = session.recv()
+        assert reply["type"] == "reply" and reply["re"] == "hello"
+        assert reply["status"] == protocol.STATUS_ERROR
+        assert reply["reason"] == "protocol"
+        assert "bad-version" in reply["detail"]
+        assert gateway.counters()["sessions"] == 0
+        session.close()
+
     def test_missing_field_reported_by_name(self, stack):
         _service, gateway = stack
         session = RawSession(gateway)
@@ -531,19 +554,6 @@ class TestDurability:
 
 
 class TestCodecNegotiation:
-    def test_v1_hello_gets_a_v1_welcome(self, stack):
-        """An old agent's hello has no capability fields; the welcome
-        must come back in the old shape (no codec talk at all)."""
-        _service, gateway = stack
-        session = RawSession(gateway, hello=False)
-        session.conn.send(protocol.make_hello("edge-old", version=1))
-        welcome = session.recv()
-        assert welcome["type"] == "welcome"
-        assert welcome["v"] == 1
-        for absent in ("versions", "codecs", "codec"):
-            assert absent not in welcome
-        session.close()
-
     def test_v2_hello_negotiates_the_best_common_codec(self, stack):
         _service, gateway = stack
         session = RawSession(gateway, hello=False)
@@ -552,7 +562,7 @@ class TestCodecNegotiation:
         welcome = session.recv()
         assert welcome["v"] == 2
         assert welcome["codec"] == "binary"
-        assert welcome["versions"] == [1, 2]
+        assert welcome["codecs"] == ["binary", "json"]
         session.close()
 
     def test_json_only_offer_negotiates_json(self, stack):
@@ -563,27 +573,13 @@ class TestCodecNegotiation:
         assert session.recv()["codec"] == "json"
         session.close()
 
-    def test_future_version_hello_is_clamped_not_rejected(self, stack):
-        """A v3 agent (some future release) advertising v2 support
-        must get a v2 session, not an error."""
-        _service, gateway = stack
-        session = RawSession(gateway, hello=False)
-        hello = protocol.make_hello("edge-future")
-        hello["v"] = 3
-        hello["versions"] = [1, 2, 3]
-        session.conn.send(hello)
-        welcome = session.recv()
-        assert welcome["type"] == "welcome"
-        assert welcome["v"] == 2
-        session.close()
-
 
 @pytest.mark.network
 class TestMixedFleet:
     def test_legacy_json_and_binary_agents_share_a_gateway(self):
-        """The deployment story: a fleet upgrades edge by edge, so
-        one gateway terminates v1 JSON sessions and v2 binary
-        sessions at the same time — both exactly-once."""
+        """One gateway terminates a plain-JSON session (raw frames
+        from an edge that only speaks the fallback codec) and a binary
+        session at the same time — both exactly-once."""
         from repro.edge import AdmitOp, EdgeAgent, tcp_connector
         from repro.service.transport import connect_tcp
 
@@ -593,15 +589,15 @@ class TestMixedFleet:
             host, port = gateway.listen()
             gateway.start()
             try:
-                # The legacy edge: raw v1 JSON frames over TCP.
+                # The JSON-only edge: raw JSON frames over TCP.
                 legacy = connect_tcp(host, port)
                 legacy.send(protocol.make_hello("edge-old",
-                                                version=1))
+                                                codecs=("json",)))
                 welcome = legacy.recv(timeout=5.0)
                 assert welcome["type"] == "welcome"
-                assert welcome["v"] == 1
+                assert welcome["codec"] == "json"
 
-                # The upgraded edge: the real client, binary codec.
+                # The binary edge: the real client, binary codec.
                 with EdgeAgent("edge-new", tcp_connector(host, port),
                                seed=1,
                                codecs=("binary", "json")) as agent:
@@ -620,7 +616,7 @@ class TestMixedFleet:
                         frame = protocol.make_admit(
                             "edge-old", f"old#{k}", f"old-{k}", SPEC,
                             2.44, "I1", "E1", service_class="",
-                            path_nodes=None, now=0.0, version=1,
+                            path_nodes=None, now=0.0,
                         )
                         legacy.send(frame)
                         while True:
@@ -628,7 +624,7 @@ class TestMixedFleet:
                             if reply.get("type") == "reply" and \
                                     reply.get("idem") == f"old#{k}":
                                 break
-                        assert reply["v"] == 1
+                        assert reply["v"] == protocol.PROTOCOL_VERSION
                         assert reply["status"] == "ok", reply
                         assert reply["decision"]["admitted"]
                         old_flows.append(f"old-{k}")
@@ -641,7 +637,7 @@ class TestMixedFleet:
                     for k, flow_id in enumerate(old_flows):
                         legacy.send(protocol.make_teardown(
                             "edge-old", f"old-down#{k}", flow_id,
-                            now=1.0, version=1,
+                            now=1.0,
                         ))
                         while True:
                             reply = legacy.recv(timeout=5.0)
@@ -661,6 +657,16 @@ class TestMixedFleet:
         once, each on its own disjoint path, heartbeat their leases
         and tear down: every admit lands exactly once and nothing
         stays reserved."""
+        self.run_fleet(("binary", "json"), "binary")
+
+    def test_concurrent_json_fleet_is_exactly_once(self):
+        """The same fleet offering JSON only: every frame after the
+        handshake rides the JSON codec over TCP (pipes never encode,
+        so only a socket test exercises it)."""
+        self.run_fleet(("json",), "json")
+
+    @staticmethod
+    def run_fleet(offer, negotiated) -> None:
         from repro.edge import AdmitOp, EdgeAgent, tcp_connector
         from repro.service import provision_parallel_paths
 
@@ -679,7 +685,7 @@ class TestMixedFleet:
                 try:
                     with EdgeAgent(f"edge-{rank}", tcp_connector(host, port),
                                    seed=rank, op_budget=30.0,
-                                   codecs=("binary", "json")) as agent:
+                                   codecs=offer) as agent:
                         assert agent.ping()
                         codecs[rank] = agent.negotiated_codec
                         admitted = []
@@ -718,4 +724,4 @@ class TestMixedFleet:
         assert broker.stats().active_flows == 0
         assert counters["leases"]["granted"] == total
         assert counters["leases"]["released"] == total
-        assert codecs == ["binary"] * agents
+        assert codecs == [negotiated] * agents

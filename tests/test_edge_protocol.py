@@ -73,8 +73,6 @@ class TestRequestFrames:
             protocol.validate_request(frame)
 
     def test_future_hello_without_overlap_rejected(self):
-        # A future hello is tolerated only when its advertised list
-        # overlaps ours; a peer from another planet still bounces.
         frame = protocol.make_hello("a")
         frame["v"] = protocol.PROTOCOL_VERSION + 1
         frame["versions"] = [protocol.PROTOCOL_VERSION + 1]
@@ -84,42 +82,44 @@ class TestRequestFrames:
         with pytest.raises(ProtocolError, match="bad-version"):
             protocol.validate_request(frame)
 
-    def test_future_hello_with_overlap_is_accepted(self):
+    def test_future_hello_with_overlap_is_bad_version(self):
+        # One protocol version: a future hello is refused even when
+        # the list it advertises still names ours.
         frame = protocol.make_hello("a")
         frame["v"] = protocol.PROTOCOL_VERSION + 1
         frame["versions"] = [1, 2, protocol.PROTOCOL_VERSION + 1]
-        assert protocol.validate_request(frame) == "hello"
+        with pytest.raises(ProtocolError, match="bad-version"):
+            protocol.validate_request(frame)
 
     def test_hello_capability_fields_by_version(self):
-        v2 = protocol.make_hello("a")
-        assert v2["v"] == 2
-        assert v2["versions"] == [1, 2]
-        assert v2["codecs"] == ["binary", "json"]
-        v1 = protocol.make_hello("a", version=1)
-        assert v1["v"] == 1
-        for absent in ("versions", "codecs"):
-            assert absent not in v1
+        hello = protocol.make_hello("a")
+        assert hello["v"] == protocol.PROTOCOL_VERSION
+        assert hello["codecs"] == ["binary", "json"]
+        assert "versions" not in hello
+        assert protocol.make_hello("a", codecs=("json",))["codecs"] \
+            == ["json"]
 
     def test_welcome_capability_fields_by_version(self):
-        v2 = protocol.make_welcome("gw", lease_duration=30.0,
-                                   resumed=False, codec="binary")
-        assert v2["codec"] == "binary"
-        assert v2["versions"] == [1, 2]
-        v1 = protocol.make_welcome("gw", lease_duration=30.0,
-                                   resumed=False, version=1)
-        for absent in ("versions", "codecs", "codec"):
-            assert absent not in v1
+        welcome = protocol.make_welcome("gw", lease_duration=30.0,
+                                        resumed=False, codec="binary")
+        assert welcome["v"] == protocol.PROTOCOL_VERSION
+        assert welcome["codecs"] == ["binary", "json"]
+        assert welcome["codec"] == "binary"
+        assert "versions" not in welcome
+        fallback = protocol.make_welcome("gw", lease_duration=30.0,
+                                         resumed=False)
+        assert fallback["codec"] == "json"
 
-    def test_v1_frames_still_validate(self):
+    def test_v1_frames_are_bad_version(self):
         frames = [
-            protocol.make_hello("a", version=1),
-            protocol.make_admit("a", "i1", "f", SPEC, 1.0, "I", "E",
-                                version=1),
-            protocol.make_teardown("a", "i2", "f", version=1),
+            protocol.make_hello("a"),
+            protocol.make_admit("a", "i1", "f", SPEC, 1.0, "I", "E"),
+            protocol.make_teardown("a", "i2", "f"),
         ]
         for frame in frames:
-            assert frame["v"] == 1
-            protocol.validate_request(frame)
+            frame["v"] = 1
+            with pytest.raises(ProtocolError, match="bad-version"):
+                protocol.validate_request(frame)
 
     def test_unknown_type_rejected(self):
         frame = protocol.make_hello("a")

@@ -2,7 +2,7 @@
 
 Pins down each stage of the closed loop's sensing path on its own —
 the :class:`EdgeSampler` interval math at the edge, the packed
-``report`` wire frame (type 0xF6) and its v1-JSON fallback, the
+``report`` wire frame (type 0xF6) and its JSON fallback, the
 :class:`TelemetryStore` EWMA/trend estimates and idle index broker
 side — and then the whole path end to end: raw report frames over a
 pipe into an :class:`EdgeGateway` whose service has a store attached.

@@ -42,55 +42,88 @@ def canonical(frame):
 
 
 def edge_frames():
-    """One of every edge-protocol frame shape, v1 and v2."""
-    frames = []
-    for version in protocol.SUPPORTED_VERSIONS:
-        frames += [
-            protocol.make_hello("edge-1", version=version),
-            protocol.make_bye("edge-1", version=version),
-            protocol.make_admit(
-                "edge-1", "edge-1#7", "flow-1", SPEC, 2.44, "I1",
-                "E1", service_class="gold",
-                path_nodes=("I1", "R2", "E1"), now=3.0,
-                budget_ms=120.0, version=version,
-            ),
-            protocol.make_admit(   # minimal admit: no class/path/budget
-                "edge-1", "edge-1#8", "flow-2", SPEC, 1.0, "I1", "E1",
-                now=0.0, version=version,
-            ),
-            protocol.make_teardown("edge-1", "edge-1#9", "flow-1",
-                                   now=4.0, version=version),
-            protocol.make_refresh("edge-1", "edge-1#10",
-                                  ["flow-1", "flow-2"], now=5.0,
-                                  version=version),
-            protocol.make_feedback("edge-1", "edge-1#11", "I1->E1",
-                                   now=6.0, version=version),
-            protocol.make_dry_run("edge-1", "edge-1#12", "flow-3",
-                                  SPEC, 2.0, "I1", "E1",
-                                  version=version),
-            protocol.make_welcome("gw", lease_duration=30.0,
-                                  resumed=False, version=version),
-            protocol.make_reply("admit", "edge-1#7", "ok",
-                                decision={"admitted": True,
-                                          "path_id": "p0",
-                                          "rate": 1.5, "delay": 2.2},
-                                lease={"flow_id": "flow-1",
-                                       "expires_at": 33.0,
-                                       "duration": 30.0},
-                                version=version),
-            protocol.make_reply("teardown", "edge-1#9", "ok",
-                                version=version),
-            protocol.make_reply("refresh", "edge-1#10", "ok",
-                                refreshed=["flow-1"],
-                                unknown=["flow-2"], version=version),
-            protocol.make_reply("admit", "edge-1#13", "try-again",
-                                reason="queue-full", retry_after=0.05,
-                                version=version),
-            protocol.make_reply("hello", "", "error",
-                                detail="bad-version: speaking v{1, 2}",
-                                version=version),
-        ]
-    return frames
+    """One of every edge-protocol frame shape the agent and gateway
+    send, plus one hand-built ``v: 1`` frame: the codec does not
+    depend on the protocol version, but the packed records carry it
+    in a byte of their own."""
+    samples = [
+        protocol.encode_sample("flow", "flow-1", 48211.5, 0.0, 0.0, 1),
+        protocol.encode_sample("macro", "gold@I1->E1", 391044.0, 1.2e4,
+                               0.5, 8),
+    ]
+    decision = {"admitted": True, "flow_id": "flow-1", "path_id": "p0",
+                "rate": 1.5, "delay": 2.2, "reason": None, "detail": ""}
+    return [
+        protocol.make_hello("edge-1"),
+        protocol.make_bye("edge-1"),
+        protocol.make_admit(
+            "edge-1", "edge-1#7", "flow-1", SPEC, 2.44, "I1",
+            "E1", service_class="gold",
+            path_nodes=("I1", "R2", "E1"), now=3.0,
+            budget_ms=120.0,
+        ),
+        protocol.make_admit(   # minimal admit: no class/path/budget
+            "edge-1", "edge-1#8", "flow-2", SPEC, 1.0, "I1", "E1",
+            now=0.0,
+        ),
+        protocol.make_teardown("edge-1", "edge-1#9", "flow-1", now=4.0),
+        protocol.make_refresh("edge-1", "edge-1#10",
+                              ["flow-1", "flow-2"], now=5.0),
+        protocol.make_feedback("edge-1", "edge-1#11", "I1->E1", now=6.0),
+        protocol.make_dry_run("edge-1", "edge-1#12", "flow-3",
+                              SPEC, 2.0, "I1", "E1"),
+        protocol.make_welcome("gw", lease_duration=30.0, resumed=False),
+        protocol.make_reply("admit", "edge-1#7", "ok",
+                            decision={"admitted": True,
+                                      "path_id": "p0",
+                                      "rate": 1.5, "delay": 2.2},
+                            lease={"flow_id": "flow-1",
+                                   "expires_at": 33.0,
+                                   "duration": 30.0}),
+        protocol.make_reply("teardown", "edge-1#9", "ok"),
+        protocol.make_reply("refresh", "edge-1#10", "ok",
+                            refreshed=["flow-1"], unknown=["flow-2"]),
+        protocol.make_reply("admit", "edge-1#13", "try-again",
+                            reason="queue-full", retry_after=0.05),
+        protocol.make_reply("hello", "", "error", reason="protocol",
+                            detail="bad-version: speaking v2, "
+                                   "frame says 1"),
+        # Budgeted and edge-case requests.
+        protocol.make_hello("edge-1", codecs=("json",)),
+        protocol.make_teardown("edge-1", "edge-1#14", "flow-2", now=7.0,
+                               budget_ms=80.0),
+        protocol.make_refresh("edge-1", "edge-1#15", [], now=8.0,
+                              budget_ms=0.0),
+        protocol.make_feedback("edge-1", "edge-1#16", "gold@I1->E1",
+                               now=9.0, budget_ms=250.0),
+        protocol.make_report("edge-1", "edge-1#17", samples, now=10.0),
+        protocol.make_report("edge-1", "edge-1#18", samples[:1],
+                             now=11.0, budget_ms=40.0),
+        # The reply shapes the gateway builds.
+        protocol.make_welcome("gw", lease_duration=10.0, resumed=True,
+                              codec="binary"),
+        protocol.make_reply("admit", "edge-1#7", "ok",
+                            detail="admitted", decision=decision,
+                            lease={"duration": 30.0, "expires_at": 33.0,
+                                   "macroflow_key": "gold@I1->E1",
+                                   "drain_bound": 0.125}),
+        protocol.make_reply("admit", "edge-1#19", "ok",
+                            decision=dict(decision, admitted=False,
+                                          rate=0.0, path_id=None,
+                                          reason="DELAY_BOUND",
+                                          detail="no feasible path")),
+        protocol.make_reply("teardown", "edge-1#14", "error",
+                            reason="service",
+                            detail="flow flow-2 not admitted"),
+        protocol.make_reply("feedback", "edge-1#16", "ok",
+                            detail="released 1 contingency"),
+        protocol.make_reply("report", "edge-1#17", "ok",
+                            detail="accepted 2/2 samples"),
+        protocol.make_reply("dry-run", "edge-1#12", "ok",
+                            decision=decision),
+        dict(protocol.make_admit("edge-1", "edge-1#20", "flow-4", SPEC,
+                                 2.44, "I1", "E1", now=12.0), v=1),
+    ]
 
 
 def other_frames():
