@@ -10,9 +10,10 @@ REST clients inherit the exactly-once machinery for free: a client's
 replays dedup at the gateway, backpressure surfaces as ``429`` +
 ``Retry-After``, and deadline headers become the agent's op budget.
 
-:mod:`repro.controlplane.server` serves the app on stdlib
-``wsgiref`` (threaded, keep-alive); :mod:`repro.controlplane.client`
-is the matching minimal HTTP client the soak harness drives.
+:mod:`repro.controlplane.server` serves the app over persistent
+HTTP/1.1 connections (stdlib ``socketserver``, one thread per
+connection); :mod:`repro.controlplane.client` is the matching
+minimal HTTP client the soak harness drives.
 """
 
 from repro.controlplane.app import ControlPlaneApp

@@ -48,7 +48,7 @@ from repro.errors import SignalingError
 from repro.service.stats import prometheus_exposition
 from repro.service.transport import TransportClosed
 
-__all__ = ["ControlPlaneApp", "BadRequest"]
+__all__ = ["ControlPlaneApp", "BadRequest", "MAX_BODY"]
 
 _STATUS_LINES = {
     200: "200 OK",
@@ -63,7 +63,9 @@ _STATUS_LINES = {
     504: "504 Gateway Timeout",
 }
 
-_MAX_BODY = 1 << 20  # nobody admits a 1MB flow spec
+#: Largest request body, bytes; the server answers a longer
+#: ``Content-Length`` with 413 before reading it.
+MAX_BODY = 1 << 20  # nobody admits a 1MB flow spec
 
 
 class BadRequest(Exception):
@@ -201,7 +203,7 @@ class ControlPlaneApp:
             length = int(environ.get("CONTENT_LENGTH") or 0)
         except (TypeError, ValueError):
             raise BadRequest("unreadable Content-Length")
-        if length < 0 or length > _MAX_BODY:
+        if length < 0 or length > MAX_BODY:
             raise BadRequest(f"body length {length} out of bounds")
         raw = environ["wsgi.input"].read(length) if length else b""
         if not raw:

@@ -1,50 +1,274 @@
-"""Threaded stdlib WSGI serving for the control plane.
+"""Persistent-connection HTTP/1.1 serving for the control plane.
 
-``wsgiref.simple_server`` with two production-shaped fixes: a
-``ThreadingMixIn`` server (one thread per connection — concurrency
-is bounded by the app's agent pool, which serializes per agent), and
-``HTTP/1.1`` keep-alive (the app always sets ``Content-Length``, so
-persistent connections frame correctly; the soak clients reuse one
-connection for thousands of requests instead of paying a TCP
-handshake per flow event).
+One handler thread per client connection (concurrency is bounded by
+the app's agent pool, which serializes per agent) loops over the
+requests that arrive on it, so a client pays one TCP accept and one
+thread spawn per connection, not per request.  Per request:
+
+* the request line and headers are parsed straight into a WSGI
+  ``environ``;
+* the body is read in full by ``Content-Length`` before the app runs,
+  so a body the app ignores can never desync the stream;
+* status, headers and body leave in one ``write`` on a
+  ``TCP_NODELAY`` socket;
+* the connection stays open unless the client sent
+  ``Connection: close`` or spoke HTTP/1.0 without ``keep-alive``.
+
+A request the stream cannot be trusted past is answered and the
+connection closed: a malformed request line or header gets ``400``,
+``Transfer-Encoding`` ``501``, a ``Content-Length`` over
+:data:`~repro.controlplane.app.MAX_BODY` ``413`` before a byte of
+the body is read.  :meth:`ControlPlaneServer.close` shuts down every
+live connection, so no handler thread outlives the server.
 """
 
 from __future__ import annotations
 
+import io
+import json
+import socket
+import socketserver
+import sys
 import threading
-from socketserver import ThreadingMixIn
-from typing import Optional
-from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
+from email.utils import formatdate
+from typing import Dict, List, Optional, Tuple
+from urllib.parse import unquote
+
+from repro.controlplane.app import MAX_BODY
 
 __all__ = ["ControlPlaneServer", "serve_controlplane"]
 
+_MAX_LINE = 8192  # bytes in the request line or in any header line
+_MAX_HEADERS = 100
 
-class _ThreadedWSGIServer(ThreadingMixIn, WSGIServer):
-    daemon_threads = True
+_Headers = List[Tuple[str, str]]
+
+
+class _Refused(Exception):
+    """A request the stream cannot be trusted past: answer, close."""
+
+    def __init__(self, status: str, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+def _error(message: str) -> Tuple[_Headers, bytes]:
+    return ([("Content-Type", "application/json")],
+            json.dumps({"error": message}).encode("utf-8"))
+
+
+class _Connection(socketserver.StreamRequestHandler):
+    """Serve requests on one connection until either side closes it."""
+
+    disable_nagle_algorithm = True
+
+    def handle(self) -> None:
+        try:
+            while self._serve_one():
+                pass
+        except OSError:
+            pass  # the peer went away, or close() shut the socket down
+
+    def _serve_one(self) -> bool:
+        """Answer one request; return whether to keep the connection."""
+        line = self.rfile.readline(_MAX_LINE + 1)
+        while line in (b"\r\n", b"\n"):  # stray CRLFs between requests
+            line = self.rfile.readline(_MAX_LINE + 1)
+        if not line:
+            return False  # the client closed between requests
+        try:
+            environ, keep = self._parse(line)
+        except _Refused as exc:
+            headers, body = _error(str(exc))
+            self._send("HTTP/1.1", exc.status, headers, body,
+                       keep=False, head=False)
+            return False
+        try:
+            status, headers, body = self._call_app(environ)
+        except Exception as exc:  # noqa: BLE001 - the 500 fence
+            self.server.handle_error(self.request, self.client_address)
+            status = "500 Internal Server Error"
+            headers, body = _error(f"{type(exc).__name__}: {exc}")
+            keep = False
+        self._send(environ["SERVER_PROTOCOL"], status, headers, body,
+                   keep=keep, head=environ["REQUEST_METHOD"] == "HEAD")
+        return keep
+
+    def _parse(self, line: bytes) -> Tuple[dict, bool]:
+        """``(environ, keep)`` of the request *line* opens."""
+        if len(line) > _MAX_LINE or not line.endswith(b"\n"):
+            raise _Refused("400 Bad Request",
+                           "request line too long or unterminated")
+        parts = line.decode("latin-1").split()
+        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+            raise _Refused("400 Bad Request", "malformed request line")
+        method, target, version = parts
+        if version not in ("HTTP/1.1", "HTTP/1.0"):
+            raise _Refused("505 HTTP Version Not Supported",
+                           f"{version} is not supported")
+        headers = self._read_headers()
+        if "transfer-encoding" in headers:
+            raise _Refused("501 Not Implemented",
+                           "Transfer-Encoding is not supported; "
+                           "send Content-Length")
+        length_field = headers.get("content-length")
+        length = 0
+        if length_field is not None:
+            if not (length_field.isdigit() and length_field.isascii()):
+                raise _Refused("400 Bad Request",
+                               f"unreadable Content-Length "
+                               f"{length_field!r}")
+            length = int(length_field)
+            if length > MAX_BODY:
+                raise _Refused("413 Content Too Large",
+                               f"body length {length} is over "
+                               f"{MAX_BODY}")
+        body = self.rfile.read(length) if length else b""
+        if len(body) < length:
+            raise ConnectionAbortedError("the client closed mid-body")
+        tokens = {token.strip() for token in
+                  headers.get("connection", "").lower().split(",")}
+        if version == "HTTP/1.1":
+            keep = "close" not in tokens
+        else:
+            keep = "keep-alive" in tokens
+        path, _, query = target.partition("?")
+        host, port = self.server.server_address[:2]
+        environ = {
+            "REQUEST_METHOD": method,
+            "SCRIPT_NAME": "",
+            "PATH_INFO": unquote(path, "latin-1"),
+            "QUERY_STRING": query,
+            "SERVER_NAME": host,
+            "SERVER_PORT": str(port),
+            "SERVER_PROTOCOL": version,
+            "REMOTE_ADDR": self.client_address[0],
+            "CONTENT_LENGTH": "" if length_field is None else str(length),
+            "wsgi.version": (1, 0),
+            "wsgi.url_scheme": "http",
+            "wsgi.input": io.BytesIO(body),
+            "wsgi.errors": sys.stderr,
+            "wsgi.multithread": True,
+            "wsgi.multiprocess": False,
+            "wsgi.run_once": False,
+        }
+        for name, value in headers.items():
+            if name == "content-type":
+                environ["CONTENT_TYPE"] = value
+            elif name != "content-length" and "_" not in name:
+                # Underscored names are dropped so that "X_Foo"
+                # cannot pose as the "X-Foo" header.
+                environ["HTTP_" + name.upper().replace("-", "_")] = value
+        return environ, keep
+
+    def _read_headers(self) -> Dict[str, str]:
+        """Lower-cased name -> value; repeats joined with ``", "``."""
+        headers: Dict[str, str] = {}
+        for _ in range(_MAX_HEADERS):
+            raw = self.rfile.readline(_MAX_LINE + 1)
+            if raw in (b"\r\n", b"\n"):
+                return headers
+            if len(raw) > _MAX_LINE or not raw.endswith(b"\n"):
+                raise _Refused("400 Bad Request", "malformed header line")
+            name, sep, value = raw.decode("latin-1").partition(":")
+            # No whitespace in or around the name: a leading one is an
+            # obsolete line fold, a trailing one a smuggling vector.
+            if not sep or name.split() != [name]:
+                raise _Refused("400 Bad Request",
+                               f"malformed header {name!r}")
+            name, value = name.lower(), value.strip()
+            headers[name] = (f"{headers[name]}, {value}"
+                             if name in headers else value)
+        raise _Refused("400 Bad Request", "too many header lines")
+
+    def _call_app(self, environ: dict) -> Tuple[str, _Headers, bytes]:
+        started: list = []
+        chunks: List[bytes] = []
+
+        def start_response(status, headers, exc_info=None):
+            started[:] = [status, headers]
+            return chunks.append
+
+        result = self.server.app(environ, start_response)
+        try:
+            chunks.extend(result)
+        finally:
+            if hasattr(result, "close"):
+                result.close()
+        status, headers = started
+        return status, headers, b"".join(chunks)
+
+    def _send(self, version: str, status: str, headers: _Headers,
+              body: bytes, *, keep: bool, head: bool) -> None:
+        lines = [f"HTTP/1.1 {status}", f"Date: {formatdate(usegmt=True)}"]
+        lines.extend(f"{name}: {value}" for name, value in headers)
+        if not any(name.lower() == "content-length" for name, _ in headers):
+            lines.append(f"Content-Length: {len(body)}")
+        if not keep:
+            lines.append("Connection: close")
+        elif version == "HTTP/1.0":
+            lines.append("Connection: keep-alive")
+        lines.append("\r\n")
+        data = "\r\n".join(lines).encode("latin-1")
+        self.wfile.write(data if head else data + body)
+
+
+class _Server(socketserver.TCPServer):
+    """Accept loop; one daemon thread per connection, all tracked so
+    that :meth:`server_close` can end them."""
+
     allow_reuse_address = True
 
+    def __init__(self, address: Tuple[str, int], app) -> None:
+        self.app = app
+        self._lock = threading.Lock()
+        self._live: Dict[socket.socket, threading.Thread] = {}
+        super().__init__(address, _Connection)
 
-class _QuietHandler(WSGIRequestHandler):
-    protocol_version = "HTTP/1.1"
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(
+            target=self._serve, args=(request, client_address),
+            name=f"controlplane-{self.server_address[1]}-conn",
+            daemon=True,
+        )
+        with self._lock:
+            self._live[request] = thread
+        thread.start()
 
-    def log_message(self, format, *args):  # noqa: A002 - stdlib name
-        pass  # per-request stderr lines would drown a million-event soak
+    def _serve(self, request, client_address) -> None:
+        try:
+            self.finish_request(request, client_address)
+        except Exception:  # noqa: BLE001 - one connection, not the server
+            self.handle_error(request, client_address)
+        finally:
+            # Under the lock, so server_close never shuts down a
+            # descriptor that has been closed and reused.
+            with self._lock:
+                del self._live[request]
+                self.shutdown_request(request)
 
-    def address_string(self) -> str:
-        return self.client_address[0]  # skip reverse DNS on every request
+    def server_close(self) -> None:
+        super().server_close()
+        with self._lock:
+            live = list(self._live.items())
+            for sock, _ in live:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+        for _, thread in live:
+            # A thread inside a slow app call finishes it first; its
+            # reply then fails on the shut socket and the thread ends.
+            thread.join(timeout=1.0)
 
 
 class ControlPlaneServer:
-    """Own a listening socket + serving thread for a WSGI app."""
+    """Own a listening socket + accept thread for a WSGI app."""
 
     def __init__(self, app, *, host: str = "127.0.0.1",
                  port: int = 0) -> None:
         self.app = app
-        self._httpd = make_server(
-            host, port, app,
-            server_class=_ThreadedWSGIServer,
-            handler_class=_QuietHandler,
-        )
+        self._httpd = _Server((host, port), app)
         self.host = self._httpd.server_address[0]
         self.port = self._httpd.server_address[1]
         self._thread: Optional[threading.Thread] = None
@@ -61,6 +285,7 @@ class ControlPlaneServer:
         return self
 
     def close(self) -> None:
+        """Stop accepting, then end every live connection."""
         if self._thread is not None:
             self._httpd.shutdown()
             self._thread.join(timeout=5.0)

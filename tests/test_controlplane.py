@@ -1,7 +1,9 @@
-"""REST control plane over a real TCP stack: the error-mapping pins.
+"""REST control plane over a real TCP stack: the error-mapping and
+HTTP/1.1 pins.
 
 Every test drives :class:`repro.controlplane.app.ControlPlaneApp`
-through a real ``wsgiref`` server socket, with the agent pool talking
+through a real :class:`~repro.controlplane.server.ControlPlaneServer`
+socket (persistent HTTP/1.1 connections), with the agent pool talking
 real TCP to an :class:`~repro.edge.gateway.EdgeGateway` in front of a
 live :class:`~repro.service.runtime.BrokerService` — the same path a
 remote client takes.  Pinned mappings:
@@ -11,12 +13,21 @@ remote client takes.  Pinned mappings:
 * gateway backpressure -> ``429`` with a ``Retry-After`` header;
 * a replayed ``Idempotency-Key`` -> byte-identical response body
   (the gateway dedup window answers, the broker never re-executes).
+
+Pinned HTTP behaviour: one connection carries request after request,
+pipelined ones answered in order; framing the server cannot trust
+the stream past is answered, then closed; ``close()`` ends live
+connections; the client retries once on a connection the server
+dropped.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import socket
 import threading
+import time
 from http.client import HTTPConnection
 
 import pytest
@@ -26,6 +37,7 @@ from repro.controlplane import (
     ControlPlaneClient,
     ControlPlaneServer,
 )
+from repro.controlplane.app import MAX_BODY
 from repro.core.broker import BandwidthBroker
 from repro.edge import EdgeGateway, protocol
 from repro.edge.agent import EdgeAgent, tcp_connector
@@ -96,6 +108,36 @@ def stack():
 def admit(client, flow_id, **kwargs):
     return client.admit(flow_id, SPEC_JSON, D_REQ, "I1", "E1",
                         now=10.0, **kwargs)
+
+
+HEALTH = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+
+
+@contextlib.contextmanager
+def raw_connection(server):
+    """A bare socket to the server and a buffered reader over it."""
+    sock = socket.create_connection(
+        (server.host, server.port), timeout=10.0)
+    rfile = sock.makefile("rb")
+    try:
+        yield sock, rfile
+    finally:
+        rfile.close()
+        sock.close()
+
+
+def read_reply(rfile, *, head: bool = False):
+    """``(status line, lower-cased headers, body)`` of one reply."""
+    status = rfile.readline().decode("latin-1").rstrip("\r\n")
+    headers = {}
+    while True:
+        line = rfile.readline()
+        if line in (b"\r\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.lower()] = value.strip()
+    body = b"" if head else rfile.read(int(headers["content-length"]))
+    return status, headers, body
 
 
 class TestHappyPath:
@@ -255,3 +297,148 @@ class TestBackpressure:
                 assert reply.body["error"] == "backpressure"
             # Nothing leaked past the mapping as a 500.
             assert all(status != 500 for status in statuses)
+
+
+class TestKeepAlive:
+    def test_pipelined_requests_get_replies_in_order(self, stack):
+        with raw_connection(stack.server) as (sock, rfile):
+            sock.sendall(HEALTH * 2)
+            for _ in range(2):
+                status, _, body = read_reply(rfile)
+                assert status == "HTTP/1.1 200 OK"
+                assert json.loads(body)["status"] == "ok"
+
+    def test_http_connection_keeps_its_socket(self, stack):
+        conn = HTTPConnection(stack.server.host, stack.server.port,
+                              timeout=10.0)
+        try:
+            sockets = []
+            for _ in range(3):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+                assert response.will_close is False
+                sockets.append(conn.sock)
+            assert sockets[0] is not None
+            assert all(sock is sockets[0] for sock in sockets)
+        finally:
+            conn.close()
+
+    def test_http10_keep_alive_is_honoured(self, stack):
+        request = b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+        with raw_connection(stack.server) as (sock, rfile):
+            for _ in range(2):
+                sock.sendall(request)
+                status, headers, _ = read_reply(rfile)
+                assert status == "HTTP/1.1 200 OK"
+                assert headers["connection"] == "keep-alive"
+
+
+class TestFraming:
+    @staticmethod
+    def _answered_then_closed(server, request: bytes):
+        with raw_connection(server) as (sock, rfile):
+            sock.sendall(request)
+            status, headers, body = read_reply(rfile)
+            assert rfile.read() == b""  # the server closed
+        assert headers["connection"] == "close"
+        return status, body
+
+    def test_malformed_request_line_is_400_and_close(self, stack):
+        status, body = self._answered_then_closed(stack.server,
+                                                  b"NONSENSE\r\n")
+        assert status == "HTTP/1.1 400 Bad Request"
+        assert "request line" in json.loads(body)["error"]
+
+    def test_transfer_encoding_is_501_and_close(self, stack):
+        status, _ = self._answered_then_closed(
+            stack.server, b"POST /v1/flows HTTP/1.1\r\nHost: test\r\n"
+                   b"Transfer-Encoding: chunked\r\n\r\n")
+        assert status == "HTTP/1.1 501 Not Implemented"
+        assert stack.app.requests == 0
+
+    def test_oversized_body_is_413_without_reading_it(self, stack):
+        # Headers only: a server waiting for the body would never
+        # answer, and the reader would time out instead.
+        request = (f"POST /v1/flows HTTP/1.1\r\nHost: test\r\n"
+                   f"Content-Length: {MAX_BODY + 1}\r\n\r\n").encode()
+        status, _ = self._answered_then_closed(stack.server, request)
+        assert status.startswith("HTTP/1.1 413 ")
+        assert stack.app.requests == 0
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"GET /healthz HTTP/1.0\r\n\r\n",
+        b"GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n",
+    ], ids=["http10", "connection-close"])
+    def test_close_is_honoured(self, stack, request_bytes):
+        status, body = self._answered_then_closed(stack.server,
+                                                  request_bytes)
+        assert status == "HTTP/1.1 200 OK"
+        assert json.loads(body)["status"] == "ok"
+
+    def test_ignored_get_body_does_not_corrupt_the_next_request(self,
+                                                                stack):
+        # The body reads like a request: left on the stream, it would
+        # be answered as one (with the MIB view, not the health check).
+        decoy = b"GET /v1/mib HTTP/1.1\r\n\r\n"
+        first = (b"GET /healthz HTTP/1.1\r\nHost: test\r\n"
+                 b"Content-Length: %d\r\n\r\n" % len(decoy)) + decoy
+        with raw_connection(stack.server) as (sock, rfile):
+            sock.sendall(first + HEALTH)
+            for _ in range(2):
+                status, _, body = read_reply(rfile)
+                assert status == "HTTP/1.1 200 OK"
+                assert json.loads(body)["status"] == "ok"
+        assert stack.app.requests == 2
+
+    def test_head_sends_no_body(self, stack):
+        with raw_connection(stack.server) as (sock, rfile):
+            sock.sendall(b"HEAD /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+                         + HEALTH)
+            status, headers, _ = read_reply(rfile, head=True)
+            assert status == "HTTP/1.1 200 OK"
+            assert int(headers["content-length"]) > 0
+            # A body sent for the HEAD would sit where this reply is.
+            status, _, body = read_reply(rfile)
+            assert status == "HTTP/1.1 200 OK"
+            assert json.loads(body)["status"] == "ok"
+
+    def test_raising_app_is_500_and_close(self, capsys):
+        def app(environ, start_response):
+            raise RuntimeError("boom")
+
+        with ControlPlaneServer(app) as server:
+            status, body = self._answered_then_closed(server, HEALTH)
+        assert status == "HTTP/1.1 500 Internal Server Error"
+        assert json.loads(body)["error"] == "RuntimeError: boom"
+        assert "RuntimeError: boom" in capsys.readouterr().err
+
+
+class TestServerLifecycle:
+    def test_close_ends_live_keep_alive_connections(self, stack):
+        assert stack.client.healthz().status == 200
+        name = f"controlplane-{stack.server.port}-conn"
+
+        def handlers():
+            return [t for t in threading.enumerate() if t.name == name]
+
+        assert handlers(), "the client's connection is not being served"
+        stack.server.close()
+        deadline = time.monotonic() + 1.0
+        while handlers() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not handlers()
+        with pytest.raises(OSError):
+            stack.client.healthz()
+
+    def test_client_retries_once_on_a_dropped_connection(self, stack):
+        assert stack.client.healthz().status == 200
+        assert stack.client.reconnects == 0
+        # A restart on the same port drops the idle keep-alive socket
+        # the client holds; its next request finds it dead.
+        port = stack.server.port
+        stack.server.close()
+        stack.server = ControlPlaneServer(stack.app, port=port).start()
+        assert stack.client.healthz().status == 200
+        assert stack.client.reconnects == 1
