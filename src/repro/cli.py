@@ -9,19 +9,11 @@ Commands regenerate the paper's evaluation artifacts from a terminal:
 * ``figure10``— blocking rate versus offered load;
 * ``plan``    — the capacity-planning table (extension);
 * ``scaling`` — control-plane state vs flow count (extension);
-* ``serve-bench`` — closed-loop throughput of the concurrent broker
-  service runtime (extension, see ``docs/SERVICE.md``); with
-  ``--durability`` every decision goes through the write-ahead
-  journal so the fsync cost shows up in the grid;
 * ``stats`` — run a short closed loop and dump the live service
   counters as Prometheus text exposition (extension);
 * ``adapt-bench`` — admitted-calls differential with the adaptive
   re-dimensioning controller on vs off (extension, see
   ``docs/TELEMETRY.md``);
-* ``shard-bench`` — closed-loop throughput of the sharded broker
-  cluster across shard counts at a fixed workload shape, including
-  cross-shard two-phase admissions (extension, see
-  ``docs/CLUSTER.md``);
 * ``recover`` — rebuild a broker from a durability directory
   (checkpoint + journal suffix) and report what was replayed; with
   ``--shard-dir`` the directory is a cluster WAL root and every
@@ -175,103 +167,6 @@ def _cmd_scaling(_args: argparse.Namespace) -> int:
 
     print(render_state_scaling(run_state_scaling()))
     return 0
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    import json
-    import tempfile
-
-    from repro.core.broker import BandwidthBroker
-    from repro.service import (
-        BrokerService,
-        FileJournal,
-        FlowTemplate,
-        provision_parallel_paths,
-        run_closed_loop,
-    )
-    from repro.workloads.profiles import flow_type
-
-    spec = flow_type(0).spec
-    rows = []
-    results = []
-    for workers in args.workers:
-        for shards in args.shards:
-            broker = BandwidthBroker()
-            pinned = provision_parallel_paths(
-                broker, paths=args.paths, delay_hops=args.delay_hops
-            )
-            templates = [
-                FlowTemplate(
-                    spec, 2.44, nodes[0], nodes[-1], path_nodes=nodes
-                )
-                for nodes in pinned
-            ]
-            with tempfile.TemporaryDirectory(prefix="repro-wal-") as wal_dir:
-                wal = FileJournal(wal_dir) if args.durability else None
-                with BrokerService(
-                    broker,
-                    workers=workers,
-                    shards=shards,
-                    edge_rtt=args.edge_rtt_ms / 1000.0,
-                    wal=wal,
-                ) as service:
-                    report = run_closed_loop(
-                        service,
-                        templates,
-                        clients=args.clients,
-                        requests_per_client=args.requests,
-                    )
-                if wal is not None:
-                    wal.close()
-            stats = report.stats
-            rows.append([
-                workers, shards, f"{report.throughput_rps:.0f}",
-                f"{report.latency_ms(0.50):.2f}",
-                f"{report.latency_ms(0.99):.2f}",
-                sum(stats.shard_contention), report.shed,
-                stats.wal_fsyncs, f"{stats.wal_mean_group:.1f}",
-            ])
-            results.append({
-                "workers": workers,
-                "shards": shards,
-                "durability": bool(args.durability),
-                **report.as_dict(),
-            })
-    mode = "durable WAL" if args.durability else "no WAL"
-    print(f"Closed-loop service throughput "
-          f"({args.clients} clients, {args.paths} disjoint paths, "
-          f"edge RTT {args.edge_rtt_ms:g} ms, {mode}):")
-    print(render_table(
-        ["workers", "shards", "req/s", "p50(ms)", "p99(ms)",
-         "contention", "shed", "fsyncs", "grp"],
-        rows,
-    ))
-    last = results[-1].get("service", {}) if results else {}
-    if last.get("ledger_updates"):
-        print(
-            "admission engine: "
-            f"{last['ledger_updates']} incremental ledger updates, "
-            f"{last['ledger_compactions']} compactions, "
-            f"{last['bp_delta_folds']} breakpoint delta-folds vs "
-            f"{last['bp_full_rebuilds']} full rebuilds, "
-            f"{last['scan_tests']} Fig-4 scans @ "
-            f"{last['mean_scan_intervals']:.1f} intervals mean, "
-            f"{last['scan_early_breaks']} early breaks, "
-            f"{last['scan_verifications']} ledger verifications"
-        )
-    if "aggregate_feedback_events" in last:
-        print(
-            "aggregate feedback: "
-            f"{last['aggregate_feedback_events']} Section-4.2.1 "
-            f"contingency events released "
-            f"{last['aggregate_feedback_releases']:.0f} b/s early"
-        )
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(results, handle, indent=2)
-        print(f"\nwrote {args.json}")
-    errors = sum(result["errors"] for result in results)
-    return 0 if errors == 0 else 1
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -431,100 +326,6 @@ def _cmd_adapt_bench(args: argparse.Namespace) -> int:
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 0 if not failures else 1
-
-
-def _cmd_shard_bench(args: argparse.Namespace) -> int:
-    import json
-    import tempfile
-
-    from repro.cluster import (
-        build_pod_cluster,
-        build_proc_cluster,
-        run_cluster_loop,
-    )
-    from repro.hostinfo import host_info, process_topology
-    from repro.workloads.profiles import flow_type
-
-    spec = flow_type(0).spec
-    shard_counts = [args.procs] if args.procs > 0 else args.shards
-    pods = args.pods if args.pods else max(shard_counts)
-    host = host_info()
-    rows = []
-    results = []
-    for num_shards in shard_counts:
-        with tempfile.TemporaryDirectory(prefix="repro-cluster-") as root:
-            if args.procs > 0:
-                cluster = build_proc_cluster(
-                    num_shards,
-                    run_dir=root,
-                    pods=pods,
-                    delay_hops=args.delay_hops,
-                    durable=bool(args.durability),
-                    fsync=bool(args.durability),
-                    workers=args.workers,
-                    edge_rtt=args.edge_rtt_ms / 1000.0,
-                )
-                topology = process_topology(
-                    "shard-procs", shard_processes=num_shards,
-                    workers_per_shard=args.workers,
-                )
-            else:
-                wal_root = root if args.durability else None
-                cluster = build_pod_cluster(
-                    num_shards,
-                    pods=pods,
-                    delay_hops=args.delay_hops,
-                    wal_root=wal_root,
-                    fsync=args.durability,
-                    workers=args.workers,
-                    edge_rtt=args.edge_rtt_ms / 1000.0,
-                )
-                topology = process_topology(
-                    "single-process", workers_per_shard=args.workers,
-                )
-            with cluster:
-                report = run_cluster_loop(
-                    cluster, spec, 2.44,
-                    clients_per_pod=args.clients,
-                    requests_per_client=args.requests,
-                    spanning_every=args.spanning_every,
-                )
-                stranded = len(cluster.outstanding_holds())
-        rows.append([
-            num_shards, pods, f"{report.throughput_rps:.0f}",
-            f"{report.latency_ms(0.50):.2f}",
-            f"{report.latency_ms(0.99):.2f}",
-            report.spanning_requests, report.spanning_admitted,
-            report.shed, report.errors, stranded,
-        ])
-        results.append({
-            "shards": num_shards,
-            "pods": pods,
-            "durability": bool(args.durability),
-            "stranded_holds": stranded,
-            "host": host,
-            "topology": topology,
-            **report.as_dict(),
-        })
-    mode = "durable WAL" if args.durability else "no WAL"
-    flavour = ("one process per shard" if args.procs > 0
-               else "single process")
-    print(f"Sharded cluster throughput ({args.clients} clients/pod, "
-          f"{pods} pods, every {args.spanning_every}th admit spanning, "
-          f"edge RTT {args.edge_rtt_ms:g} ms, {mode}, {flavour}, "
-          f"{host['cpus']} CPUs):")
-    print(render_table(
-        ["shards", "pods", "req/s", "p50(ms)", "p99(ms)", "2pc",
-         "2pc ok", "shed", "errors", "stranded"],
-        rows,
-    ))
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(results, handle, indent=2)
-        print(f"\nwrote {args.json}")
-    errors = sum(result["errors"] for result in results)
-    stranded = sum(result["stranded_holds"] for result in results)
-    return 0 if errors == 0 and stranded == 0 else 1
 
 
 def _cmd_recover_shard_dir(args: argparse.Namespace) -> int:
@@ -815,208 +616,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_agent_pipelined(agent, index, template, args, AdmitOp,
-                         latencies, errors, _time) -> None:
-    """Drive one agent in pipelined windows of ``--pipeline`` admits.
-
-    Each window shares one ``now`` and path so the service can batch
-    the admissions; per-op latency is the window round-trip divided
-    by the window size (the amortized setup cost).
-    """
-    done = 0
-    while done < args.requests:
-        window = min(args.pipeline, args.requests - done)
-        ops = [
-            AdmitOp(
-                f"a{index}-r{done + k}", template.spec,
-                template.delay_requirement, template.ingress,
-                template.egress, path_nodes=template.path_nodes,
-            )
-            for k in range(window)
-        ]
-        begin = _time.monotonic()
-        replies = agent.admit_many(ops, now=float(done))
-        per_op = (_time.monotonic() - begin) / window
-        latencies[index].extend([per_op] * window)
-        admitted = []
-        for flow_id, reply in replies.items():
-            if reply["status"] != "ok":
-                errors[index] += 1
-            elif reply["decision"]["admitted"]:
-                admitted.append(flow_id)
-        errors[index] += window - len(replies)
-        if admitted:
-            agent.teardown_many(admitted, now=float(done))
-        done += window
-
-
-def _cmd_edge_bench(args: argparse.Namespace) -> int:
-    import json
-    import threading
-    import time as _time
-
-    from repro.core.broker import BandwidthBroker
-    from repro.edge import AdmitOp, EdgeAgent, EdgeGateway, tcp_connector
-    from repro.hostinfo import host_info, process_topology
-    from repro.service import (
-        BrokerService,
-        FlowTemplate,
-        provision_parallel_paths,
-    )
-    from repro.workloads.profiles import flow_type
-
-    spec = flow_type(0).spec
-    latencies: List[List[float]] = [[] for _ in range(args.agents)]
-    errors = [0] * args.agents
-    barrier = threading.Barrier(args.agents + 1)
-    codecs = (("json",) if args.codec == "json"
-              else ("binary", "json"))
-
-    def drive_agents(host: str, port: int,
-                     templates: List[FlowTemplate]) -> float:
-        def run_agent(index: int) -> None:
-            template = templates[index % len(templates)]
-            agent = EdgeAgent(
-                f"agent-{index}",
-                tcp_connector(host, port),
-                seed=index,
-                codecs=codecs,
-            )
-            with agent:
-                barrier.wait()
-                if args.pipeline > 1:
-                    _run_agent_pipelined(
-                        agent, index, template, args, AdmitOp,
-                        latencies, errors, _time,
-                    )
-                    return
-                for iteration in range(args.requests):
-                    flow_id = f"a{index}-r{iteration}"
-                    begin = _time.monotonic()
-                    reply = agent.admit(
-                        flow_id, template.spec,
-                        template.delay_requirement,
-                        template.ingress, template.egress,
-                        path_nodes=template.path_nodes,
-                    )
-                    latencies[index].append(
-                        _time.monotonic() - begin
-                    )
-                    if reply["status"] != "ok":
-                        errors[index] += 1
-                    elif reply["decision"]["admitted"]:
-                        agent.teardown(flow_id)
-
-        threads = [
-            threading.Thread(target=run_agent, args=(index,),
-                             daemon=True)
-            for index in range(args.agents)
-        ]
-        for thread in threads:
-            thread.start()
-        barrier.wait()
-        begin = _time.monotonic()
-        for thread in threads:
-            thread.join()
-        return max(_time.monotonic() - begin, 1e-9)
-
-    if args.gateway_workers > 0:
-        import tempfile
-
-        from repro.cluster import build_proc_cluster
-
-        with tempfile.TemporaryDirectory(prefix="repro-edge-") as root:
-            cluster = build_proc_cluster(
-                args.cluster_shards,
-                run_dir=root,
-                gateway_workers=args.gateway_workers,
-                gateway_lease=args.lease,
-                workers=args.workers,
-            )
-            with cluster:
-                templates = [
-                    FlowTemplate(spec, 2.44, nodes[0], nodes[-1],
-                                 path_nodes=tuple(nodes))
-                    for nodes in cluster.pod_paths
-                ]
-                duration = drive_agents(
-                    "127.0.0.1", cluster.gateway_port, templates,
-                )
-                # The sessions/dedup live in the worker processes;
-                # parent-side counters cover the broker tier.
-                counters = {
-                    "dedup_hits": 0,
-                    "leases": {"granted": 0},
-                    "cluster": cluster.merged_stats(),
-                }
-        topology = process_topology(
-            "edge-procs", shard_processes=args.cluster_shards,
-            gateway_workers=args.gateway_workers,
-            workers_per_shard=args.workers,
-        )
-    else:
-        broker = BandwidthBroker()
-        pinned = provision_parallel_paths(broker, paths=args.paths)
-        templates = [
-            FlowTemplate(spec, 2.44, nodes[0], nodes[-1],
-                         path_nodes=nodes)
-            for nodes in pinned
-        ]
-        with BrokerService(
-            broker, workers=args.workers, shards=args.shards,
-        ) as service:
-            gateway = EdgeGateway(service, lease_duration=args.lease)
-            host, port = gateway.listen("127.0.0.1", 0)
-            with gateway:
-                duration = drive_agents(host, port, templates)
-                counters = gateway.counters()
-        topology = process_topology(
-            "single-process", workers_per_shard=args.workers,
-        )
-
-    flat = sorted(lat for per_agent in latencies for lat in per_agent)
-    operations = len(flat)
-
-    def pct(fraction: float) -> float:
-        if not flat:
-            return 0.0
-        return flat[min(len(flat) - 1,
-                        int(fraction * (len(flat) - 1)))] * 1000.0
-
-    report = {
-        "agents": args.agents,
-        "requests_per_agent": args.requests,
-        "codec": args.codec,
-        "pipeline": args.pipeline,
-        "operations": operations,
-        "errors": sum(errors),
-        "duration_s": round(duration, 4),
-        "admit_throughput_rps": round(operations / duration, 1),
-        "setup_p50_ms": round(pct(0.50), 3),
-        "setup_p99_ms": round(pct(0.99), 3),
-        "host": host_info(),
-        "topology": topology,
-        "gateway": counters,
-    }
-    print(f"Edge signaling benchmark ({args.agents} agents over TCP, "
-          f"{args.requests} admits each, {args.paths} disjoint paths, "
-          f"{args.codec} codec, pipeline {args.pipeline}):")
-    print(render_table(
-        ["agents", "admits/s", "setup p50(ms)", "setup p99(ms)",
-         "dedup hits", "leases granted", "errors"],
-        [[args.agents, f"{report['admit_throughput_rps']:.0f}",
-          f"{report['setup_p50_ms']:.2f}",
-          f"{report['setup_p99_ms']:.2f}",
-          counters["dedup_hits"], counters["leases"]["granted"],
-          sum(errors)]],
-    ))
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report, handle, indent=2)
-        print(f"\nwrote {args.json}")
-    return 0 if sum(errors) == 0 else 1
-
-
 def _cmd_soak(args: argparse.Namespace) -> int:
     from repro.hostinfo import host_info, process_topology
     from repro.soak import ScenarioConfig, SoakConfig, run_soak
@@ -1108,35 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "scaling", help="control-plane state vs flow count (extension)"
     ).set_defaults(func=_cmd_scaling)
-    serve = sub.add_parser(
-        "serve-bench",
-        help="concurrent service runtime throughput grid (extension)",
-    )
-    serve.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4],
-                       help="worker-pool sizes to sweep (default 1 2 4)")
-    serve.add_argument("--shards", type=int, nargs="+", default=[1, 8],
-                       help="link-state shard counts to sweep (default 1 8)")
-    serve.add_argument("--clients", type=int, default=8,
-                       help="closed-loop client threads (default 8)")
-    serve.add_argument("--requests", type=int, default=25,
-                       help="admit requests per client (default 25)")
-    serve.add_argument("--paths", type=int, default=8,
-                       help="link-disjoint paths in the domain (default 8)")
-    serve.add_argument("--delay-hops", type=int, default=0,
-                       help="delay-based hops per path (default 0 = all "
-                            "rate-based; >0 exercises the Figure-4 mixed "
-                            "scan and incremental deadline ledgers)")
-    serve.add_argument("--edge-rtt-ms", type=float, default=2.0,
-                       help="simulated edge-programming RTT in ms "
-                            "(default 2.0)")
-    serve.add_argument("--json", default="",
-                       help="also write the per-config reports to this "
-                            "JSON file")
-    serve.add_argument("--durability", action="store_true",
-                       help="journal every decision through a "
-                            "write-ahead log (group-committed fsync) "
-                            "so the durability cost shows in the grid")
-    serve.set_defaults(func=_cmd_serve_bench)
     stats = sub.add_parser(
         "stats",
         help="run a short closed loop and dump the live service "
@@ -1179,50 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", default="",
         help="also write the per-load reports to this JSON file")
     adapt_bench.set_defaults(func=_cmd_adapt_bench)
-    shard_bench = sub.add_parser(
-        "shard-bench",
-        help="sharded-cluster throughput grid with cross-shard "
-             "two-phase admissions (extension)",
-    )
-    shard_bench.add_argument(
-        "--shards", type=int, nargs="+", default=[1, 2, 4, 8],
-        help="shard counts to sweep (default 1 2 4 8)")
-    shard_bench.add_argument(
-        "--pods", type=int, default=0,
-        help="pod chains in the domain; fixes the workload shape "
-             "across shard counts (default 0 = max of --shards)")
-    shard_bench.add_argument(
-        "--clients", type=int, default=4,
-        help="closed-loop client threads per pod (default 4)")
-    shard_bench.add_argument(
-        "--requests", type=int, default=50,
-        help="admit requests per client (default 50)")
-    shard_bench.add_argument(
-        "--spanning-every", type=int, default=10,
-        help="every Nth admit crosses into the neighbour pod and "
-             "pays the 2PC protocol (default 10, 0 = never)")
-    shard_bench.add_argument(
-        "--workers", type=int, default=2,
-        help="service workers per shard (default 2)")
-    shard_bench.add_argument(
-        "--delay-hops", type=int, default=0,
-        help="trailing delay-based hops per pod chain (default 0)")
-    shard_bench.add_argument(
-        "--edge-rtt-ms", type=float, default=0.0,
-        help="simulated edge-programming RTT in ms (default 0)")
-    shard_bench.add_argument(
-        "--durability", action="store_true",
-        help="give every shard and the coordinator a fsynced "
-             "write-ahead journal")
-    shard_bench.add_argument(
-        "--procs", type=int, default=0,
-        help="run N broker shards as separate OS processes (escapes "
-             "the GIL; overrides --shards with a single N-process "
-             "row; default 0 = in-process threads)")
-    shard_bench.add_argument(
-        "--json", default="",
-        help="also write the per-config reports to this JSON file")
-    shard_bench.set_defaults(func=_cmd_shard_bench)
     recover = sub.add_parser(
         "recover",
         help="rebuild a broker from a durability directory "
@@ -1300,49 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="serve for this many wall seconds then "
                               "exit (default 0 = until Ctrl-C)")
     gateway.set_defaults(func=_cmd_gateway)
-    edge_bench = sub.add_parser(
-        "edge-bench",
-        help="N edge agents over TCP against one gateway: setup "
-             "latency and admit throughput (extension)",
-    )
-    edge_bench.add_argument("--agents", type=int, default=8,
-                            help="concurrent edge agents (default 8)")
-    edge_bench.add_argument("--requests", type=int, default=25,
-                            help="admits per agent (default 25)")
-    edge_bench.add_argument("--paths", type=int, default=8,
-                            help="link-disjoint paths (default 8)")
-    edge_bench.add_argument("--workers", type=int, default=4,
-                            help="broker service workers (default 4)")
-    edge_bench.add_argument("--shards", type=int, default=8,
-                            help="link-state shards (default 8)")
-    edge_bench.add_argument("--lease", type=float, default=30.0,
-                            help="lease duration in domain seconds "
-                                 "(default 30)")
-    edge_bench.add_argument("--codec", choices=("binary", "json"),
-                            default="binary",
-                            help="payload codec the agents offer "
-                                 "(default binary; the gateway "
-                                 "negotiates down to json for old "
-                                 "peers)")
-    edge_bench.add_argument("--pipeline", type=int, default=1,
-                            help="admits in flight per agent window "
-                                 "(1 = classic one-at-a-time RPC; "
-                                 ">1 pipelines N admits per "
-                                 "coalesced write)")
-    edge_bench.add_argument("--gateway-workers", type=int, default=0,
-                            help="fork N gateway worker processes "
-                                 "sharing one SO_REUSEPORT listen "
-                                 "socket in front of a multi-process "
-                                 "shard cluster (default 0 = one "
-                                 "in-process gateway)")
-    edge_bench.add_argument("--cluster-shards", type=int, default=2,
-                            help="shard processes behind the forked "
-                                 "gateway tier (only with "
-                                 "--gateway-workers; default 2)")
-    edge_bench.add_argument("--json", default="",
-                            help="also write the report to this JSON "
-                                 "file")
-    edge_bench.set_defaults(func=_cmd_edge_bench)
     soak = sub.add_parser(
         "soak",
         help="open-loop soak/chaos run: REST control plane over a "

@@ -174,7 +174,6 @@ class ShardProcSpec:
     workers: int = 2
     lock_shards: int = 4
     queue_limit: int = 256
-    edge_rtt: float = 0.0
     hold_duration: float = 30.0
     host: str = "127.0.0.1"
     recovery_now: float = 0.0
@@ -234,7 +233,6 @@ def shard_process_main(spec: ShardProcSpec) -> None:
         workers=spec.workers,
         lock_shards=spec.lock_shards,
         queue_limit=spec.queue_limit,
-        edge_rtt=spec.edge_rtt,
         hold_duration=spec.hold_duration,
     )
     wal_dir: Optional[str] = None
@@ -1108,7 +1106,6 @@ def build_proc_cluster(
     workers: int = 2,
     lock_shards: int = 4,
     queue_limit: int = 256,
-    edge_rtt: float = 0.0,
     hold_duration: float = 30.0,
     map_version: int = 1,
     map_epoch: int = 0,
@@ -1121,7 +1118,7 @@ def build_proc_cluster(
     """Plan a pod domain and assemble the multi-process cluster.
 
     Same topology as :func:`~repro.cluster.topology.build_pod_cluster`
-    (so single-process and multi-process benches compare like for
+    (so single-process and multi-process runs compare like for
     like), but every shard is a :class:`ShardProcSpec` destined for
     its own OS process, and ``gateway_workers > 0`` adds a forked edge
     tier sharing one ``SO_REUSEPORT`` port.  Call
@@ -1149,7 +1146,7 @@ def build_proc_cluster(
             name=name, domain=domain, run_dir=run_dir,
             durable=durable, fsync=fsync, workers=workers,
             lock_shards=lock_shards, queue_limit=queue_limit,
-            edge_rtt=edge_rtt, hold_duration=hold_duration,
+            hold_duration=hold_duration,
             crash_op=crash_op, crash_at=crash_at,
         )
 

@@ -1,4 +1,4 @@
-"""Pod-per-shard cluster assembly and the shard-bench workload.
+"""Pod-per-shard cluster assembly and its closed-loop workload.
 
 :func:`build_pod_cluster` materializes a Figure-8-style domain scaled
 out sideways: ``pods`` link-disjoint ingress->core->egress chains
@@ -16,8 +16,8 @@ Each shard gets its own :class:`~repro.core.broker.BandwidthBroker`
 :class:`~repro.cluster.shard.BrokerShard` stack; a
 :class:`~repro.cluster.coordinator.ClusterCoordinator` with an atlas
 of the whole domain fronts them.  With ``shards=1`` the exact same
-workload runs against one shard owning everything — the honest
-single-broker baseline of ``repro shard-bench``.
+workload runs against one shard owning everything: the
+single-broker baseline.
 
 :func:`run_cluster_loop` is the closed-loop driver: per-pod client
 threads admit+teardown flows through the coordinator, sending every
@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import os
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.broker import BandwidthBroker
@@ -350,46 +349,6 @@ class ClusterLoadReport:
     errors: int
     spanning_requests: int
     spanning_admitted: int
-    duration: float
-    latencies: List[float] = field(default_factory=list)
-
-    @property
-    def throughput_rps(self) -> float:
-        """Answered operations per wall-clock second."""
-        return self.operations / self.duration if self.duration > 0 else 0.0
-
-    @property
-    def spanning_fraction(self) -> float:
-        """Share of admit attempts that took the cross-shard path."""
-        return (
-            self.spanning_requests / self.requests if self.requests else 0.0
-        )
-
-    def latency_ms(self, fraction: float) -> float:
-        """Nearest-rank latency percentile over all admits, ms."""
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        rank = max(0, min(len(ordered) - 1, int(fraction * len(ordered))))
-        return ordered[rank] * 1000.0
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "clients": self.clients,
-            "requests": self.requests,
-            "operations": self.operations,
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "shed": self.shed,
-            "errors": self.errors,
-            "spanning_requests": self.spanning_requests,
-            "spanning_admitted": self.spanning_admitted,
-            "spanning_fraction": round(self.spanning_fraction, 4),
-            "duration_s": round(self.duration, 4),
-            "throughput_rps": round(self.throughput_rps, 1),
-            "p50_ms": round(self.latency_ms(0.50), 3),
-            "p99_ms": round(self.latency_ms(0.99), 3),
-        }
 
 
 def run_cluster_loop(
@@ -400,9 +359,8 @@ def run_cluster_loop(
     clients_per_pod: int = 4,
     requests_per_client: int = 50,
     spanning_every: int = 0,
-    teardown: bool = True,
 ) -> ClusterLoadReport:
-    """Closed-loop admit(+teardown) workload through the coordinator.
+    """Closed-loop admit+teardown workload through the coordinator.
 
     Client *j* of pod *k* pins the pod-local path; when
     ``spanning_every > 0``, every that-many-th request uses the pod's
@@ -417,7 +375,7 @@ def run_cluster_loop(
         {
             "operations": 0, "admitted": 0, "rejected": 0,
             "shed": 0, "errors": 0, "spanning": 0,
-            "spanning_admitted": 0, "latencies": [],
+            "spanning_admitted": 0,
         }
         for _ in range(total_clients)
     ]
@@ -439,12 +397,10 @@ def run_cluster_loop(
             )
             nodes = spanning if use_spanning else local
             flow_id = f"p{pod}c{worker}-r{iteration}"
-            started = time.monotonic()
             decision = coordinator.admit(
                 flow_id, spec, delay_requirement,
                 nodes[0], nodes[-1], path_nodes=nodes,
             )
-            tally["latencies"].append(time.monotonic() - started)
             tally["operations"] += 1
             if use_spanning:
                 tally["spanning"] += 1
@@ -458,7 +414,7 @@ def run_cluster_loop(
                     tally["spanning_admitted"] += 1
             else:
                 tally["rejected"] += 1
-            if teardown and decision.admitted:
+            if decision.admitted:
                 down = coordinator.teardown(flow_id)
                 tally["operations"] += 1
                 if down.status not in ("ok", "released"):
@@ -475,17 +431,14 @@ def run_cluster_loop(
     for thread in threads:
         thread.start()
     barrier.wait()
-    started = time.monotonic()
     for thread in threads:
         thread.join()
-    duration = time.monotonic() - started
 
     report = ClusterLoadReport(
         clients=total_clients,
         requests=total_clients * requests_per_client,
         operations=0, admitted=0, rejected=0, shed=0, errors=0,
         spanning_requests=0, spanning_admitted=0,
-        duration=duration,
     )
     for tally in results:
         report.operations += tally["operations"]
@@ -495,5 +448,4 @@ def run_cluster_loop(
         report.errors += tally["errors"]
         report.spanning_requests += tally["spanning"]
         report.spanning_admitted += tally["spanning_admitted"]
-        report.latencies.extend(tally["latencies"])
     return report

@@ -1,12 +1,12 @@
-"""Host and process-topology facts for benchmark results.
+"""Host and process-topology facts for run results.
 
-Every ``repro shard-bench`` / ``edge-bench`` / ``soak`` result
-embeds :func:`host_info`, because a throughput
-number without the CPU count behind it is unfalsifiable: an 8-shard
-"speedup" measured on a 1-CPU runner says nothing about multi-core
-scaling.  :func:`process_topology` records *how* the run was laid out
-across processes (threads in one process vs. N shard processes plus M
-gateway workers), which is the other half of interpreting the number.
+Every ``repro soak`` result embeds :func:`host_info`, because an
+events-per-second number without the CPU count behind it is
+unfalsifiable: a multi-process run measured on a 1-CPU runner says
+nothing about multi-core scaling.  :func:`process_topology` records
+*how* the run was laid out across processes (N shard processes plus
+M gateway workers and the drivers), which is the other half of
+interpreting the number.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def process_topology(
     workers_per_shard: Optional[int] = None,
     **extra: Any,
 ) -> Dict[str, Any]:
-    """Describe a run's process layout for a bench result.
+    """Describe a run's process layout for a run result.
 
     :param mode: ``"threads"`` (everything in one process, one GIL) or
         ``"procs"`` (shards and/or gateway workers are separate OS

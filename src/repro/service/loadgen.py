@@ -2,21 +2,21 @@
 
 Models the paper's Section 5 setup-latency experiment as a load test:
 each of C client threads plays an ingress edge router that signals an
-admit, waits for the reply, optionally tears the flow down, and
+admit, waits for the reply, tears an admitted flow down, and
 immediately signals the next flow — a *closed loop*, so offered load
 self-adjusts to the service's capacity and the interesting outputs
 are throughput and the response-time distribution.
 
 Also provides :func:`provision_parallel_paths`, the link-disjoint
-fan of ingress->core->egress chains used by ``repro serve-bench`` and
-the ``edge_pipelined``/``engine_deep`` workloads of
+fan of ingress->core->egress chains used by ``repro stats`` and the
+``edge_pipelined``/``engine_deep`` workloads of
 ``python -m benchmarks.e2e``: with the paths disjoint, shard
-parallelism is the only coupling between clients, which is exactly
-the axis the worker/shard grid sweeps.
+parallelism is the only coupling between clients.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -58,10 +58,9 @@ class LoadReport:
     operations: int        # admits + teardowns actually answered
     admitted: int
     rejected: int
-    shed: int              # TRY_AGAIN answers that were NOT retried away
+    shed: int              # TRY_AGAIN answers
     errors: int
     duration: float        # wall seconds, first submit -> last reply
-    retries: int = 0       # TRY_AGAIN answers retried after retry_after
     latencies: List[float] = field(default_factory=list)
     stats: Optional[ServiceStats] = None
 
@@ -75,7 +74,8 @@ class LoadReport:
         if not self.latencies:
             return 0.0
         ordered = sorted(self.latencies)
-        rank = max(0, min(len(ordered) - 1, int(fraction * len(ordered))))
+        rank = math.ceil(fraction * len(ordered)) - 1
+        rank = max(0, min(len(ordered) - 1, rank))
         return ordered[rank] * 1000.0
 
     def as_dict(self) -> Dict[str, object]:
@@ -87,7 +87,6 @@ class LoadReport:
             "rejected": self.rejected,
             "shed": self.shed,
             "errors": self.errors,
-            "retries": self.retries,
             "duration_s": round(self.duration, 4),
             "throughput_rps": round(self.throughput_rps, 1),
             "p50_ms": round(self.latency_ms(0.50), 3),
@@ -144,43 +143,31 @@ def run_closed_loop(
     *,
     clients: int = 8,
     requests_per_client: int = 50,
-    teardown: bool = True,
-    timeout: Optional[float] = None,
-    max_retries: int = 0,
 ) -> LoadReport:
-    """Drive *service* with a closed loop of admit(+teardown) clients.
+    """Drive *service* with a closed loop of admit+teardown clients.
 
     Client *i* cycles template ``templates[i % len(templates)]`` —
     with one template per disjoint path and ``clients`` a multiple of
     ``len(templates)``, load spreads evenly across the shards.  Flow
     ids are unique per (client, iteration), so replaying the identical
     trace sequentially reproduces the decisions (the stress tests'
-    reconciliation property).
-
-    :param teardown: tear each admitted flow down before the next
-        admit, keeping the domain in steady state so every admit sees
-        the same residual capacity.
-    :param timeout: per-request queueing deadline passed through to
-        the service.
-    :param max_retries: retry a ``TRY_AGAIN`` answer up to this many
-        times, sleeping the reply's machine-readable ``retry_after``
-        hint between attempts (the honest backpressure loop a real
-        edge client runs).  0 keeps the legacy behavior: every
-        ``TRY_AGAIN`` counts as shed.
+    reconciliation property).  Each admitted flow is torn down before
+    the client's next admit, keeping the domain in steady state so
+    every admit sees the same residual capacity.
     """
     if not templates:
         raise ValueError("need at least one flow template")
     reports: List[Tuple[List[ServiceReply], List[float]]] = [
         ([], []) for _ in range(clients)
     ]
-    retry_counts = [0] * clients
     barrier = threading.Barrier(clients + 1)
 
-    def attempt(index: int, flow_id: str,
-                template: FlowTemplate) -> ServiceReply:
-        """One admit, retried per the service's retry-after hints."""
-        tries = 0
-        while True:
+    def client(index: int) -> None:
+        template = templates[index % len(templates)]
+        replies, latencies = reports[index]
+        barrier.wait()
+        for iteration in range(requests_per_client):
+            flow_id = f"c{index}-r{iteration}"
             reply = service.request(
                 flow_id,
                 template.spec,
@@ -189,24 +176,10 @@ def run_closed_loop(
                 template.egress,
                 service_class=template.service_class,
                 path_nodes=template.path_nodes,
-                timeout=timeout,
             )
-            if not reply.try_again or tries >= max_retries:
-                return reply
-            tries += 1
-            retry_counts[index] += 1
-            time.sleep(min(reply.retry_after, 0.25))
-
-    def client(index: int) -> None:
-        template = templates[index % len(templates)]
-        replies, latencies = reports[index]
-        barrier.wait()
-        for iteration in range(requests_per_client):
-            flow_id = f"c{index}-r{iteration}"
-            reply = attempt(index, flow_id, template)
             replies.append(reply)
             latencies.append(reply.service_time)
-            if teardown and reply.admitted:
+            if reply.admitted:
                 down = service.teardown(flow_id)
                 replies.append(down)
                 latencies.append(down.service_time)
@@ -232,7 +205,6 @@ def run_closed_loop(
         shed=0,
         errors=0,
         duration=duration,
-        retries=sum(retry_counts),
         stats=service.stats(),
     )
     for replies, latencies in reports:

@@ -49,7 +49,7 @@ the ingress edge conditioner (the paper's Figure 1 push; its Section
 blocks — GIL released — with the batch's shard locks held, because a
 reservation is not durable until the edge acknowledges it; this is
 the component of service time that a larger worker pool genuinely
-overlaps, and what ``repro serve-bench`` measures.
+overlaps.
 
 Class-based requests and teardowns serialize across **all** shards:
 a microflow join calls :meth:`AggregateAdmission.advance`, which may

@@ -19,8 +19,11 @@ class TestParser:
         assert "repro" in capsys.readouterr().out
 
     def test_unknown_command_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["frobnicate"])
+        # The throughput benches live in ``python -m benchmarks.e2e``.
+        for command in ("frobnicate", "serve-bench", "shard-bench",
+                        "edge-bench"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command])
 
     def test_figure10_options(self):
         args = build_parser().parse_args(["figure10", "--runs", "2",
@@ -73,59 +76,8 @@ class TestExtensionCommands:
         assert "RSVP refresh msg/s" in out
         assert "class-based BB" in out
 
-    def test_serve_bench_defaults(self):
-        args = build_parser().parse_args(["serve-bench"])
-        assert args.workers == [1, 2, 4]
-        assert args.shards == [1, 8]
-        assert args.edge_rtt_ms == 2.0
-
-    def test_serve_bench_small_grid(self, capsys, tmp_path):
-        artifact = tmp_path / "serve.json"
-        assert main([
-            "serve-bench", "--workers", "1", "2", "--shards", "2",
-            "--clients", "2", "--requests", "3", "--paths", "2",
-            "--edge-rtt-ms", "1.0", "--json", str(artifact),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "req/s" in out
-        assert "p99(ms)" in out
-        assert artifact.exists()
-        import json
-
-        payload = json.loads(artifact.read_text())
-        assert len(payload) == 2
-        assert {entry["workers"] for entry in payload} == {1, 2}
-        assert all(entry["errors"] == 0 for entry in payload)
-
 
 class TestClusterCommands:
-    def test_shard_bench_defaults(self):
-        args = build_parser().parse_args(["shard-bench"])
-        assert args.shards == [1, 2, 4, 8]
-        assert args.pods == 0  # = max of --shards
-        assert args.spanning_every == 10
-        assert not args.durability
-
-    def test_shard_bench_small_grid(self, capsys, tmp_path):
-        artifact = tmp_path / "cluster.json"
-        assert main([
-            "shard-bench", "--shards", "1", "2", "--pods", "2",
-            "--clients", "1", "--requests", "5",
-            "--spanning-every", "2", "--json", str(artifact),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "Sharded cluster throughput" in out
-        assert "2pc ok" in out
-        import json
-
-        payload = json.loads(artifact.read_text())
-        assert [entry["shards"] for entry in payload] == [1, 2]
-        assert all(entry["pods"] == 2 for entry in payload)
-        # Every config paid real 2PC traffic and finished clean.
-        assert all(entry["spanning_requests"] > 0 for entry in payload)
-        assert all(entry["errors"] == 0 for entry in payload)
-        assert all(entry["stranded_holds"] == 0 for entry in payload)
-
     @staticmethod
     def _crashed_cluster_root(tmp_path):
         from repro.cluster import build_pod_cluster

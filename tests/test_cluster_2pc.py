@@ -368,12 +368,20 @@ class TestHoldExpiry:
 
 
 class TestConcurrentLoad:
-    def test_spanning_closed_loop_leaves_nothing_reserved(self):
+    @pytest.mark.parametrize(
+        "num_shards,pods", [(4, None), (1, 2)],
+        ids=["pod-per-shard", "one-shard-two-pods"],
+    )
+    def test_spanning_closed_loop_leaves_nothing_reserved(
+            self, num_shards, pods):
         """Concurrent clients on every pod, every 2nd admit crossing
         into the neighbour pod: 2PC under contention ends with no
         error, no stranded ``txn:`` hold and every link back at zero
-        load once each admitted flow is torn down."""
-        cluster = build_pod_cluster(4, workers=1, edge_rtt=0.001)
+        load once each admitted flow is torn down.  With one shard
+        owning every pod the "spanning" path is shard-local and must
+        come out just as clean."""
+        cluster = build_pod_cluster(num_shards, pods=pods, workers=1,
+                                    edge_rtt=0.001)
         with cluster:
             report = run_cluster_loop(
                 cluster, SPEC, D_REQ, clients_per_pod=2,

@@ -30,6 +30,7 @@ from repro.service import (
     BrokerService,
     FileJournal,
     FlowTemplate,
+    LoadReport,
     ReplicationHub,
     ServiceRequest,
     provision_parallel_paths,
@@ -454,8 +455,8 @@ class TestTeardownRuns:
 class TestClosedLoop:
     @pytest.mark.parametrize("durable", [False, True])
     def test_disjoint_fan_is_conflict_free(self, durable, tmp_path):
-        """The fan ``repro serve-bench`` drives: concurrent clients,
-        one pinned link-disjoint path each, admit + teardown in a
+        """The :func:`provision_parallel_paths` fan: concurrent
+        clients, one pinned link-disjoint path each, admit + teardown in a
         loop.  Nothing conflicts, and every reply waited out the edge
         round-trip of the batch or teardown that served it."""
         edge_rtt = 0.001
@@ -479,6 +480,26 @@ class TestClosedLoop:
         if durable:
             # At least one flush, and never more than journal records.
             assert stats.wal_mean_group >= 1.0
+
+    def test_latency_percentile_is_nearest_rank(self):
+        """``latency_ms(p)`` is the ceil(p * n)-th smallest sample."""
+        def report(latencies):
+            return LoadReport(
+                clients=1, requests=len(latencies),
+                operations=len(latencies), admitted=len(latencies),
+                rejected=0, shed=0, errors=0, duration=1.0,
+                latencies=latencies,
+            )
+
+        four = report([0.004, 0.001, 0.003, 0.002])
+        assert four.latency_ms(0.50) == pytest.approx(2.0)
+        assert four.latency_ms(0.75) == pytest.approx(3.0)
+        assert four.latency_ms(1.0) == pytest.approx(4.0)
+        assert four.latency_ms(0.0) == pytest.approx(1.0)
+        hundred = report([ms / 1000.0 for ms in range(100, 0, -1)])
+        assert hundred.latency_ms(0.99) == pytest.approx(99.0)
+        assert hundred.latency_ms(0.50) == pytest.approx(50.0)
+        assert report([]).latency_ms(0.5) == 0.0
 
 
 class TestCallbackIsolation:
