@@ -58,7 +58,7 @@ from repro.service.transport import (
     ping_frame,
 )
 from repro.traffic.spec import TSpec
-from repro.units import bytes_, mbps
+from repro.units import mbps
 
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.remote import (
@@ -172,7 +172,6 @@ class ShardProcSpec:
     durable: bool = False
     fsync: bool = False
     workers: int = 2
-    lock_shards: int = 4
     queue_limit: int = 256
     hold_duration: float = 30.0
     host: str = "127.0.0.1"
@@ -221,8 +220,9 @@ def shard_process_main(spec: ShardProcSpec) -> None:
     Builds (or, when the WAL directory already has records, recovers)
     the shard from the domain spec, publishes its ephemeral port, and
     serves :class:`ShardServer` until a SIGTERM triggers the graceful
-    drain: stop accepting, finish in-flight dispatch, stop the
-    service, fsync + close the WAL, exit 0.
+    drain: the listener's close stops accepting, ends every idle
+    connection and waits for the op in flight to send its reply; then
+    the service stops and the WAL is fsynced and closed; exit 0.
     """
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda *_: stop.set())
@@ -231,7 +231,6 @@ def shard_process_main(spec: ShardProcSpec) -> None:
     partition = spec.domain.partition_map()
     shard_kwargs = dict(
         workers=spec.workers,
-        lock_shards=spec.lock_shards,
         queue_limit=spec.queue_limit,
         hold_duration=spec.hold_duration,
     )
@@ -263,7 +262,7 @@ def shard_process_main(spec: ShardProcSpec) -> None:
         if spec.crash_op else shard
     )
     listener = TcpListener(spec.host, 0)
-    server.serve_listener(listener)
+    listener.serve(server.serve_connection, name=spec.name)
     _write_endpoint(
         _endpoint_path(spec.run_dir, spec.name),
         listener.host, listener.port,
@@ -272,14 +271,7 @@ def shard_process_main(spec: ShardProcSpec) -> None:
     while not stop.is_set():
         stop.wait(0.2)
 
-    # Graceful drain: no new connections, finish in-flight dispatch
-    # (each reader thread completes its current op + reply before
-    # observing the closing flag), then flush and fsync the WAL.
-    try:
-        listener.close()
-    except OSError:
-        pass
-    server.close()
+    listener.close()
     shard.stop(close_wal=False)
     if shard.wal is not None:
         try:
@@ -610,7 +602,9 @@ def gateway_worker_main(spec: GatewayWorkerSpec) -> None:
     window, and forwards every admit/teardown to the parent's
     :class:`CoordinatorServer` over TCP.  SIGTERM runs the graceful
     drain: stop accepting, wait for in-flight requests and reply
-    outboxes to empty, then close sessions and exit 0.
+    outboxes to empty, then :meth:`~repro.edge.gateway.EdgeGateway.
+    stop` — the listener's close ends every session and joins its
+    thread — and exit 0.
     """
     from repro.edge.gateway import EdgeGateway
 
@@ -972,8 +966,9 @@ class ProcCluster:
         if self.gateway_specs:
             self.coordinator_server = CoordinatorServer(self.coordinator)
             self.coordinator_listener = TcpListener("127.0.0.1", 0)
-            self.coordinator_server.serve_listener(
-                self.coordinator_listener)
+            self.coordinator_listener.serve(
+                self.coordinator_server.serve_connection,
+                name="coordinator")
             coord_host = self.coordinator_listener.host
             coord_port = self.coordinator_listener.port
             for name, spec in self.gateway_specs.items():
@@ -1009,13 +1004,8 @@ class ProcCluster:
 
     def stop(self) -> None:
         self.supervisor.stop()
-        if self.coordinator_server is not None:
-            self.coordinator_server.close()
         if self.coordinator_listener is not None:
-            try:
-                self.coordinator_listener.close()
-            except Exception:
-                pass
+            self.coordinator_listener.close()
         if self.coordinator is not None:
             self.coordinator.close()
         for handle in self.handles.values():
@@ -1096,19 +1086,12 @@ def build_proc_cluster(
     *,
     run_dir: str,
     pods: Optional[int] = None,
-    hops: int = 3,
     capacity: float = mbps(45),
-    bridge_capacity: Optional[float] = None,
-    max_packet: float = bytes_(1500),
-    delay_hops: int = 0,
     durable: bool = False,
     fsync: bool = False,
     workers: int = 2,
-    lock_shards: int = 4,
     queue_limit: int = 256,
     hold_duration: float = 30.0,
-    map_version: int = 1,
-    map_epoch: int = 0,
     gateway_workers: int = 0,
     gateway_lease: float = 30.0,
     start_timeout: float = 15.0,
@@ -1128,12 +1111,7 @@ def build_proc_cluster(
     knobs for the supervisor tests — the spawned child dies after
     applying the N-th matching op; its restart spec is clean.
     """
-    domain = plan_pod_domain(
-        num_shards, pods=pods, hops=hops, capacity=capacity,
-        bridge_capacity=bridge_capacity, max_packet=max_packet,
-        delay_hops=delay_hops, map_version=map_version,
-        map_epoch=map_epoch,
-    )
+    domain = plan_pod_domain(num_shards, pods=pods, capacity=capacity)
     partition = domain.partition_map()
     atlas = domain_atlas(domain)
     os.makedirs(run_dir, exist_ok=True)
@@ -1145,8 +1123,7 @@ def build_proc_cluster(
         shard_specs[name] = ShardProcSpec(
             name=name, domain=domain, run_dir=run_dir,
             durable=durable, fsync=fsync, workers=workers,
-            lock_shards=lock_shards, queue_limit=queue_limit,
-            hold_duration=hold_duration,
+            queue_limit=queue_limit, hold_duration=hold_duration,
             crash_op=crash_op, crash_at=crash_at,
         )
 

@@ -11,8 +11,10 @@ the multi-process layer adds one for its wire coordinator), and both
 halves read it:
 
 * :class:`FrameServer` dispatches exactly the ops the table lists
-  (accept loop, per-connection reader threads, ``hello`` codec
-  negotiation, keepalive pongs);
+  (``hello`` codec negotiation; the accept loop, the per-connection
+  threads, keepalive pongs and the drain are
+  :class:`~repro.service.transport.TcpListener`'s and
+  :func:`~repro.service.transport.serve_frames`');
 * :class:`OpClient` generates one method per table entry over a pool
   of lazily dialed :mod:`repro.service.transport` connections.
   Requests carry a client sequence number; the client resends on
@@ -31,11 +33,7 @@ import time
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import SignalingError
-from repro.service.transport import (
-    TransportClosed,
-    is_ping,
-    pong_frame,
-)
+from repro.service.transport import TransportClosed, serve_frames
 from repro.service.wire import CODECS, negotiate_codec
 
 __all__ = [
@@ -64,11 +62,13 @@ _OPS: OpTable = {
 class FrameServer:
     """Serve op frames from any number of transport connections.
 
-    Each accepted connection gets its own reader thread (concurrent
-    client connections — a pooled :class:`OpClient` — are served in
-    parallel; per-op serialization is the handle's own job, e.g. the
-    shard's operation lock).  The server answers transport keepalive
-    pings and negotiates the wire codec on a ``hello`` op.
+    :meth:`serve_connection` serves one connection on the calling
+    thread, so it is the handler a
+    :class:`~repro.service.transport.TcpListener` runs per accepted
+    connection (concurrent client connections — a pooled
+    :class:`OpClient` — are served in parallel; per-op serialization
+    is the handle's own job, e.g. the shard's operation lock).  The
+    server negotiates the wire codec on a ``hello`` op.
 
     :param handle: the object ops are dispatched to.
     :param ops: the op table; anything it does not list is answered
@@ -81,78 +81,32 @@ class FrameServer:
         self.ops = ops
         self.frames_served = 0
         self._closing = threading.Event()
-        self._threads: list = []
-        self._conns: list = []
         self._lock = threading.Lock()
 
-    @property
-    def closing(self) -> bool:
-        return self._closing.is_set()
-
-    def serve_connection(self, conn, *, background: bool = True):
-        """Serve frames from *conn* until it closes."""
-        if background:
-            thread = threading.Thread(
-                target=self._serve, args=(conn,), daemon=True,
-            )
-            thread.start()
-            with self._lock:
-                self._threads.append(thread)
-            return thread
-        self._serve(conn)
-        return None
-
-    def serve_listener(self, listener) -> threading.Thread:
-        """Accept-and-serve loop for a :class:`TcpListener`.
-
-        Every accepted connection is served on its own thread, so N
-        client connections (a pooled client, or several gateway
-        workers dialing one coordinator) proceed concurrently.
-        """
-        def loop() -> None:
-            while not self._closing.is_set():
-                try:
-                    conn = listener.accept(timeout=0.2)
-                except (OSError, TransportClosed):
-                    return
-                if conn is not None:
-                    with self._lock:
-                        self._conns.append(conn)
-                    self.serve_connection(conn)
-        thread = threading.Thread(target=loop, daemon=True)
-        thread.start()
-        with self._lock:
-            self._threads.append(thread)
-        return thread
-
-    def _serve(self, conn) -> None:
-        while not self._closing.is_set():
-            try:
-                frame = conn.recv(timeout=0.2)
-                if frame is None:
-                    continue
-                if is_ping(frame):
-                    conn.send(pong_frame(frame))
-                    continue
-                codec = None
-                if frame.get("op") == "hello":
-                    # Codec negotiation (the reply itself is sent in
-                    # the pre-negotiation codec; an old client never
-                    # sends hello and stays on JSON).
-                    codec = negotiate_codec(frame.get("codecs"))
-                    reply = {
-                        "status": "ok", "codec": codec,
-                        "client_seq": frame.get("client_seq"),
-                    }
-                else:
-                    reply = self._dispatch(frame)
-                conn.send(reply)
-            except TransportClosed:
-                return
+    def serve_connection(self, conn) -> None:
+        """Serve frames from *conn* until it closes or :meth:`close`
+        (blocking)."""
+        def handle(frame: Dict[str, Any]) -> bool:
+            codec = None
+            if frame.get("op") == "hello":
+                # Codec negotiation (the reply itself is sent in the
+                # pre-negotiation codec; an old client never sends
+                # hello and stays on JSON).
+                codec = negotiate_codec(frame.get("codecs"))
+                reply = {
+                    "status": "ok", "codec": codec,
+                    "client_seq": frame.get("client_seq"),
+                }
+            else:
+                reply = self._dispatch(frame)
+            conn.send(reply)
             if codec is not None and hasattr(conn, "set_codec"):
                 conn.set_codec(codec)
             with self._lock:
                 self.frames_served += 1
+            return False
+
+        serve_frames(conn, handle, stopping=self._closing.is_set)
 
     def _dispatch(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         op = frame.get("op", "")
@@ -181,17 +135,10 @@ class FrameServer:
         return result
 
     def close(self) -> None:
+        """End every session at its next idle poll (a TCP listener's
+        own :meth:`~repro.service.transport.TcpListener.close` drains
+        its connections at once)."""
         self._closing.set()
-        with self._lock:
-            threads, self._threads = self._threads, []
-            conns, self._conns = self._conns, []
-        for thread in threads:
-            thread.join(timeout=2.0)
-        for conn in conns:
-            try:
-                conn.close()
-            except Exception:
-                pass
 
 
 class ShardServer(FrameServer):

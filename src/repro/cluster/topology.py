@@ -56,11 +56,14 @@ __all__ = [
 ]
 
 
-def _pod_nodes(index: int, hops: int) -> Tuple[str, ...]:
-    nodes = [f"I{index}"]
-    nodes += [f"C{index}_{hop}" for hop in range(1, hops)]
-    nodes.append(f"E{index}")
-    return tuple(nodes)
+#: Every pod link: rate-based, the domain's one packet size.
+_POD_LINK_KIND = SchedulerKind.RATE_BASED.name
+_MAX_PACKET = bytes_(1500)
+
+
+def _pod_nodes(index: int) -> Tuple[str, ...]:
+    """Pod *index*'s three-hop chain ``I -> C_1 -> C_2 -> E``."""
+    return (f"I{index}", f"C{index}_1", f"C{index}_2", f"E{index}")
 
 
 @dataclass(frozen=True)
@@ -91,44 +94,27 @@ def plan_pod_domain(
     num_shards: int,
     *,
     pods: Optional[int] = None,
-    hops: int = 3,
     capacity: float = mbps(45),
-    bridge_capacity: Optional[float] = None,
-    max_packet: float = bytes_(1500),
-    delay_hops: int = 0,
-    map_version: int = 1,
-    map_epoch: int = 0,
 ) -> PodDomainSpec:
     """Plan a pod-per-shard domain without building any broker."""
     total_pods = pods if pods is not None else num_shards
     if total_pods < 1:
         raise ValueError("need >= 1 pod")
     shard_names = tuple(f"shard{index}" for index in range(num_shards))
-    pod_paths = tuple(_pod_nodes(k, hops) for k in range(total_pods))
+    pod_paths = tuple(_pod_nodes(k) for k in range(total_pods))
 
     links: List[Tuple[str, str, float, str, float]] = []
     for nodes in pod_paths:
-        total = len(nodes) - 1
-        for hop_index, (src, dst) in enumerate(zip(nodes, nodes[1:])):
-            kind = (
-                SchedulerKind.DELAY_BASED
-                if hop_index >= total - delay_hops
-                else SchedulerKind.RATE_BASED
-            )
-            links.append((src, dst, capacity, kind.name, max_packet))
+        for src, dst in zip(nodes, nodes[1:]):
+            links.append((src, dst, capacity, _POD_LINK_KIND, _MAX_PACKET))
     spanning_paths: List[Tuple[str, ...]] = []
     for k in range(total_pods - 1):
         links.append((
-            f"E{k}", f"I{k + 1}",
-            bridge_capacity if bridge_capacity is not None else capacity,
-            SchedulerKind.RATE_BASED.name, max_packet,
+            f"E{k}", f"I{k + 1}", capacity, _POD_LINK_KIND, _MAX_PACKET,
         ))
         spanning_paths.append(pod_paths[k] + pod_paths[k + 1])
 
-    partition = PartitionMap.plan(
-        list(shard_names), list(pod_paths),
-        version=map_version, epoch=map_epoch,
-    )
+    partition = PartitionMap.plan(list(shard_names), list(pod_paths))
     return PodDomainSpec(
         shard_names=shard_names,
         links=tuple(links),
@@ -256,11 +242,7 @@ def build_pod_cluster(
     num_shards: int,
     *,
     pods: Optional[int] = None,
-    hops: int = 3,
     capacity: float = mbps(45),
-    bridge_capacity: Optional[float] = None,
-    max_packet: float = bytes_(1500),
-    delay_hops: int = 0,
     wal_root: Optional[str] = None,
     fsync: bool = True,
     workers: int = 2,
@@ -268,31 +250,14 @@ def build_pod_cluster(
     queue_limit: int = 256,
     edge_rtt: float = 0.0,
     hold_duration: float = 30.0,
-    map_version: int = 1,
-    map_epoch: int = 0,
 ) -> PodCluster:
     """Build (without starting) a pod-per-shard cluster.
 
     :param pods: number of pod chains (default: one per shard).  The
         workload shape is a function of *pods* alone, so comparing
         shard counts at fixed *pods* varies only the partitioning.
-    :param delay_hops: trailing delay-based hops per pod chain; the
-        planner co-locates each pod on one shard, so spanning paths
-        keep their delay hops on the egress pod's shard only when the
-        *ingress* pod is delay-free — mixed spanning layouts beyond
-        that are the coordinator's unsupported-layout rejection.
     """
-    domain = plan_pod_domain(
-        num_shards,
-        pods=pods,
-        hops=hops,
-        capacity=capacity,
-        bridge_capacity=bridge_capacity,
-        max_packet=max_packet,
-        delay_hops=delay_hops,
-        map_version=map_version,
-        map_epoch=map_epoch,
-    )
+    domain = plan_pod_domain(num_shards, pods=pods, capacity=capacity)
     atlas = domain_atlas(domain)
     partition = domain.partition_map()
     pod_paths = list(domain.pod_paths)

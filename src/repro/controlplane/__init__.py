@@ -11,7 +11,8 @@ replays dedup at the gateway, backpressure surfaces as ``429`` +
 ``Retry-After``, and deadline headers become the agent's op budget.
 
 :mod:`repro.controlplane.server` serves the app over persistent
-HTTP/1.1 connections (stdlib ``socketserver``, one thread per
+HTTP/1.1 connections (a handler on the one TCP server,
+:class:`~repro.service.transport.TcpListener`, one thread per
 connection); :mod:`repro.controlplane.client` is the matching
 minimal HTTP client the soak harness drives.
 """

@@ -1,9 +1,10 @@
 """Persistent-connection HTTP/1.1 serving for the control plane.
 
-One handler thread per client connection (concurrency is bounded by
-the app's agent pool, which serializes per agent) loops over the
-requests that arrive on it, so a client pays one TCP accept and one
-thread spawn per connection, not per request.  Per request:
+The server is a handler on :class:`~repro.service.transport.
+TcpListener`: one handler thread per client connection (concurrency
+is bounded by the app's agent pool, which serializes per agent) loops
+over the requests that arrive on it, so a client pays one TCP accept
+and one thread spawn per connection, not per request.  Per request:
 
 * the request line and headers are parsed straight into a WSGI
   ``environ``;
@@ -18,23 +19,27 @@ A request the stream cannot be trusted past is answered and the
 connection closed: a malformed request line or header gets ``400``,
 ``Transfer-Encoding`` ``501``, a ``Content-Length`` over
 :data:`~repro.controlplane.app.MAX_BODY` ``413`` before a byte of
-the body is read.  :meth:`ControlPlaneServer.close` shuts down every
-live connection, so no handler thread outlives the server.
+the body is read.  :meth:`ControlPlaneServer.close` is the listener's
+drain: idle connections end at once, a request in flight still gets
+its reply, and no handler thread outlives the server.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import socket
-import socketserver
 import sys
-import threading
+import traceback
 from email.utils import formatdate
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 from urllib.parse import unquote
 
 from repro.controlplane.app import MAX_BODY
+from repro.service.transport import (
+    TcpConnection,
+    TcpListener,
+    TransportClosed,
+)
 
 __all__ = ["ControlPlaneServer", "serve_controlplane"]
 
@@ -57,17 +62,25 @@ def _error(message: str) -> Tuple[_Headers, bytes]:
             json.dumps({"error": message}).encode("utf-8"))
 
 
-class _Connection(socketserver.StreamRequestHandler):
+class _Connection:
     """Serve requests on one connection until either side closes it."""
 
-    disable_nagle_algorithm = True
+    def __init__(self, server: "ControlPlaneServer",
+                 conn: TcpConnection) -> None:
+        self.server = server
+        self.conn = conn
+        self.rfile = conn.reader()
+        self.remote = ""
 
     def handle(self) -> None:
         try:
+            self.remote = self.conn.peer()[0]
             while self._serve_one():
                 pass
-        except OSError:
+        except (OSError, TransportClosed):
             pass  # the peer went away, or close() shut the socket down
+        finally:
+            self.rfile.close()
 
     def _serve_one(self) -> bool:
         """Answer one request; return whether to keep the connection."""
@@ -86,7 +99,7 @@ class _Connection(socketserver.StreamRequestHandler):
         try:
             status, headers, body = self._call_app(environ)
         except Exception as exc:  # noqa: BLE001 - the 500 fence
-            self.server.handle_error(self.request, self.client_address)
+            traceback.print_exc()
             status = "500 Internal Server Error"
             headers, body = _error(f"{type(exc).__name__}: {exc}")
             keep = False
@@ -133,16 +146,15 @@ class _Connection(socketserver.StreamRequestHandler):
         else:
             keep = "keep-alive" in tokens
         path, _, query = target.partition("?")
-        host, port = self.server.server_address[:2]
         environ = {
             "REQUEST_METHOD": method,
             "SCRIPT_NAME": "",
             "PATH_INFO": unquote(path, "latin-1"),
             "QUERY_STRING": query,
-            "SERVER_NAME": host,
-            "SERVER_PORT": str(port),
+            "SERVER_NAME": self.server.host,
+            "SERVER_PORT": str(self.server.port),
             "SERVER_PROTOCOL": version,
-            "REMOTE_ADDR": self.client_address[0],
+            "REMOTE_ADDR": self.remote,
             "CONTENT_LENGTH": "" if length_field is None else str(length),
             "wsgi.version": (1, 0),
             "wsgi.url_scheme": "http",
@@ -210,87 +222,32 @@ class _Connection(socketserver.StreamRequestHandler):
             lines.append("Connection: keep-alive")
         lines.append("\r\n")
         data = "\r\n".join(lines).encode("latin-1")
-        self.wfile.write(data if head else data + body)
-
-
-class _Server(socketserver.TCPServer):
-    """Accept loop; one daemon thread per connection, all tracked so
-    that :meth:`server_close` can end them."""
-
-    allow_reuse_address = True
-
-    def __init__(self, address: Tuple[str, int], app) -> None:
-        self.app = app
-        self._lock = threading.Lock()
-        self._live: Dict[socket.socket, threading.Thread] = {}
-        super().__init__(address, _Connection)
-
-    def process_request(self, request, client_address) -> None:
-        thread = threading.Thread(
-            target=self._serve, args=(request, client_address),
-            name=f"controlplane-{self.server_address[1]}-conn",
-            daemon=True,
-        )
-        with self._lock:
-            self._live[request] = thread
-        thread.start()
-
-    def _serve(self, request, client_address) -> None:
-        try:
-            self.finish_request(request, client_address)
-        except Exception:  # noqa: BLE001 - one connection, not the server
-            self.handle_error(request, client_address)
-        finally:
-            # Under the lock, so server_close never shuts down a
-            # descriptor that has been closed and reused.
-            with self._lock:
-                del self._live[request]
-                self.shutdown_request(request)
-
-    def server_close(self) -> None:
-        super().server_close()
-        with self._lock:
-            live = list(self._live.items())
-            for sock, _ in live:
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-        for _, thread in live:
-            # A thread inside a slow app call finishes it first; its
-            # reply then fails on the shut socket and the thread ends.
-            thread.join(timeout=1.0)
+        self.conn.send_bytes(data if head else data + body)
 
 
 class ControlPlaneServer:
-    """Own a listening socket + accept thread for a WSGI app."""
+    """Serve a WSGI app on a :class:`TcpListener`."""
 
     def __init__(self, app, *, host: str = "127.0.0.1",
                  port: int = 0) -> None:
         self.app = app
-        self._httpd = _Server((host, port), app)
-        self.host = self._httpd.server_address[0]
-        self.port = self._httpd.server_address[1]
-        self._thread: Optional[threading.Thread] = None
+        self._listener = TcpListener(host, port)
+        self.host = self._listener.host
+        self.port = self._listener.port
+        self._started = False
 
     def start(self) -> "ControlPlaneServer":
-        if self._thread is not None:
-            return self
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": 0.1},
-            name=f"controlplane-{self.port}", daemon=True,
-        )
-        self._thread.start()
+        if not self._started:
+            self._started = True
+            self._listener.serve(
+                lambda conn: _Connection(self, conn).handle(),
+                name=f"controlplane-{self.port}",
+            )
         return self
 
     def close(self) -> None:
-        """Stop accepting, then end every live connection."""
-        if self._thread is not None:
-            self._httpd.shutdown()
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self._httpd.server_close()
+        """Stop accepting, then drain every live connection."""
+        self._listener.close()
 
     def __enter__(self) -> "ControlPlaneServer":
         return self.start()

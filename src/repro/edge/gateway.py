@@ -63,8 +63,7 @@ from repro.service.runtime import BrokerService, ServiceReply, ServiceRequest
 from repro.service.transport import (
     TcpListener,
     TransportClosed,
-    is_ping,
-    pong_frame,
+    serve_frames,
 )
 
 __all__ = ["EdgeGateway", "decision_to_dict"]
@@ -138,7 +137,7 @@ class EdgeGateway:
         self._sessions: Dict[str, _Session] = {}
         self._domain_now = 0.0
         self._listener: Optional[TcpListener] = None
-        self._threads: List[threading.Thread] = []
+        self._reaper: Optional[threading.Thread] = None
         self._running = False
         self._stop_requested = False
         # Frame/outcome counters (lock-free int bumps; snapshot only).
@@ -167,32 +166,28 @@ class EdgeGateway:
         return self._listener.host, self._listener.port
 
     def start(self) -> "EdgeGateway":
-        """Spawn the accept loop (if listening) and the lease reaper."""
+        """Serve the listener (if listening) and start the lease
+        reaper; each agent connection is a :meth:`serve_connection`
+        on a thread named ``edge-conn``."""
         with self._lock:
             if self._running:
                 return self
             self._running = True
             self._stop_requested = False
         if self._listener is not None:
-            accept = threading.Thread(
-                target=self._accept_loop, name="edge-accept", daemon=True
-            )
-            accept.start()
-            self._threads.append(accept)
-        reaper = threading.Thread(
+            self._listener.serve(self.serve_connection, name="edge")
+        self._reaper = threading.Thread(
             target=self._reap_loop, name="edge-reaper", daemon=True
         )
-        reaper.start()
-        self._threads.append(reaper)
+        self._reaper.start()
         return self
 
     def stop_accepting(self) -> None:
-        """First half of a graceful drain: close the listener so no
-        new agent connections land here, while live sessions keep
-        being served.  Safe to call before :meth:`stop` (closing a
-        closed listener is a no-op)."""
+        """First half of a graceful drain: close the accept socket so
+        no new agent connections land here, while live sessions keep
+        being served.  Safe to call before :meth:`stop`."""
         if self._listener is not None:
-            self._listener.close()
+            self._listener.stop_accepting()
 
     def drain_outboxes(self, timeout: float = 2.0) -> bool:
         """Second half of a graceful drain: wait until no request is
@@ -214,7 +209,9 @@ class EdgeGateway:
             time.sleep(0.01)
 
     def stop(self) -> None:
-        """Close the listener and every session; join the threads."""
+        """Drain the listener — every TCP session ends and its thread
+        is joined, hello or not — close the remaining (pipe) sessions
+        and join the reaper."""
         with self._lock:
             self._running = False
             self._stop_requested = True
@@ -223,34 +220,16 @@ class EdgeGateway:
         if self._listener is not None:
             self._listener.close()
         for session in sessions:
-            try:
-                session.conn.close()
-            except Exception:
-                pass
-        for thread in self._threads:
-            thread.join(timeout=5.0)
-        self._threads = []
+            session.conn.close()
+        if self._reaper is not None:
+            self._reaper.join(timeout=5.0)
+            self._reaper = None
 
     def __enter__(self) -> "EdgeGateway":
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
-
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while self._running:
-            try:
-                conn = self._listener.accept(timeout=0.2)
-            except TransportClosed:
-                return
-            if conn is None:
-                continue
-            thread = threading.Thread(
-                target=self.serve_connection, args=(conn,),
-                name="edge-session", daemon=True,
-            )
-            thread.start()
 
     # ------------------------------------------------------------------
     # session loop
@@ -259,39 +238,28 @@ class EdgeGateway:
     def serve_connection(self, conn) -> None:
         """Serve frames from *conn* until it closes (blocking).
 
-        This is the per-connection reader: the TCP accept loop runs it
+        This is the per-connection reader: the TCP listener runs it
         on a thread per session, and pipe-based tests call it directly
-        from a thread of their own.
+        from a thread of their own.  Idle is not shutdown: a gateway
+        used in direct pipe mode (never start()ed) keeps serving until
+        the connection closes or :meth:`stop` is called.
         """
         agent: Optional[str] = None
+
+        def handle(frame) -> bool:
+            nonlocal agent
+            agent = self._handle_frame(conn, frame, agent)
+            return agent == _BYE
+
         try:
-            while True:
-                frame = conn.recv(timeout=0.2)
-                if frame is None:
-                    # Idle is not shutdown: a gateway used in direct
-                    # pipe mode (never start()ed) keeps serving until
-                    # the connection closes or stop() is called.
-                    if self._stop_requested:
-                        return
-                    continue
-                if is_ping(frame):
-                    self._safe_send(conn, pong_frame(frame))
-                    continue
-                agent = self._handle_frame(conn, frame, agent)
-                if agent == _BYE:
-                    return
-        except TransportClosed:
-            pass
+            serve_frames(conn, handle,
+                         stopping=lambda: self._stop_requested)
         finally:
             if agent and agent != _BYE:
                 with self._lock:
                     session = self._sessions.get(agent)
                     if session is not None and session.conn is conn:
                         del self._sessions[agent]
-            try:
-                conn.close()
-            except Exception:
-                pass
 
     def _handle_frame(self, conn, frame, agent: Optional[str]
                       ) -> Optional[str]:

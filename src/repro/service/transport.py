@@ -1,4 +1,5 @@
-"""Framed peer-to-peer frame exchange (pipes and TCP).
+"""Framed peer-to-peer frame exchange (pipes and TCP), and the one
+TCP server.
 
 Every inter-process protocol in this repo — replication log-shipping
 (:mod:`repro.service.replication`), edge signaling
@@ -11,9 +12,17 @@ bytes move.  Two implementations are provided:
   condition variables).  Zero setup, deterministic, used by the tests
   and the single-process demos; also the honest model of "the standby
   runs in the same failure domain", which is exactly what it is.
-* :class:`TcpConnection` / :class:`TcpListener` — a TCP socket
-  carrying length-prefixed payloads (4-byte big-endian payload
-  length, then the payload), for a peer on another machine.
+* :class:`TcpConnection` — a TCP socket carrying length-prefixed
+  payloads (4-byte big-endian payload length, then the payload), for
+  a peer on another machine.
+
+:class:`TcpListener` is the one TCP server every listening component
+runs on — shard and coordinator RPC, the edge gateway, the REST
+control plane.  Its :meth:`~TcpListener.serve` is the only accept
+loop: each accepted connection is served by a handler on a thread of
+its own, and :meth:`~TcpListener.close` is the one graceful drain.
+:func:`serve_frames` is the one per-connection frame loop the framed
+servers hand their frame handlers to.
 
 The payload is **self-describing** per frame
 (:mod:`repro.service.wire`): UTF-8 JSON (the v1 fallback every peer
@@ -62,8 +71,11 @@ import socket
 import struct
 import threading
 import time
+import traceback
 from collections import deque
-from typing import Any, Deque, Dict, Iterable, Optional, Tuple
+from typing import (
+    Any, BinaryIO, Callable, Deque, Dict, Iterable, Optional, Tuple,
+)
 
 from repro.errors import SignalingError
 from repro.service.wire import (
@@ -81,6 +93,7 @@ __all__ = [
     "TcpConnection",
     "TcpListener",
     "connect_tcp",
+    "serve_frames",
     "PING",
     "PONG",
     "ping_frame",
@@ -96,6 +109,9 @@ _FRAME_HEADER = struct.Struct(">I")
 #: connection speaking another protocol would otherwise look like a
 #: multi-gigabyte frame).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: How long :meth:`TcpListener.close` waits for handlers to finish.
+DRAIN_TIMEOUT = 5.0
 
 Frame = Dict[str, Any]
 
@@ -131,6 +147,31 @@ def is_ping(frame: Frame) -> bool:
 def is_pong(frame: Frame) -> bool:
     """Is *frame* a keepalive answer?"""
     return frame.get("type") == PONG
+
+
+def serve_frames(conn, handle: Callable[[Frame], bool], *,
+                 stopping: Callable[[], bool]) -> None:
+    """Serve *conn* until it closes — the one per-connection frame loop.
+
+    Keepalive pings are answered here; every other frame goes to
+    ``handle(frame)``, which returns ``True`` to end the session.  An
+    idle poll ends it once ``stopping()`` is true (a pipe has no
+    listener to drain it).  *conn* is closed on the way out.
+    """
+    try:
+        while True:
+            frame = conn.recv(timeout=0.2)
+            if frame is None:
+                if stopping():
+                    return
+            elif is_ping(frame):
+                conn.send(pong_frame(frame))
+            elif handle(frame):
+                return
+    except TransportClosed:
+        pass
+    finally:
+        conn.close()
 
 
 # ----------------------------------------------------------------------
@@ -300,6 +341,11 @@ class TcpConnection:
                     pass
                 raise TransportClosed(f"send failed: {exc}") from exc
 
+    def send_bytes(self, data: bytes) -> None:
+        """Deliver raw, unframed bytes (a handler whose peer speaks
+        another protocol, e.g. HTTP, writes its replies here)."""
+        self._sendall(data)
+
     def set_codec(self, codec: str) -> None:
         """Switch the codec used for subsequent sends.
 
@@ -394,6 +440,16 @@ class TcpConnection:
             del self._buffer[:self._offset]
             self._offset = 0
 
+    def reader(self) -> BinaryIO:
+        """A buffered reader of the raw byte stream, for a peer that
+        speaks an unframed protocol (HTTP).  Do not mix it with
+        :meth:`recv`, and close it before the connection."""
+        return self._sock.makefile("rb")
+
+    def peer(self) -> Tuple[str, int]:
+        """The remote ``(host, port)``."""
+        return self._sock.getpeername()[:2]
+
     # -- closing -------------------------------------------------------
 
     def close(self) -> None:
@@ -413,10 +469,7 @@ class TcpConnection:
                 self._closed = True
                 first = True
         if first:
-            try:
-                self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
+            self._shutdown(socket.SHUT_RDWR)
         with self._send_lock:
             with self._recv_lock:
                 with self._close_lock:
@@ -424,12 +477,42 @@ class TcpConnection:
                         self._fd_closed = True
                         self._sock.close()
 
+    def _shutdown(self, how: int) -> None:
+        """Shut the socket down unless its fd is already released
+        (under the close lock, so never on a reused fd number)."""
+        with self._close_lock:
+            if self._fd_closed:
+                return
+            try:
+                self._sock.shutdown(how)
+            except OSError:
+                pass
+
 
 class TcpListener:
-    """The primary's accept socket for dialing followers.
+    """A listening TCP socket — and the one TCP server.
 
     Binding to port 0 (the default) picks a free ephemeral port —
-    read it back from :attr:`port`.
+    read it back from :attr:`port`.  Use it one of two ways:
+
+    * :meth:`accept` takes one connection (``repro replicate``'s
+      primary waiting for its follower);
+    * :meth:`serve` runs the accept loop on a daemon thread and serves
+      every accepted connection with ``handler(conn)`` on a daemon
+      thread of its own.  The listener tracks each connection while
+      its handler runs and forgets it (closing it) when the handler
+      returns.  Shard and coordinator RPC, the edge gateway and the
+      REST control plane are all handlers here.
+
+    :meth:`close` is the one graceful drain, in three steps: stop
+    accepting (:meth:`stop_accepting` alone is the first step); shut
+    the *read* side of every live connection, so an idle handler sees
+    end-of-stream while a request already in flight still writes its
+    reply; join the handler threads, within :data:`DRAIN_TIMEOUT`
+    seconds.  A connection is shut down only while it is registered
+    and closed only after it is unregistered; :class:`TcpConnection`
+    serializes its own shutdown against releasing the fd, so a
+    handler that closes its connection early is safe too.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
@@ -448,10 +531,14 @@ class TcpListener:
         self._sock.bind((host, port))
         self._sock.listen(16)
         self.host, self.port = self._sock.getsockname()[:2]
+        self._lock = threading.Lock()
+        self._live: Dict[TcpConnection, threading.Thread] = {}
+        self._acceptor: Optional[threading.Thread] = None
+        self._accepting = True
 
     def accept(self, timeout: Optional[float] = None
                ) -> Optional[TcpConnection]:
-        """Accept one follower; ``None`` on timeout."""
+        """Accept one connection; ``None`` on timeout."""
         try:
             self._sock.settimeout(timeout)
             sock, _addr = self._sock.accept()
@@ -461,8 +548,84 @@ class TcpListener:
             raise TransportClosed(f"accept failed: {exc}") from exc
         return TcpConnection(sock)
 
-    def close(self) -> None:
+    def serve(self, handler: Callable[[TcpConnection], None], *,
+              name: str = "tcp") -> None:
+        """Serve every connection with *handler* until :meth:`close`.
+
+        The accept thread is named *name*, each connection's thread
+        ``f"{name}-conn"``.  An exception escaping *handler* is
+        printed and ends only its own connection.
+        """
+        self._acceptor = threading.Thread(
+            target=self._accept_loop, args=(handler, name), name=name,
+            daemon=True,
+        )
+        self._acceptor.start()
+
+    def _accept_loop(self, handler: Callable[[TcpConnection], None],
+                     name: str) -> None:
+        while self._accepting:
+            try:
+                # stop_accepting() shuts the socket down, which wakes
+                # this select at once; the timeout is only a fallback.
+                ready, _, _ = select.select((self._sock,), (), (), 0.5)
+                if ready and self._accepting:
+                    # No local keeps the socket: a finished connection
+                    # must not stay reachable from this loop.
+                    self._spawn(handler, name, self._sock.accept()[0])
+            except (OSError, ValueError):
+                return
+
+    def _spawn(self, handler: Callable[[TcpConnection], None], name: str,
+               sock: socket.socket) -> None:
+        conn = TcpConnection(sock)
+        thread = threading.Thread(
+            target=self._run, args=(handler, conn),
+            name=f"{name}-conn", daemon=True,
+        )
+        with self._lock:
+            self._live[conn] = thread
+        thread.start()
+
+    def _run(self, handler: Callable[[TcpConnection], None],
+             conn: TcpConnection) -> None:
+        try:
+            handler(conn)
+        except Exception:  # noqa: BLE001 - one connection, not the server
+            traceback.print_exc()
+        finally:
+            with self._lock:
+                del self._live[conn]
+            conn.close()
+
+    def stop_accepting(self) -> None:
+        """Close the accept socket; live connections keep being served
+        (idempotent)."""
+        with self._lock:
+            if not self._accepting:
+                return
+            self._accepting = False
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        if self._acceptor is not None:
+            self._acceptor.join()
         self._sock.close()
+
+    def close(self) -> None:
+        """Drain: stop accepting, shut the read side of every live
+        connection, and join their handlers within
+        :data:`DRAIN_TIMEOUT` seconds."""
+        self.stop_accepting()
+        with self._lock:
+            live = list(self._live.items())
+            for conn, _ in live:
+                conn._shutdown(socket.SHUT_RD)
+        deadline = time.monotonic() + DRAIN_TIMEOUT
+        for _, thread in live:
+            if thread is not threading.current_thread():
+                thread.join(max(0.0, deadline - time.monotonic()))
 
 
 def connect_tcp(host: str, port: int, *,

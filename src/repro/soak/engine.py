@@ -652,37 +652,41 @@ def _reconcile_and_sweep(
     the survivor map (flow id -> path index)."""
     client = engine.new_client()
     config = engine.config
+
+    def until_terminal(call, attempts: int):
+        """*call()* until it answers with a terminal status; the last
+        reply (``None`` if no attempt got one)."""
+        reply = None
+        for _ in range(attempts):
+            try:
+                reply = call()
+            except (OSError, HTTPException):
+                time.sleep(0.1)
+                continue
+            if reply.status not in (429, 502, 504):
+                break
+            time.sleep(min(max(reply.retry_after, 0.1), 0.5))
+        return reply
+
     try:
         for driver in drivers:
             book = driver.book
             for flow_id, (op, idem, _at) in sorted(
                     book.unresolved.items()):
                 path = book.paths.get(flow_id, 0)
-                reply = None
-                for _ in range(20):
-                    try:
-                        if op == "admit":
-                            reply = client.admit(
-                                flow_id, config.spec,
-                                config.delay_requirement,
-                                *engine.endpoints_of(path),
-                                path_nodes=engine.path_of(path),
-                                now=final_now, idempotency_key=idem,
-                                timeout=config.op_budget,
-                            )
-                        else:
-                            reply = client.teardown(
-                                flow_id, now=final_now,
-                                idempotency_key=idem,
-                                timeout=config.op_budget,
-                            )
-                    except (OSError, HTTPException):
-                        time.sleep(0.1)
-                        continue
-                    if reply.status in (429, 502, 504):
-                        time.sleep(min(max(reply.retry_after, 0.1), 0.5))
-                        continue
-                    break
+                if op == "admit":
+                    reply = until_terminal(lambda: client.admit(
+                        flow_id, config.spec, config.delay_requirement,
+                        *engine.endpoints_of(path),
+                        path_nodes=engine.path_of(path),
+                        now=final_now, idempotency_key=idem,
+                        timeout=config.op_budget,
+                    ), 20)
+                else:
+                    reply = until_terminal(lambda: client.teardown(
+                        flow_id, now=final_now, idempotency_key=idem,
+                        timeout=config.op_budget,
+                    ), 20)
                 outcomes["reconciled"] = outcomes.get("reconciled", 0) + 1
                 if op == "admit" and reply is not None and (
                     reply.status == 201
@@ -711,40 +715,19 @@ def _reconcile_and_sweep(
                     continue
                 swept += 1
                 path = book.paths.get(flow_id, 0)
-                reply = None
-                for _ in range(10):
-                    try:
-                        reply = client.refresh(flow_id, now=final_now)
-                    except (OSError, HTTPException):
-                        time.sleep(0.1)
-                        continue
-                    if reply.status in (429, 502, 504):
-                        time.sleep(0.1)
-                        continue
-                    break
+                reply = until_terminal(
+                    lambda: client.refresh(flow_id, now=final_now), 10)
                 if reply is not None and reply.status == 200:
                     survivors[flow_id] = path
                     continue
                 # Lease missing here: re-adopt via the admit path.
-                readmit = None
-                for _ in range(10):
-                    try:
-                        readmit = client.admit(
-                            flow_id, config.spec,
-                            config.delay_requirement,
-                            *engine.endpoints_of(path),
-                            path_nodes=engine.path_of(path),
-                            now=final_now,
-                            idempotency_key=f"{flow_id}/sweep",
-                            timeout=config.op_budget,
-                        )
-                    except (OSError, HTTPException):
-                        time.sleep(0.1)
-                        continue
-                    if readmit.status in (429, 502, 504):
-                        time.sleep(0.1)
-                        continue
-                    break
+                readmit = until_terminal(lambda: client.admit(
+                    flow_id, config.spec, config.delay_requirement,
+                    *engine.endpoints_of(path),
+                    path_nodes=engine.path_of(path),
+                    now=final_now, idempotency_key=f"{flow_id}/sweep",
+                    timeout=config.op_budget,
+                ), 10)
                 if readmit is not None and (
                     readmit.status == 201
                     or (readmit.status == 409

@@ -22,6 +22,8 @@ central claims:
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.cluster import (
@@ -400,7 +402,8 @@ class TestRemoteHandles:
     def test_ops_over_pipe_transport(self, duo):
         client, server_end = pipe_pair()
         server = ShardServer(duo.shards["shard0"])
-        server.serve_connection(server_end)
+        threading.Thread(target=server.serve_connection,
+                         args=(server_end,), daemon=True).start()
         handle = OpClient("shard0", _OPS, lambda: client)
         try:
             status = handle.status()
@@ -425,7 +428,8 @@ class TestRemoteHandles:
     def test_unknown_op_and_dead_transport(self, duo):
         client, server_end = pipe_pair()
         server = ShardServer(duo.shards["shard0"])
-        server.serve_connection(server_end)
+        threading.Thread(target=server.serve_connection,
+                         args=(server_end,), daemon=True).start()
         client.send({"op": "explode", "client_seq": 1})
         reply = client.recv(timeout=2.0)
         assert reply["error"] == "unknown-op"
@@ -438,15 +442,14 @@ class TestRemoteHandles:
     @pytest.mark.network
     def test_spanning_2pc_over_tcp(self):
         cluster = build_pod_cluster(2)
-        servers, listeners, handles = [], [], {}
+        listeners, handles = [], {}
         with cluster:
             try:
                 for name, shard in cluster.shards.items():
                     listener = TcpListener("127.0.0.1", 0)
                     server = ShardServer(shard)
-                    server.serve_listener(listener)
+                    listener.serve(server.serve_connection)
                     listeners.append(listener)
-                    servers.append(server)
                     handles[name] = OpClient(
                         name, _OPS,
                         lambda port=listener.port: connect_tcp(
@@ -466,7 +469,5 @@ class TestRemoteHandles:
             finally:
                 for handle in handles.values():
                     handle.close()
-                for server in servers:
-                    server.close()
                 for listener in listeners:
                     listener.close()

@@ -55,10 +55,9 @@ class Endpoint:
     def start(self):
         self.listener = TcpListener("127.0.0.1", 0)
         self.server = FrameServer(Servant(), TABLE)
-        self.server.serve_listener(self.listener)
+        self.listener.serve(self.server.serve_connection)
 
     def stop(self):
-        self.server.close()
         self.listener.close()
 
     def bounce(self):
@@ -78,6 +77,12 @@ def endpoint():
     endpoint = Endpoint()
     yield endpoint
     endpoint.stop()
+
+
+def serve_in_background(server, conn):
+    """Serve a pipe end on a daemon thread (a listener's job on TCP)."""
+    threading.Thread(target=server.serve_connection, args=(conn,),
+                     daemon=True).start()
 
 
 def run_bounded(target, *, timeout=10.0):
@@ -258,7 +263,7 @@ class TestOpTable:
                 ops = _COORDINATOR_OPS
                 server = CoordinatorServer(cluster.coordinator)
             client_end, server_end = pipe_pair()
-            server.serve_connection(server_end)
+            serve_in_background(server, server_end)
             client = OpClient(table, ops, lambda: client_end)
             try:
                 assert set(client.ops) == set(server.ops) == set(ops)

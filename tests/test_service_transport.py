@@ -11,15 +11,22 @@ without loopback).
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import socket
 import struct
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.cluster.remote import FRAME, FrameServer
+from repro.controlplane import ControlPlaneServer
+from repro.core.broker import BandwidthBroker
+from repro.edge import EdgeGateway, protocol
+from repro.service import BrokerService
 from repro.service.transport import (
     MAX_FRAME_BYTES,
     TcpConnection,
@@ -514,3 +521,231 @@ class TestTcpSockets:
         finally:
             first.close()
             second.close()
+
+
+# ----------------------------------------------------------------------
+# TcpListener.serve / close: the one accept loop and the one drain
+# ----------------------------------------------------------------------
+
+
+def threads_named(name: str):
+    return [t for t in threading.enumerate() if t.name == name]
+
+
+def wait_for(predicate, timeout: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def live_connections():
+    gc.collect()
+    return [obj for obj in gc.get_objects()
+            if isinstance(obj, TcpConnection)]
+
+
+class _Servant:
+    """A frame servant whose ``slow`` op blocks until released."""
+
+    def __init__(self, entered=None, release=None):
+        self.entered = entered
+        self.release = release
+
+    def echo(self, frame):
+        return {"status": "ok"}
+
+    def slow(self, frame):
+        self.entered.set()
+        self.release.wait(10.0)
+        return {"status": "ok", "answer": "done"}
+
+
+_TABLE = {"echo": FRAME, "slow": FRAME}
+
+
+class _FrameRig:
+    """A FrameServer on a listener; one client connection."""
+
+    conn_thread = "rpc-under-test-conn"
+
+    def __init__(self, entered=None, release=None):
+        self.listener = TcpListener()
+        self.server = FrameServer(_Servant(entered, release), _TABLE)
+        self.listener.serve(self.server.serve_connection,
+                            name="rpc-under-test")
+        self.conn = None
+
+    def short_session(self, index: int) -> None:
+        conn = connect_tcp(self.listener.host, self.listener.port)
+        conn.send({"op": "hello", "codecs": ["json"], "client_seq": 1})
+        assert conn.recv(timeout=5.0)["status"] == "ok"
+        conn.close()
+
+    def send(self) -> None:
+        if self.conn is None:
+            self.conn = connect_tcp(self.listener.host, self.listener.port)
+        self.conn.send({"op": "slow", "client_seq": 2})
+
+    def answer(self) -> str:
+        reply = self.conn.recv(timeout=5.0)
+        assert reply is not None, "no reply within 5 s"
+        return reply["answer"]
+
+    def close(self) -> None:
+        self.listener.close()
+
+    def dispose(self) -> None:
+        if self.conn is not None:
+            self.conn.close()
+        self.close()
+
+
+class _GatewayRig:
+    """An EdgeGateway on TCP in front of a running BrokerService."""
+
+    conn_thread = "edge-conn"
+
+    def __init__(self):
+        self.service = BrokerService(BandwidthBroker(), workers=1).start()
+        self.gateway = EdgeGateway(self.service)
+        self.host, self.port = self.gateway.listen()
+        self.gateway.start()
+
+    def short_session(self, index: int) -> None:
+        conn = connect_tcp(self.host, self.port)
+        conn.send(protocol.make_hello(f"edge-{index}", codecs=("json",)))
+        assert conn.recv(timeout=5.0)["type"] == "welcome"
+        conn.close()
+
+    def dispose(self) -> None:
+        self.gateway.stop()
+        self.service.stop()
+
+
+class _RestRig:
+    """A ControlPlaneServer whose ``/slow`` route blocks until
+    released; one raw keep-alive client socket."""
+
+    def __init__(self, entered, release):
+        def app(environ, start_response):
+            if environ["PATH_INFO"] == "/slow":
+                entered.set()
+                release.wait(10.0)
+            start_response("200 OK", [("Content-Type", "text/plain")])
+            return [b"done"]
+
+        self.server = ControlPlaneServer(app).start()
+        self.sock = socket.create_connection(
+            (self.server.host, self.server.port), timeout=5.0)
+        self.rfile = self.sock.makefile("rb")
+
+    def send(self) -> None:
+        self.sock.sendall(b"GET /slow HTTP/1.1\r\nHost: test\r\n\r\n")
+
+    def answer(self) -> str:
+        status = self.rfile.readline()
+        if not status:
+            raise ConnectionError("the server closed the connection")
+        length = 0
+        while True:
+            line = self.rfile.readline()
+            if line in (b"\r\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            if name.lower() == "content-length":
+                length = int(value)
+        assert status.startswith(b"HTTP/1.1 200")
+        return self.rfile.read(length).decode("latin-1")
+
+    def close(self) -> None:
+        self.server.close()
+
+    def dispose(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+        self.close()
+
+
+@pytest.mark.network
+class TestOneServer:
+    """Every listening component is a handler on one TcpListener."""
+
+    @pytest.mark.parametrize("rig_class", [_FrameRig, _GatewayRig],
+                             ids=["frame-server", "edge-gateway"])
+    def test_short_connections_leave_nothing_behind(self, rig_class):
+        """50 short connections from 5 racing clients: every handler
+        thread ends and no connection stays reachable."""
+        before = {id(conn) for conn in live_connections()}
+        rig = rig_class()
+        errors = []
+
+        def client(rank: int) -> None:
+            try:
+                for index in range(10):
+                    rig.short_session(rank * 10 + index)
+            except Exception as exc:  # surfaced after the join
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [threading.Thread(target=client, args=(rank,))
+                       for rank in range(5)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(30.0)
+                assert not thread.is_alive()
+            assert errors == []
+            assert wait_for(lambda: not threads_named(rig.conn_thread))
+            kept = [conn for conn in live_connections()
+                    if id(conn) not in before]
+            assert kept == []
+        finally:
+            sys.setswitchinterval(interval)
+            rig.dispose()
+
+    def test_gateway_stop_joins_every_session_hello_or_not(self):
+        rig = _GatewayRig()
+        socks = []
+        try:
+            for index in range(4):
+                conn = connect_tcp(rig.host, rig.port)
+                conn.send(protocol.make_hello(f"edge-{index}"))
+                assert conn.recv(timeout=5.0)["type"] == "welcome"
+                socks.append(conn)
+            # Connected, never says hello: no session, still a thread.
+            socks.append(connect_tcp(rig.host, rig.port))
+            assert wait_for(lambda: len(threads_named("edge-conn")) == 5)
+            rig.gateway.stop()
+            assert threads_named("edge-conn") == []
+        finally:
+            for conn in socks:
+                conn.close()
+            rig.dispose()
+
+    @pytest.mark.parametrize("rig_class", [_RestRig, _FrameRig],
+                             ids=["rest", "frame-server"])
+    def test_close_lets_the_request_in_flight_answer(self, rig_class):
+        entered, release = threading.Event(), threading.Event()
+        rig = rig_class(entered, release)
+        try:
+            rig.send()
+            assert entered.wait(5.0)
+            closer = threading.Thread(target=rig.close)
+            closer.start()
+            time.sleep(0.2)
+            assert closer.is_alive(), "close() did not wait for the reply"
+            release.set()
+            closer.join(5.0)
+            assert not closer.is_alive()
+            assert rig.answer() == "done"
+            with pytest.raises((OSError, TransportClosed)):
+                rig.send()
+                rig.answer()
+        finally:
+            release.set()
+            rig.dispose()
