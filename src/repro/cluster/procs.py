@@ -835,6 +835,17 @@ class ProcessSupervisor:
                 for name, child in self._children.items()
             }
 
+    def unready(self) -> List[str]:
+        """Children that are down, awaiting a restart, or have not
+        answered a ping since they last started (stopped children and
+        unpinged ones without an endpoint excepted)."""
+        with self._lock:
+            children = list(self._children.values())
+        return [child.name for child in children if not child.stopping
+                and not (child.process.is_alive()
+                         and child.next_restart_at == 0.0
+                         and (child.responsive or child.endpoint is None))]
+
     def pids(self) -> Dict[str, Optional[int]]:
         with self._lock:
             return {
@@ -1021,6 +1032,19 @@ class ProcCluster:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+    def wait_ready(self) -> None:
+        """Block until no supervised child is
+        :meth:`~ProcessSupervisor.unready` (a shard killed a moment ago
+        still names its old port, so an op now fails its one redial);
+        :class:`SignalingError` after :attr:`start_timeout`."""
+        deadline = time.monotonic() + self.start_timeout
+        while self.supervisor.unready():
+            if time.monotonic() >= deadline:
+                raise SignalingError(
+                    f"not ready after {self.start_timeout:g}s: "
+                    f"{self.supervisor.unready()}")
+            time.sleep(0.05)
 
     # -- observability -------------------------------------------------
 

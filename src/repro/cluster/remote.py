@@ -11,9 +11,8 @@ the multi-process layer adds one for its wire coordinator), and both
 halves read it:
 
 * :class:`FrameServer` dispatches exactly the ops the table lists
-  (``hello`` codec negotiation; the accept loop, the per-connection
-  threads, keepalive pongs and the drain are
-  :class:`~repro.service.transport.TcpListener`'s and
+  (the accept loop, the per-connection threads, keepalive pongs and
+  the drain are :class:`~repro.service.transport.TcpListener`'s and
   :func:`~repro.service.transport.serve_frames`');
 * :class:`OpClient` generates one method per table entry over a pool
   of lazily dialed :mod:`repro.service.transport` connections.
@@ -22,6 +21,10 @@ halves read it:
   sequence.  Resends are safe end to end because every op is
   idempotent by txid/flow id — the at-least-once transport composes
   with the participant's exactly-once effects.
+
+Nothing is negotiated on a new connection: both halves send the
+binary codec from the first frame and read either codec
+(:mod:`repro.service.wire`).
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import SignalingError
 from repro.service.transport import TransportClosed, serve_frames
-from repro.service.wire import CODECS, negotiate_codec
 
 __all__ = [
     "FRAME",
@@ -67,8 +69,7 @@ class FrameServer:
     :class:`~repro.service.transport.TcpListener` runs per accepted
     connection (concurrent client connections — a pooled
     :class:`OpClient` — are served in parallel; per-op serialization
-    is the handle's own job, e.g. the shard's operation lock).  The
-    server negotiates the wire codec on a ``hello`` op.
+    is the handle's own job, e.g. the shard's operation lock).
 
     :param handle: the object ops are dispatched to.
     :param ops: the op table; anything it does not list is answered
@@ -87,21 +88,7 @@ class FrameServer:
         """Serve frames from *conn* until it closes or :meth:`close`
         (blocking)."""
         def handle(frame: Dict[str, Any]) -> bool:
-            codec = None
-            if frame.get("op") == "hello":
-                # Codec negotiation (the reply itself is sent in the
-                # pre-negotiation codec; an old client never sends
-                # hello and stays on JSON).
-                codec = negotiate_codec(frame.get("codecs"))
-                reply = {
-                    "status": "ok", "codec": codec,
-                    "client_seq": frame.get("client_seq"),
-                }
-            else:
-                reply = self._dispatch(frame)
-            conn.send(reply)
-            if codec is not None and hasattr(conn, "set_codec"):
-                conn.set_codec(codec)
+            conn.send(self._dispatch(frame))
             with self._lock:
                 self.frames_served += 1
             return False
@@ -174,8 +161,7 @@ class OpClient:
     decide (abort, park the op as unresolved) now rather than hold an
     in-doubt transaction for a restart's worth of time.  Either way
     the caller sees :class:`SignalingError` within
-    ``dial_timeout + 2 * attempts * timeout`` (each dial adds one
-    ``hello`` round trip).
+    ``dial_timeout + attempts * timeout``.
 
     After a call that had to *re*-dial (the peer was reachable before,
     lost, and is back) the client runs ``on_reconnect`` — the
@@ -298,20 +284,12 @@ class OpClient:
             # A stale reply to an earlier, resent op: discard.
 
     def _connect(self, window: float):
-        """Dial, retrying with backoff for *window* seconds, then
-        negotiate the codec on the new connection.
-
-        The ``hello`` op is answered with the chosen codec by a new
-        server and with ``unknown-op`` by an old one; no answer or a
-        transport error leaves the connection on JSON, the codec every
-        peer speaks, and the op that follows surfaces the failure.
-        """
+        """Dial, retrying with backoff for *window* seconds."""
         deadline = time.monotonic() + window
         delay = 0.05
         while True:
             try:
-                conn = self._dial()
-                break
+                return self._dial()
             except (SignalingError, OSError) as exc:
                 if time.monotonic() >= deadline:
                     raise SignalingError(
@@ -320,19 +298,6 @@ class OpClient:
                     ) from exc
                 time.sleep(delay)
                 delay = min(delay * 2, 0.5)
-        hello = {
-            "op": "hello", "client_seq": next(self._seq),
-            "codecs": list(CODECS),
-        }
-        try:
-            reply = self._exchange(conn, hello)
-        except TransportClosed:
-            return conn
-        if (reply is not None and reply.get("status") == "ok"
-                and reply.get("codec") in CODECS
-                and hasattr(conn, "set_codec")):
-            conn.set_codec(reply["codec"])
-        return conn
 
     @staticmethod
     def _drop(conn):

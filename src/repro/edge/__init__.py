@@ -11,8 +11,8 @@ protocol on top of the :mod:`repro.service` stack:
   idempotent-reply dedup window;
 * :mod:`repro.edge.gateway` — :class:`EdgeGateway`, the broker-side
   server terminating agent sessions over pipes or length-prefixed
-  TCP (binary payloads negotiated at ``hello``, JSON as the
-  fallback), with lease reaping and exactly-once execution;
+  TCP (binary payloads from the first frame; a JSON frame is still
+  read), with lease reaping and exactly-once execution;
 * :mod:`repro.edge.agent` — :class:`EdgeAgent`, the edge-router-side
   client owning the per-flow state table, with one pipelined
   retry loop for every operation, reconnects, lease heartbeats and

@@ -66,7 +66,6 @@ from repro.service.transport import (
     is_pong,
     ping_frame,
 )
-from repro.service.wire import CODEC_JSON, CODECS
 from repro.traffic.spec import TSpec
 
 __all__ = [
@@ -133,9 +132,6 @@ class EdgeAgent:
     :param op_budget: default overall wall-clock budget per logical
         operation, in seconds (deadline propagation starts from it).
     :param seed: RNG seed for the jitter (deterministic tests).
-    :param codecs: payload codecs to offer in the ``hello``, best
-        first (default :data:`~repro.service.wire.CODECS`).  The
-        gateway picks the best codec both sides speak.
     """
 
     #: Idle wait for a round's replies before the pending keys are
@@ -153,11 +149,9 @@ class EdgeAgent:
         *,
         op_budget: float = 5.0,
         seed: Optional[int] = None,
-        codecs: Optional[Sequence[str]] = None,
     ) -> None:
         self.name = name
         self._connect = connect
-        self.codecs = tuple(codecs) if codecs is not None else CODECS
         self.op_budget = op_budget
         self._rng = random.Random(seed)
         self._rpc_lock = threading.RLock()
@@ -169,8 +163,6 @@ class EdgeAgent:
         self._feedback_due: Dict[str, float] = {}
         self.lease_duration = 0.0   # learned from the welcome frame
         self.gateway_name = ""
-        #: Payload codec the current session negotiated.
-        self.negotiated_codec = CODEC_JSON
         self._hb_thread: Optional[threading.Thread] = None
         self._hb_stop = threading.Event()
         self._domain_now = 0.0
@@ -192,17 +184,12 @@ class EdgeAgent:
     # ------------------------------------------------------------------
 
     def _ensure_connected(self):
-        """Dial + ``hello`` handshake if there is no live connection.
-
-        The hello offers :attr:`codecs`; the welcome carries the codec
-        the gateway chose, and the agent switches its send codec to it
-        (receives are auto-detected, so no switchover race exists).
-        """
+        """Dial + ``hello`` handshake if there is no live connection."""
         if self._conn is not None:
             return self._conn
         conn = self._connect()
         try:
-            conn.send(protocol.make_hello(self.name, codecs=self.codecs))
+            conn.send(protocol.make_hello(self.name))
             deadline = time.monotonic() + max(self.attempt_timeout, 1.0)
             while True:
                 remaining = deadline - time.monotonic()
@@ -224,12 +211,6 @@ class EdgeAgent:
             raise
         self.lease_duration = float(frame.get("lease_duration", 0.0))
         self.gateway_name = str(frame.get("gateway", ""))
-        codec = frame.get("codec")
-        if codec not in self.codecs:
-            codec = CODEC_JSON
-        self.negotiated_codec = codec
-        if hasattr(conn, "set_codec"):
-            conn.set_codec(codec)
         self._conn = conn
         return conn
 

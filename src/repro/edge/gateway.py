@@ -283,20 +283,13 @@ class EdgeGateway:
         self._advance_domain_clock(frame.get("now", 0.0))
         if frame_type == "hello":
             resumed = bool(self.leases.owned_by(sender))
-            codec = protocol.negotiate_codec(frame.get("codecs"))
             with self._lock:
                 self._sessions[sender] = _Session(sender, conn)
-            # The welcome itself rides the pre-negotiation codec; only
-            # frames after it use the negotiated one (recv auto-detects
-            # per frame, so the switchover point cannot desynchronize).
             self._safe_send(conn, protocol.make_welcome(
                 self.name,
                 lease_duration=self.leases.duration,
                 resumed=resumed,
-                codec=codec,
             ))
-            if hasattr(conn, "set_codec"):
-                conn.set_codec(codec)
             return sender
         if frame_type == "bye":
             with self._lock:

@@ -9,12 +9,11 @@ dicts carried over any :mod:`repro.service.transport` connection
 Every request frame carries:
 
 * ``v`` — the protocol version, always :data:`PROTOCOL_VERSION`; a
-  gateway answers any other with a ``bad-version`` error.  The
-  ``hello`` carries the agent's payload ``codecs``, and the
-  ``welcome`` answers with the gateway's list plus the chosen
-  ``codec`` (see :func:`repro.service.wire.negotiate_codec`).  Both
-  handshake frames ride JSON, the fallback every peer speaks; the
-  negotiated codec applies from the first frame after the welcome;
+  gateway answers any other with a ``bad-version`` error.  Version 2
+  is the one that reads the binary codec, so there is nothing to
+  negotiate: every frame, the ``hello``/``welcome`` handshake
+  included, is sent binary (:mod:`repro.service.wire`), and a frame a
+  peer sends as JSON is still read;
 * ``agent`` — the edge agent's stable name (leases and the dedup
   window are keyed by it, so reconnects keep their identity);
 * ``idem`` — the **idempotency key**, unique per logical operation
@@ -41,13 +40,10 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SignalingError
-from repro.service.wire import CODEC_JSON, CODECS, negotiate_codec
 from repro.traffic.spec import TSpec
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "CODECS",
-    "negotiate_codec",
     "ProtocolError",
     "STATUS_OK",
     "STATUS_TRY_AGAIN",
@@ -137,12 +133,9 @@ def _request(frame_type: str, agent: str, idem: str,
 # ----------------------------------------------------------------------
 
 
-def make_hello(agent: str, *, codecs: Sequence[str] = CODECS) -> Frame:
-    """Session open: announces the agent name and the payload codecs
-    it speaks, best first."""
-    frame = _base("hello", agent)
-    frame["codecs"] = list(codecs)
-    return frame
+def make_hello(agent: str) -> Frame:
+    """Session open: announces the agent name."""
+    return _base("hello", agent)
 
 
 def make_bye(agent: str) -> Frame:
@@ -290,15 +283,12 @@ def make_dry_run(
 
 
 def make_welcome(gateway: str, *, lease_duration: float,
-                 resumed: bool, codec: str = CODEC_JSON) -> Frame:
+                 resumed: bool) -> Frame:
     """The gateway's answer to ``hello``.
 
     ``lease_duration`` tells the agent how often it must refresh
     (heartbeat well under half of it); ``resumed`` says whether the
-    gateway still holds state for this agent name (a reconnect).  The
-    welcome also carries the gateway's codec list plus the ``codec``
-    chosen for this session (the best codec both sides advertised;
-    the welcome itself is always sent as JSON).
+    gateway still holds state for this agent name (a reconnect).
     """
     return {
         "v": PROTOCOL_VERSION,
@@ -306,8 +296,6 @@ def make_welcome(gateway: str, *, lease_duration: float,
         "gateway": gateway,
         "lease_duration": float(lease_duration),
         "resumed": bool(resumed),
-        "codecs": list(CODECS),
-        "codec": codec,
     }
 
 

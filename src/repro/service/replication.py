@@ -76,7 +76,6 @@ from repro.service.durability import (
     write_checkpoint,
 )
 from repro.service.transport import Frame, TransportClosed
-from repro.service.wire import CODECS, negotiate_codec
 
 __all__ = [
     "ASYNC",
@@ -267,19 +266,11 @@ class FollowerSession:
             })
             self._die(f"follower ahead at seq {last_seq}")
             return False
-        # Codec negotiation: the hello may advertise payload codecs
-        # (old followers do not — they stay on JSON).  The welcome is
-        # sent pre-switch, then log-shipping uses the negotiated
-        # codec; receive auto-detects, so mixed frames are safe.
-        codec = negotiate_codec(hello.get("codecs"))
         self.conn.send({
             "kind": "welcome",
             "epoch": self.hub.epoch,
             "primary_id": self.hub.primary_id,
-            "codec": codec,
         })
-        if hasattr(self.conn, "set_codec"):
-            self.conn.set_codec(codec)
         with self.hub._cond:
             # Everything the follower already holds counts as acked.
             self.acked_seq = last_seq
@@ -692,7 +683,6 @@ class ReplicaServer:
                 "follower_id": self.follower_id,
                 "last_seq": self.journal.position,
                 "epoch": self.epoch,
-                "codecs": list(CODECS),
             })
             welcome = conn.recv(10.0)
             if welcome is None:
@@ -710,11 +700,6 @@ class ReplicaServer:
             if not self._adopt_or_reject(conn, welcome):
                 return
             self.primary_id = str(welcome.get("primary_id", ""))
-            # Acks ride the codec the primary chose (an old primary's
-            # welcome has no codec field -> JSON).
-            codec = welcome.get("codec")
-            if codec in CODECS and hasattr(conn, "set_codec"):
-                conn.set_codec(codec)
             while not self._stop.is_set():
                 frame = conn.recv(0.2)
                 if frame is None:

@@ -25,15 +25,12 @@ its own, and :meth:`~TcpListener.close` is the one graceful drain.
 servers hand their frame handlers to.
 
 The payload is **self-describing** per frame
-(:mod:`repro.service.wire`): UTF-8 JSON (the v1 fallback every peer
-speaks) or the v2 binary codec (struct-packed records + tagged
-fallback).  ``recv`` decodes whatever arrives; ``send`` uses the
-connection's current codec, which starts at JSON and is switched with
-:meth:`TcpConnection.set_codec` once the application-level handshake
-(edge ``hello``/``welcome``, replication ``hello``, shard-RPC
-``hello`` op) has proven the peer understands binary.  Because the
-receive side never needs connection state, JSON and binary frames may
-interleave on one stream — mid-negotiation traffic is always safe.
+(:mod:`repro.service.wire`): the binary codec (struct-packed records +
+tagged fallback) or UTF-8 JSON.  ``send`` uses binary from the first
+frame — every peer is built from this package, so there is no codec
+to negotiate.  ``recv`` decodes whatever arrives, so a peer that
+sends JSON is still served; :meth:`TcpConnection.set_codec` switches
+one connection's sends to JSON for a capture a person can read.
 
 Connection contract (both implementations):
 
@@ -79,11 +76,10 @@ from typing import (
 
 from repro.errors import SignalingError
 from repro.service.wire import (
-    CODEC_JSON,
+    CODEC_BINARY,
     WireError,
     decode_payload,
     encode_payload,
-    payload_codec,
 )
 
 __all__ = [
@@ -231,7 +227,6 @@ class PipeConnection:
     def __init__(self, outbox: _Mailbox, inbox: _Mailbox) -> None:
         self._outbox = outbox
         self._inbox = inbox
-        self.codec = CODEC_JSON
 
     def send(self, frame: Frame) -> None:
         """Deliver *frame* to the peer."""
@@ -240,11 +235,6 @@ class PipeConnection:
     def send_many(self, frames: Iterable[Frame]) -> None:
         """Deliver a batch of frames atomically, in order."""
         self._outbox.put_many(frames)
-
-    def set_codec(self, codec: str) -> None:
-        """Record the negotiated codec (pipes move dicts directly, so
-        this only mirrors the TCP API for codec-agnostic callers)."""
-        self.codec = codec
 
     def recv(self, timeout: Optional[float] = None) -> Optional[Frame]:
         """Next frame from the peer; ``None`` on timeout."""
@@ -278,8 +268,7 @@ def pipe_pair() -> Tuple[PipeConnection, PipeConnection]:
 class TcpConnection:
     """A connection over a TCP socket with length-prefixed frames."""
 
-    def __init__(self, sock: socket.socket,
-                 codec: str = CODEC_JSON) -> None:
+    def __init__(self, sock: socket.socket) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         # The socket stays in plain blocking mode for its whole life:
         # receive timeouts are select()-based (below), so they can
@@ -293,10 +282,7 @@ class TcpConnection:
         self._offset = 0
         self._closed = False
         self._fd_closed = False
-        self.codec = codec
-        #: Codec of the most recently received frame (``None`` until
-        #: the first frame arrives) — lets a server answer in kind.
-        self.peer_codec: Optional[str] = None
+        self.codec = CODEC_BINARY
 
     # -- sending -------------------------------------------------------
 
@@ -347,12 +333,9 @@ class TcpConnection:
         self._sendall(data)
 
     def set_codec(self, codec: str) -> None:
-        """Switch the codec used for subsequent sends.
-
-        Call only after the peer advertised support (negotiation is
-        the application protocol's job); receiving needs no switch —
-        payloads are self-describing.
-        """
+        """Switch the codec used for subsequent sends (``"json"``
+        makes a capture a person can read); receiving needs no
+        switch — payloads are self-describing."""
         self.codec = codec
 
     # -- receiving -----------------------------------------------------
@@ -424,7 +407,6 @@ class TcpConnection:
         self._offset = end
         view = memoryview(buffer)[header_end:end]
         try:
-            self.peer_codec = payload_codec(view[0]) if length else None
             frame = decode_payload(view)
         except WireError as exc:
             raise TransportClosed(f"undecodable frame: {exc}") from exc

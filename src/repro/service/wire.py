@@ -3,13 +3,10 @@
 Every inter-process hop in this repo — edge signaling, WAL
 log-shipping, cluster shard RPC — moves *frames* (JSON-compatible
 dicts) over a 4-byte length-prefixed stream
-(:class:`~repro.service.transport.TcpConnection`).  The v1 payload is
-UTF-8 JSON: simple, debuggable, and the measured bottleneck of the
-edge plane (ROADMAP "raw wire speed": the admission engine clears
-12.3k admits/s in-process while JSON-over-TCP agents reach 838/s).
-
-This module adds the v2 **binary** payload in the spirit of
-Hummingbird's fixed-format reservation messages: the hot frame types
+(:class:`~repro.service.transport.TcpConnection`).  The payload is
+**binary**, in the spirit of Hummingbird's fixed-format reservation
+messages (UTF-8 JSON stays as the readable alternative and the
+tests' reference): the hot frame types
 (``admit``/``teardown``/``refresh``/``feedback``/``reply``) are
 **packed records** — one tag byte naming the layout, every numeric
 field in one :mod:`struct` pack, strings as u16-length-prefixed UTF-8
@@ -18,16 +15,17 @@ ops, arbitrary test frames) rides a compact self-describing **tagged
 encoding** with a static table of interned symbols for the field
 names and enum values shared by every protocol in the repo.
 
-Interop rules (what makes mixed fleets safe):
+Interop rules:
 
 * the first payload byte is self-describing: UTF-8 JSON of a dict
   always starts with ``{`` (0x7B); every binary tag is >= 0xE0.  A
   receiver never needs connection state to pick the decoder, so JSON
-  and binary frames may interleave freely on one stream — which is
-  exactly what happens mid-negotiation;
-* a sender uses binary only after the peer advertised it (edge
-  ``hello``/``welcome``, replication ``hello``, shard-RPC ``hello``
-  op); until then it speaks JSON, the universal fallback;
+  and binary frames may interleave freely on one stream;
+* nothing is negotiated: every peer is built from this package, so a
+  connection sends binary from its first frame
+  (:class:`~repro.service.transport.TcpConnection`), and a peer that
+  sends JSON — a connection switched to it for a readable capture —
+  is still read;
 * ``decode_payload(encode_payload(f, "binary"))`` equals
   ``json.loads(json.dumps(f))`` for every encodable frame — the
   differential property the codec tests fuzz.  Frames whose shape
@@ -51,36 +49,19 @@ __all__ = [
     "WireError",
     "CODEC_JSON",
     "CODEC_BINARY",
-    "CODECS",
     "encode_payload",
     "encode_binary",
     "decode_payload",
-    "payload_codec",
-    "negotiate_codec",
 ]
 
-#: Codec names as they appear in negotiation frames, preference first.
+#: Codec names, as :func:`encode_payload` and
+#: :meth:`~repro.service.transport.TcpConnection.set_codec` take them.
 CODEC_JSON = "json"
 CODEC_BINARY = "binary"
-CODECS = (CODEC_BINARY, CODEC_JSON)
 
 
 class WireError(SignalingError):
     """A payload cannot be encoded/decoded by the wire codec."""
-
-
-def negotiate_codec(offered) -> str:
-    """Best common codec given the peer's advertised list.
-
-    ``None``/empty/malformed (an old peer that never advertises)
-    selects JSON — the fallback every peer speaks.
-    """
-    if not isinstance(offered, (list, tuple)):
-        return CODEC_JSON
-    for codec in CODECS:
-        if codec in offered:
-            return codec
-    return CODEC_JSON
 
 
 # ----------------------------------------------------------------------
@@ -819,12 +800,6 @@ def encode_payload(frame: Dict[str, Any], codec: str) -> bytes:
             raise WireError(f"frame is not JSON-encodable: {exc}") \
                 from exc
     raise WireError(f"unknown codec {codec!r}")
-
-
-def payload_codec(first_byte: int) -> str:
-    """The codec a payload starting with *first_byte* was encoded
-    with (payloads are self-describing; see the module docstring)."""
-    return CODEC_JSON if first_byte == 0x7B else CODEC_BINARY
 
 
 def decode_payload(buf) -> Dict[str, Any]:

@@ -375,11 +375,14 @@ def audit_proc_cluster(
 ) -> AuditReport:
     """Audit a live :class:`~repro.cluster.procs.ProcCluster`.
 
-    Dumps every shard process over the wire and runs the full
-    differential against a fused oracle of the cluster's own domain.
+    Waits until every supervised process is up (a chaos restart may
+    still be in progress), dumps every shard process over the wire
+    and runs the full differential against a fused oracle of the
+    cluster's own domain.
     """
     from repro.cluster.topology import domain_atlas
 
+    cluster.wait_ready()
     view, findings = link_view_of_dumps(cluster.dumps())
     report = audit_cluster_state(
         domain_atlas(cluster.domain), surviving, spec,

@@ -175,6 +175,30 @@ class TestSupervisorFaults:
                 >= 1
             assert_matches_oracle(cluster, surviving)
 
+    def test_live_audit_waits_out_a_shard_restart(self, tmp_path):
+        """kill -9 a shard and audit at once: the pooled connection
+        is dead and the endpoint file still names the killed
+        process's port, so the audit must wait for the restarted
+        process to answer before it dumps."""
+        cluster = build_proc_cluster(
+            2, run_dir=str(tmp_path), durable=True, fsync=True,
+        )
+        surviving = {}
+        with cluster:
+            for pod, nodes in enumerate(cluster.pod_paths):
+                flow_id = f"keep-p{pod}"
+                decision = cluster.coordinator.admit(
+                    flow_id, SPEC, D_REQ, nodes[0], nodes[-1],
+                    path_nodes=tuple(nodes), now=1.0,
+                )
+                assert decision.admitted, decision
+                surviving[flow_id] = nodes
+            cluster.dumps()  # every pooled connection is warm
+            cluster.supervisor.kill("shard0")
+            assert_matches_oracle(cluster, surviving)
+            assert cluster.supervisor.counters()["restarts"]["shard0"] \
+                >= 1
+
     def test_kill9_mid_prepare_leaves_no_stranded_holds(self, tmp_path):
         """The hardest window: the participant journals its prepared
         hold, dies before acking (``crash_after`` fault injection =

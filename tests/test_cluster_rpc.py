@@ -110,10 +110,6 @@ class TestSequenceMatching:
         seen = []
 
         def peer():
-            hello = peer_end.recv(timeout=2.0)
-            # An old server: no codec negotiation, JSON stays.
-            peer_end.send({"status": "error", "error": "unknown-op",
-                           "client_seq": hello["client_seq"]})
             first = peer_end.recv(timeout=2.0)   # left unanswered
             again = peer_end.recv(timeout=2.0)   # the resend
             seen.extend([first, again])
@@ -140,7 +136,6 @@ class TestSequenceMatching:
         assert first["client_seq"] == again["client_seq"]
         assert nxt["client_seq"] != again["client_seq"]
         assert nxt["op"] == "reap" and nxt["now"] == 7.0
-        assert client_end.codec == "json"
         assert client.high_water_now == 7.0
 
 
@@ -157,7 +152,7 @@ class TestAttemptBudget:
             lambda: connect_tcp("127.0.0.1", port, timeout=2.0))
         client.timeout = 0.1
         client.dial_timeout = 0.3
-        bound = client.dial_timeout + 2 * client.attempts * client.timeout
+        bound = client.dial_timeout + client.attempts * client.timeout
         # The two nested loops this client replaced allowed
         # 2 * (dial + hello + 2 sends) with the same settings.
         assert bound <= 2 * (client.dial_timeout + 3 * client.timeout)
@@ -277,6 +272,8 @@ class TestOpTable:
                     client.explode
                 reply = client.call("explode", {})
                 assert reply["error"] == "unknown-op"
+                # No op negotiates anything on a new connection.
+                assert client.call("hello", {})["error"] == "unknown-op"
                 assert client.call("__class__", {})["error"] == "unknown-op"
             finally:
                 client.close()
@@ -315,9 +312,9 @@ class TestCounters:
         assert errors == []
         assert client.high_water_now == float(callers * calls - 1)
         assert (client.resends, client.reconnects) == (0, 0)
-        # Every op plus one hello per dialed connection.
+        # Every op, and nothing else: a dial sends no handshake.
         deadline = time.monotonic() + 2.0
-        expected = callers * calls + endpoint.dials
+        expected = callers * calls
         while (endpoint.server.frames_served < expected
                and time.monotonic() < deadline):
             time.sleep(0.01)

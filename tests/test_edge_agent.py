@@ -436,27 +436,6 @@ class TryAgainOnceGateway:
                     decision={"admitted": True}))
 
 
-class TestVersionNegotiation:
-    def test_v2_gateway_negotiates_binary(self):
-        broker = make_broker()
-        with BrokerService(broker, workers=2, shards=4) as service:
-            gateway = EdgeGateway(service, lease_duration=60.0)
-            with EdgeAgent("edge-1", pipe_connector(gateway),
-                           seed=5,
-                           codecs=("binary", "json")) as agent:
-                assert agent.ping()
-                assert agent.negotiated_codec == "binary"
-
-    def test_json_pinned_agent_stays_on_json(self):
-        broker = make_broker()
-        with BrokerService(broker, workers=2, shards=4) as service:
-            gateway = EdgeGateway(service, lease_duration=60.0)
-            with EdgeAgent("edge-1", pipe_connector(gateway),
-                           seed=5, codecs=("json",)) as agent:
-                assert agent.ping()
-                assert agent.negotiated_codec == "json"
-
-
 class TestPipelinedOps:
     def ops(self, count: int, tag: str = "pl") -> list:
         from repro.edge import AdmitOp

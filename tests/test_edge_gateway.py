@@ -553,33 +553,12 @@ class TestDurability:
         assert canonical(report.broker) == canonical(broker)
 
 
-class TestCodecNegotiation:
-    def test_v2_hello_negotiates_the_best_common_codec(self, stack):
-        _service, gateway = stack
-        session = RawSession(gateway, hello=False)
-        session.conn.send(protocol.make_hello(
-            "edge-new", codecs=("binary", "json")))
-        welcome = session.recv()
-        assert welcome["v"] == 2
-        assert welcome["codec"] == "binary"
-        assert welcome["codecs"] == ["binary", "json"]
-        session.close()
-
-    def test_json_only_offer_negotiates_json(self, stack):
-        _service, gateway = stack
-        session = RawSession(gateway, hello=False)
-        session.conn.send(protocol.make_hello(
-            "edge-new", codecs=("json",)))
-        assert session.recv()["codec"] == "json"
-        session.close()
-
-
 @pytest.mark.network
 class TestMixedFleet:
     def test_legacy_json_and_binary_agents_share_a_gateway(self):
         """One gateway terminates a plain-JSON session (raw frames
-        from an edge that only speaks the fallback codec) and a binary
-        session at the same time — both exactly-once."""
+        from a connection switched to JSON) and a binary session at
+        the same time — both exactly-once."""
         from repro.edge import AdmitOp, EdgeAgent, tcp_connector
         from repro.service.transport import connect_tcp
 
@@ -589,20 +568,17 @@ class TestMixedFleet:
             host, port = gateway.listen()
             gateway.start()
             try:
-                # The JSON-only edge: raw JSON frames over TCP.
+                # The JSON edge: raw JSON frames over TCP.
                 legacy = connect_tcp(host, port)
-                legacy.send(protocol.make_hello("edge-old",
-                                                codecs=("json",)))
+                legacy.set_codec("json")
+                legacy.send(protocol.make_hello("edge-old"))
                 welcome = legacy.recv(timeout=5.0)
                 assert welcome["type"] == "welcome"
-                assert welcome["codec"] == "json"
 
                 # The binary edge: the real client, binary codec.
                 with EdgeAgent("edge-new", tcp_connector(host, port),
-                               seed=1,
-                               codecs=("binary", "json")) as agent:
+                               seed=1) as agent:
                     assert agent.ping()
-                    assert agent.negotiated_codec == "binary"
                     new_replies = agent.admit_many(
                         [AdmitOp(f"new-{k}", SPEC, 2.44, "I1", "E1")
                          for k in range(8)],
@@ -629,8 +605,8 @@ class TestMixedFleet:
                         assert reply["decision"]["admitted"]
                         old_flows.append(f"old-{k}")
 
-                    # 16 distinct flows, no cross-talk, every reply
-                    # went back in its own session's codec.
+                    # 16 distinct flows, no cross-talk between the
+                    # sessions.
                     assert broker.stats().active_flows == 16
 
                     agent.teardown_many(sorted(new_replies), now=1.0)
@@ -657,37 +633,42 @@ class TestMixedFleet:
         once, each on its own disjoint path, heartbeat their leases
         and tear down: every admit lands exactly once and nothing
         stays reserved."""
-        self.run_fleet(("binary", "json"), "binary")
+        self.run_fleet("binary")
 
     def test_concurrent_json_fleet_is_exactly_once(self):
-        """The same fleet offering JSON only: every frame after the
-        handshake rides the JSON codec over TCP (pipes never encode,
-        so only a socket test exercises it)."""
-        self.run_fleet(("json",), "json")
+        """The same fleet on connections switched to JSON: every
+        frame the agents send rides the JSON codec over TCP (pipes
+        never encode, so only a socket test exercises it)."""
+        self.run_fleet("json")
 
     @staticmethod
-    def run_fleet(offer, negotiated) -> None:
+    def run_fleet(codec) -> None:
         from repro.edge import AdmitOp, EdgeAgent, tcp_connector
         from repro.service import provision_parallel_paths
 
         agents, windows, window = 4, 2, 8
         broker = BandwidthBroker()
         pinned = provision_parallel_paths(broker, paths=agents)
-        codecs = [""] * agents
+        dialed = []
         errors = []
         with BrokerService(broker, workers=2, shards=4, edge_rtt=0.001,
                            batch_limit=window) as service:
             gateway = EdgeGateway(service, lease_duration=60.0)
             host, port = gateway.listen()
+            dial = tcp_connector(host, port)
+
+            def connect():
+                conn = dial()
+                conn.set_codec(codec)
+                dialed.append(conn)
+                return conn
 
             def client(rank: int) -> None:
                 nodes = pinned[rank]
                 try:
-                    with EdgeAgent(f"edge-{rank}", tcp_connector(host, port),
-                                   seed=rank, op_budget=30.0,
-                                   codecs=offer) as agent:
+                    with EdgeAgent(f"edge-{rank}", connect,
+                                   seed=rank, op_budget=30.0) as agent:
                         assert agent.ping()
-                        codecs[rank] = agent.negotiated_codec
                         admitted = []
                         for round_no in range(windows):
                             replies = agent.admit_many(
@@ -724,4 +705,4 @@ class TestMixedFleet:
         assert broker.stats().active_flows == 0
         assert counters["leases"]["granted"] == total
         assert counters["leases"]["released"] == total
-        assert codecs == [negotiated] * agents
+        assert {conn.codec for conn in dialed} == {codec}

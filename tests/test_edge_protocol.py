@@ -92,23 +92,20 @@ class TestRequestFrames:
             protocol.validate_request(frame)
 
     def test_hello_capability_fields_by_version(self):
+        # The version is the whole capability statement: v2 reads
+        # both codecs, so the hello advertises neither codecs nor
+        # versions.
         hello = protocol.make_hello("a")
-        assert hello["v"] == protocol.PROTOCOL_VERSION
-        assert hello["codecs"] == ["binary", "json"]
-        assert "versions" not in hello
-        assert protocol.make_hello("a", codecs=("json",))["codecs"] \
-            == ["json"]
+        assert hello == {"v": protocol.PROTOCOL_VERSION, "type": "hello",
+                         "agent": "a"}
 
     def test_welcome_capability_fields_by_version(self):
         welcome = protocol.make_welcome("gw", lease_duration=30.0,
-                                        resumed=False, codec="binary")
-        assert welcome["v"] == protocol.PROTOCOL_VERSION
-        assert welcome["codecs"] == ["binary", "json"]
-        assert welcome["codec"] == "binary"
-        assert "versions" not in welcome
-        fallback = protocol.make_welcome("gw", lease_duration=30.0,
-                                         resumed=False)
-        assert fallback["codec"] == "json"
+                                        resumed=False)
+        assert welcome == {
+            "v": protocol.PROTOCOL_VERSION, "type": "welcome",
+            "gateway": "gw", "lease_duration": 30.0, "resumed": False,
+        }
 
     def test_v1_frames_are_bad_version(self):
         frames = [

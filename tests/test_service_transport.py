@@ -3,7 +3,7 @@
 TCP delivers a byte stream, not frames: a sender's single frame may
 arrive split across many reads, and many frames may coalesce into one
 read.  :meth:`TcpConnection._parse_buffered` must reassemble the
-length-prefixed JSON frames identically under *every* chunking — these
+length-prefixed frames identically under *every* chunking — these
 tests fuzz the split points.  Socket-backed cases carry the
 ``network`` marker (deselect with ``-m "not network"`` on machines
 without loopback).
@@ -22,11 +22,19 @@ import time
 
 import pytest
 
-from repro.cluster.remote import FRAME, FrameServer
+from repro.cluster.remote import FRAME, FrameServer, OpClient
 from repro.controlplane import ControlPlaneServer
 from repro.core.broker import BandwidthBroker
-from repro.edge import EdgeGateway, protocol
-from repro.service import BrokerService
+from repro.core.persistence import checkpoint_broker
+from repro.edge import AdmitOp, EdgeAgent, EdgeGateway, protocol
+from repro.edge.agent import tcp_connector
+from repro.service import (
+    BrokerService,
+    FileJournal,
+    ReplicaServer,
+    ReplicationHub,
+    provision_parallel_paths,
+)
 from repro.service.transport import (
     MAX_FRAME_BYTES,
     TcpConnection,
@@ -35,19 +43,20 @@ from repro.service.transport import (
     connect_tcp,
     pipe_pair,
 )
-from repro.service.wire import CODEC_BINARY, encode_binary
+from repro.service.wire import CODEC_JSON, encode_binary
+from repro.workloads.profiles import flow_type
 
 _HEADER = struct.Struct(">I")
 
 
 def encode_frame(frame) -> bytes:
-    """The wire form ``TcpConnection.send`` produces (JSON codec)."""
+    """The wire form of a connection switched to the JSON codec."""
     blob = json.dumps(frame, separators=(",", ":")).encode("utf-8")
     return _HEADER.pack(len(blob)) + blob
 
 
 def encode_frame_binary(frame) -> bytes:
-    """The wire form under the negotiated binary codec."""
+    """The wire form ``TcpConnection.send`` produces (binary codec)."""
     blob = encode_binary(frame)
     return _HEADER.pack(len(blob)) + blob
 
@@ -60,7 +69,6 @@ def parser_only() -> TcpConnection:
     conn._buffer = bytearray()
     conn._offset = 0
     conn._closed = False
-    conn.peer_codec = None
     return conn
 
 
@@ -162,7 +170,7 @@ class TestParseBufferedBinary:
 
     Payloads are self-describing (first byte names the codec), so a
     stream may interleave JSON and binary frames arbitrarily — the
-    receiver needs no negotiation state to parse it.
+    receiver needs no per-connection state to parse it.
     """
 
     def canonical(self, frame):
@@ -205,13 +213,6 @@ class TestParseBufferedBinary:
             received.extend(drain(conn))
         assert received == sent
         assert conn._buffer == bytearray()
-
-    def test_peer_codec_tracks_last_frame(self):
-        conn = parser_only()
-        conn._buffer.extend(encode_frame({"a": 1}))
-        conn._buffer.extend(encode_frame_binary({"b": 2}))
-        assert drain(conn) == [{"a": 1}, {"b": 2}]
-        assert conn.peer_codec == CODEC_BINARY
 
     def test_corrupt_binary_frame_is_a_transport_error(self):
         """A frame whose payload fails to decode poisons the stream —
@@ -580,7 +581,7 @@ class _FrameRig:
 
     def short_session(self, index: int) -> None:
         conn = connect_tcp(self.listener.host, self.listener.port)
-        conn.send({"op": "hello", "codecs": ["json"], "client_seq": 1})
+        conn.send({"op": "echo", "client_seq": 1})
         assert conn.recv(timeout=5.0)["status"] == "ok"
         conn.close()
 
@@ -616,7 +617,7 @@ class _GatewayRig:
 
     def short_session(self, index: int) -> None:
         conn = connect_tcp(self.host, self.port)
-        conn.send(protocol.make_hello(f"edge-{index}", codecs=("json",)))
+        conn.send(protocol.make_hello(f"edge-{index}"))
         assert conn.recv(timeout=5.0)["type"] == "welcome"
         conn.close()
 
@@ -749,3 +750,152 @@ class TestOneServer:
         finally:
             release.set()
             rig.dispose()
+
+
+# ----------------------------------------------------------------------
+# one wire format
+# ----------------------------------------------------------------------
+
+
+def json_dialer(dial, dialed):
+    """*dial*, with every connection it returns switched to JSON (a
+    peer whose sends a person can read) and appended to *dialed*."""
+    def connect():
+        conn = dial()
+        conn.set_codec(CODEC_JSON)
+        dialed.append(conn)
+        return conn
+    return connect
+
+
+def serve_edge_json_peer(tmp_path, dialed) -> None:
+    """An agent sending JSON admits, heartbeats and tears down a
+    window of flows through a gateway on TCP."""
+    broker = BandwidthBroker()
+    nodes = provision_parallel_paths(broker, paths=1)[0]
+    spec = flow_type(0).spec
+    with BrokerService(broker, workers=1) as service:
+        gateway = EdgeGateway(service, lease_duration=60.0)
+        host, port = gateway.listen()
+        gateway.start()
+        try:
+            with EdgeAgent("edge-json",
+                           json_dialer(tcp_connector(host, port), dialed),
+                           seed=1) as agent:
+                replies = agent.admit_many(
+                    [AdmitOp(f"json-{k}", spec, 2.44, nodes[0],
+                             nodes[-1], path_nodes=nodes)
+                     for k in range(8)], now=0.0)
+                assert all(reply["decision"]["admitted"]
+                           for reply in replies.values())
+                assert broker.stats().active_flows == 8
+                agent.heartbeat(now=1.0)
+                downs = agent.teardown_many(sorted(replies), now=2.0)
+                assert all(reply["status"] == "ok"
+                           for reply in downs.values())
+            counters = gateway.counters()
+        finally:
+            gateway.stop()
+    assert broker.stats().active_flows == 0
+    assert counters["leases"]["granted"] == 8
+    assert counters["leases"]["released"] == 8
+
+
+def serve_op_rpc_json_peer(tmp_path, dialed) -> None:
+    """An :class:`OpClient` sending JSON gets every op answered."""
+    listener = TcpListener()
+    server = FrameServer(_Servant(), _TABLE)
+    listener.serve(server.serve_connection)
+    client = OpClient("peer", _TABLE, json_dialer(
+        lambda: connect_tcp(listener.host, listener.port), dialed))
+    try:
+        for index in range(20):
+            assert client.echo({"flow_id": f"f{index}"})["status"] == "ok"
+        assert (client.resends, client.reconnects) == (0, 0)
+    finally:
+        client.close()
+        listener.close()
+    assert server.frames_served == 20
+
+
+def serve_replication_json_peer(tmp_path, dialed) -> None:
+    """A follower sending its hello and acks as JSON holds up a
+    sync-mode primary and converges to its state."""
+    broker = BandwidthBroker()
+    nodes = provision_parallel_paths(broker, paths=1)[0]
+    wal = FileJournal(str(tmp_path / "primary"), fsync=False)
+    hub = ReplicationHub(wal, mode="sync", quorum=1, ack_timeout=5.0)
+
+    def standby_broker():
+        standby = BandwidthBroker()
+        provision_parallel_paths(standby, paths=1)
+        return standby
+
+    replica = ReplicaServer(str(tmp_path / "follower"), standby_broker,
+                            follower_id="follower-json", fsync=False)
+    listener = TcpListener()
+    follower_end = json_dialer(
+        lambda: connect_tcp(listener.host, listener.port), dialed)()
+    accepted = listener.accept(timeout=5.0)
+    try:
+        hub.add_follower(accepted)
+        replica.connect(follower_end)
+        spec = flow_type(0).spec
+        with BrokerService(broker, workers=1, wal=wal,
+                           replicator=hub) as service:
+            for index in range(8):
+                reply = service.request(
+                    f"f{index}", spec, 2.44, nodes[0], nodes[-1],
+                    path_nodes=nodes, now=float(index))
+                # Sync mode: ok means the follower's ack arrived.
+                assert reply.status == "ok", reply.detail
+        assert wait_for(lambda: replica.applied_seq >= wal.position)
+        assert (checkpoint_broker(replica.broker)["flows"]
+                == checkpoint_broker(broker)["flows"])
+    finally:
+        hub.close()
+        replica.close()
+        wal.close()
+        listener.close()
+
+
+@pytest.mark.network
+class TestOneWireFormat:
+    """Every connection sends binary from its first frame, and every
+    server still reads a peer that sends JSON."""
+
+    @pytest.mark.parametrize("side", ["dialed", "accepted"])
+    def test_first_frame_is_binary(self, side):
+        if side == "dialed":
+            server = socket.create_server(("127.0.0.1", 0))
+            conn = connect_tcp("127.0.0.1", server.getsockname()[1])
+            peer, _ = server.accept()
+            server.close()
+        else:
+            listener = TcpListener()
+            peer = socket.create_connection(
+                (listener.host, listener.port), timeout=5.0)
+            conn = listener.accept(timeout=5.0)
+            listener.close()
+        try:
+            conn.send(protocol.make_hello("edge-1"))
+            peer.settimeout(5.0)
+            head = b""
+            while len(head) < _HEADER.size + 1:
+                head += peer.recv(_HEADER.size + 1 - len(head))
+            assert head[_HEADER.size] >= 0xE0, head
+        finally:
+            conn.close()
+            peer.close()
+
+    @pytest.mark.parametrize("serve", [
+        serve_edge_json_peer,
+        serve_op_rpc_json_peer,
+        serve_replication_json_peer,
+    ], ids=["edge-gateway", "op-rpc", "replication"])
+    def test_a_json_peer_is_served_in_full(self, serve, tmp_path):
+        dialed = []
+        serve(tmp_path, dialed)
+        # Nothing the server said switched the peer back to binary.
+        assert dialed
+        assert [conn.codec for conn in dialed] == [CODEC_JSON] * len(dialed)

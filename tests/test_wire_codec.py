@@ -22,13 +22,10 @@ from repro.service import wire
 from repro.service.wire import (
     CODEC_BINARY,
     CODEC_JSON,
-    CODECS,
     WireError,
     decode_payload,
     encode_binary,
     encode_payload,
-    negotiate_codec,
-    payload_codec,
 )
 from repro.workloads.profiles import flow_type
 
@@ -89,7 +86,7 @@ def edge_frames():
                             detail="bad-version: speaking v2, "
                                    "frame says 1"),
         # Budgeted and edge-case requests.
-        protocol.make_hello("edge-1", codecs=("json",)),
+        protocol.make_hello("edge-2"),
         protocol.make_teardown("edge-1", "edge-1#14", "flow-2", now=7.0,
                                budget_ms=80.0),
         protocol.make_refresh("edge-1", "edge-1#15", [], now=8.0,
@@ -100,8 +97,7 @@ def edge_frames():
         protocol.make_report("edge-1", "edge-1#18", samples[:1],
                              now=11.0, budget_ms=40.0),
         # The reply shapes the gateway builds.
-        protocol.make_welcome("gw", lease_duration=10.0, resumed=True,
-                              codec="binary"),
+        protocol.make_welcome("gw", lease_duration=10.0, resumed=True),
         protocol.make_reply("admit", "edge-1#7", "ok",
                             detail="admitted", decision=decision,
                             lease={"duration": 30.0, "expires_at": 33.0,
@@ -130,9 +126,8 @@ def other_frames():
     """Replication + cluster + transport frame shapes."""
     return [
         {"kind": "hello", "follower_id": "f1", "last_seq": 17,
-         "codecs": list(CODECS)},
-        {"kind": "welcome", "epoch": 3, "welcome_seq": 17,
-         "codec": CODEC_BINARY},
+         "epoch": 3},
+        {"kind": "welcome", "epoch": 3, "primary_id": "p0"},
         {"kind": "records", "records": [
             {"seq": 18, "payload": {"type": "admit",
                                     "flow_id": "f"},
@@ -322,24 +317,16 @@ class TestRejection:
 
 
 class TestNegotiation:
-    def test_prefers_binary_when_both_offer_it(self):
-        assert negotiate_codec(["binary", "json"]) == CODEC_BINARY
-        assert negotiate_codec(["json", "binary"]) == CODEC_BINARY
-
-    def test_json_only_peer_gets_json(self):
-        assert negotiate_codec(["json"]) == CODEC_JSON
-
-    def test_old_or_malformed_peer_gets_json(self):
-        assert negotiate_codec(None) == CODEC_JSON
-        assert negotiate_codec([]) == CODEC_JSON
-        assert negotiate_codec("binary") == CODEC_JSON  # not a list
-        assert negotiate_codec(["zstd", "msgpack"]) == CODEC_JSON
-        assert negotiate_codec({"binary": True}) == CODEC_JSON
+    """Nothing is negotiated: a payload names its own codec, so a
+    receiver reads either one without connection state."""
 
     def test_payload_codec_dispatch(self):
-        assert payload_codec(ord("{")) == CODEC_JSON
-        assert payload_codec(0xF1) == CODEC_BINARY
-        assert payload_codec(0xEC) == CODEC_BINARY
+        for frame in (edge_frames()[2], {"type": "ping", "nonce": 1}):
+            as_json = encode_payload(frame, CODEC_JSON)
+            as_binary = encode_payload(frame, CODEC_BINARY)
+            assert as_json[0] == ord("{")
+            assert as_binary[0] >= 0xE0
+            assert decode_payload(as_json) == decode_payload(as_binary)
 
     def test_encode_payload_respects_codec(self):
         frame = {"type": "ping", "nonce": 1}
