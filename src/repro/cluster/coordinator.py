@@ -42,7 +42,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.admission import _EPS
 from repro.core.broker import BandwidthBroker
@@ -138,6 +138,9 @@ class ClusterCoordinator:
         #: Guards the flow registry (flow -> placement for teardown).
         self._lock = threading.Lock()
         self._registry: Dict[str, Dict[str, Any]] = {}
+        #: Registered flows a teardown is working on; a concurrent
+        #: duplicate is answered "retry", not "unknown flow".
+        self._tearing_down: Set[str] = set()
         #: shard -> op key -> pending op a crashed/unreachable shard
         #: still owes us (abort/commit/release); drained by
         #: :meth:`reconcile_shard` when the shard comes back.
@@ -488,30 +491,59 @@ class ClusterCoordinator:
 
     def teardown(self, flow_id: str, *, now: float = 0.0
                  ) -> ClusterDecision:
-        """Tear down a previously admitted flow, wherever it lives."""
+        """Tear down a previously admitted flow, wherever it lives.
+
+        The registry entry stays until the shard work is done, marked
+        as tearing down: a duplicate teardown arriving meanwhile gets a
+        retryable ``teardown-in-progress`` error (the flow still holds
+        capacity), and one after a failed attempt finds the entry.
+        """
         with self._lock:
-            entry = self._registry.pop(flow_id, None)
+            entry = self._registry.get(flow_id)
+            busy = flow_id in self._tearing_down
+            if entry is not None and not busy:
+                self._tearing_down.add(flow_id)
         if entry is None:
             return ClusterDecision(
                 flow_id=flow_id, admitted=False, status="error",
                 reason="unknown-flow",
                 detail=f"flow {flow_id!r} is not registered here",
             )
-        if entry["kind"] == "local":
-            shard = entry["shard"]
-            self._journal("cteardown", {
-                "flow_id": flow_id, "shards": [shard], "now": now,
-            })
+        if busy:
+            return ClusterDecision(
+                flow_id=flow_id, admitted=False, status="error",
+                reason="teardown-in-progress",
+                detail=f"flow {flow_id!r} is being torn down; retry",
+            )
+        try:
+            decision = self._release(flow_id, entry, now)
+            if decision.reason != "shard-unreachable":
+                with self._lock:  # unless a re-admit replaced it
+                    if self._registry.get(flow_id) is entry:
+                        del self._registry[flow_id]
+            return decision
+        finally:
+            with self._lock:
+                self._tearing_down.discard(flow_id)
+
+    def _release(self, flow_id: str, entry: Dict[str, Any],
+                 now: float) -> ClusterDecision:
+        """The shard work of :meth:`teardown`."""
+        local = entry["kind"] == "local"
+        shards = [entry["shard"]] if local else entry["shards"]
+        self._journal("cteardown", {
+            "flow_id": flow_id, "shards": shards, "now": now,
+        })
+        if local:
+            shard = shards[0]
             try:
                 reply = self.handles[shard].teardown({
                     "flow_id": flow_id, "now": now,
                     **self.partition.stamp(),
                 })
             except Exception as exc:
-                # Shard unreachable: restore the registry entry so a
+                # Shard unreachable: the registry entry stays, so a
                 # retried teardown still knows where the flow lives.
-                with self._lock:
-                    self._registry.setdefault(flow_id, entry)
                 return ClusterDecision(
                     flow_id=flow_id, admitted=False, status="error",
                     shards=(shard,), reason="shard-unreachable",
@@ -523,10 +555,6 @@ class ClusterCoordinator:
                 shards=(shard,),
                 detail=reply.get("detail", ""),
             )
-        shards = entry["shards"]
-        self._journal("cteardown", {
-            "flow_id": flow_id, "shards": shards, "now": now,
-        })
         released: List[str] = []
         for shard in shards:
             try:

@@ -1,4 +1,10 @@
-"""The WSGI application: REST verbs mapped onto edge signaling.
+"""The REST application: HTTP verbs mapped onto edge signaling.
+
+The app is a plain callable, ``app(request) -> (status, headers,
+body)``: the server hands it one parsed :class:`Request` and writes
+what it returns.  Framing, ``Content-Length``, ``HEAD``, the body
+bound and the ``500`` fence are the server's; the app only maps URLs
+to agent calls and outcomes to status codes.
 
 Routes (all JSON in, JSON out):
 
@@ -40,7 +46,9 @@ from __future__ import annotations
 import json
 import threading
 import zlib
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple,
+)
 
 from repro.edge import protocol
 from repro.edge.agent import AgentTimeout, EdgeAgent
@@ -48,24 +56,28 @@ from repro.errors import SignalingError
 from repro.service.stats import prometheus_exposition
 from repro.service.transport import TransportClosed
 
-__all__ = ["ControlPlaneApp", "BadRequest", "MAX_BODY"]
-
-_STATUS_LINES = {
-    200: "200 OK",
-    201: "201 Created",
-    400: "400 Bad Request",
-    404: "404 Not Found",
-    405: "405 Method Not Allowed",
-    409: "409 Conflict",
-    429: "429 Too Many Requests",
-    500: "500 Internal Server Error",
-    502: "502 Bad Gateway",
-    504: "504 Gateway Timeout",
-}
+__all__ = ["ControlPlaneApp", "BadRequest", "MAX_BODY", "Request"]
 
 #: Largest request body, bytes; the server answers a longer
 #: ``Content-Length`` with 413 before reading it.
 MAX_BODY = 1 << 20  # nobody admits a 1MB flow spec
+
+Headers = List[Tuple[str, str]]
+#: What a route returns: status, extra headers, JSON-able payload (or
+#: bytes served as text).
+_Answer = Tuple[int, Headers, Any]
+
+
+class Request(NamedTuple):
+    """One HTTP request as the app sees it."""
+
+    method: str
+    #: Percent-decoded path, query string dropped.
+    path: str
+    #: Lower-cased name -> value; repeats joined with ``", "``.
+    headers: Dict[str, str]
+    #: The whole body (``b""`` when there is none).
+    body: bytes
 
 
 class BadRequest(Exception):
@@ -74,37 +86,32 @@ class BadRequest(Exception):
 
 
 class ControlPlaneApp:
-    """WSGI app over a pool of :class:`~repro.edge.agent.EdgeAgent`.
+    """REST app over a pool of :class:`~repro.edge.agent.EdgeAgent`.
+
+    A request whose body carries no explicit ``now`` runs at the
+    routed agent's domain clock; one without ``X-Request-Timeout``
+    runs on the agent's own op budget.
 
     :param agents: the pool; each agent is one serialized connection
         to the gateway, so pool size bounds REST concurrency.
-    :param clock: zero-arg callable for the domain time a request
-        runs at when the body carries no explicit ``now`` (defaults
-        to the routed agent's own domain clock).
     :param mib_view: zero-arg callable returning a JSON-compatible
         domain MIB snapshot for ``GET /v1/mib``.
     :param stats_source: zero-arg callable returning a ServiceStats
         (or its ``as_dict`` shape) folded into ``GET /metrics``.
-    :param default_budget: op budget (seconds) when the client sends
-        no ``X-Request-Timeout``.
     """
 
     def __init__(
         self,
         agents: Iterable[EdgeAgent],
         *,
-        clock: Optional[Callable[[], float]] = None,
         mib_view: Optional[Callable[[], Dict[str, Any]]] = None,
         stats_source: Optional[Callable[[], Any]] = None,
-        default_budget: Optional[float] = None,
     ) -> None:
         self.agents: List[EdgeAgent] = list(agents)
         if not self.agents:
             raise ValueError("the agent pool must not be empty")
-        self.clock = clock
         self.mib_view = mib_view
         self.stats_source = stats_source
-        self.default_budget = default_budget
         self._lock = threading.Lock()
         #: flow id -> this tier's record of the admitted flow.
         self.registry: Dict[str, Dict[str, Any]] = {}
@@ -120,15 +127,13 @@ class ControlPlaneApp:
         self.server_errors = 0
 
     # ------------------------------------------------------------------
-    # WSGI plumbing
+    # dispatch
     # ------------------------------------------------------------------
 
-    def __call__(self, environ, start_response):
+    def __call__(self, request: Request) -> Tuple[int, Headers, bytes]:
         self.requests += 1
-        method = environ.get("REQUEST_METHOD", "GET").upper()
-        path = environ.get("PATH_INFO", "/")
         try:
-            status, headers, payload = self._route(method, path, environ)
+            status, headers, payload = self._route(request)
         except BadRequest as exc:
             self.client_errors += 1
             status, headers, payload = 400, [], {"error": str(exc)}
@@ -138,40 +143,32 @@ class ControlPlaneApp:
         except (SignalingError, TransportClosed) as exc:
             self.server_errors += 1
             status, headers, payload = 502, [], {"error": str(exc)}
-        except Exception as exc:  # noqa: BLE001 - the 500 fence
+        except Exception:
             self.server_errors += 1
-            status, headers, payload = 500, [], {
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-        if isinstance(payload, (dict, list)):
-            body = json.dumps(payload).encode("utf-8")
-            content_type = "application/json"
-        else:
-            body = payload if isinstance(payload, bytes) \
-                else str(payload).encode("utf-8")
+            raise  # the server's 500 fence answers it
+        if isinstance(payload, bytes):  # the Prometheus exposition
             content_type = "text/plain; version=0.0.4; charset=utf-8"
-        # Content-Length on every response keeps HTTP/1.1 keep-alive
-        # sessions (and the pipelining soak clients) framing-safe.
-        headers = list(headers) + [
-            ("Content-Type", content_type),
-            ("Content-Length", str(len(body))),
-        ]
-        start_response(_STATUS_LINES[status], headers)
-        if method == "HEAD":
-            return [b""]
-        return [body]
+        else:
+            content_type = "application/json"
+            payload = json.dumps(payload).encode("utf-8")
+        return status, headers + [("Content-Type", content_type)], payload
 
-    def _route(self, method: str, path: str, environ
-               ) -> Tuple[int, List[Tuple[str, str]], Any]:
+    def _route(self, request: Request) -> _Answer:
+        method, path = request.method, request.path
         parts = [part for part in path.split("/") if part]
-        if path == "/healthz":
-            return self._get_health(method)
-        if path == "/metrics":
-            return self._get_metrics(method)
+        if path in ("/healthz", "/metrics") or parts == ["v1", "mib"]:
+            if method not in ("GET", "HEAD"):
+                return 405, [("Allow", "GET")], {
+                    "error": f"{method} not allowed"}
+            if path == "/healthz":
+                return self._get_health()
+            if path == "/metrics":
+                return self._get_metrics()
+            return self._get_mib()
         if parts[:2] == ["v1", "flows"]:
             if len(parts) == 2:
                 if method == "POST":
-                    return self._post_flow(environ)
+                    return self._post_flow(request)
                 if method in ("GET", "HEAD"):
                     return self._list_flows()
                 return 405, [("Allow", "GET, POST")], {
@@ -179,18 +176,16 @@ class ControlPlaneApp:
             if len(parts) == 3:
                 flow_id = parts[2]
                 if method == "DELETE":
-                    return self._delete_flow(flow_id, environ)
+                    return self._delete_flow(flow_id, request)
                 if method in ("GET", "HEAD"):
                     return self._get_flow(flow_id)
                 return 405, [("Allow", "GET, DELETE")], {
                     "error": f"{method} not allowed"}
             if len(parts) == 4 and parts[3] == "refresh":
                 if method == "POST":
-                    return self._post_refresh(parts[2], environ)
+                    return self._post_refresh(parts[2], request)
                 return 405, [("Allow", "POST")], {
                     "error": f"{method} not allowed"}
-        if parts == ["v1", "mib"]:
-            return self._get_mib(method)
         return 404, [], {"error": f"no route for {path!r}"}
 
     # ------------------------------------------------------------------
@@ -198,28 +193,22 @@ class ControlPlaneApp:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _read_body(environ) -> Dict[str, Any]:
-        try:
-            length = int(environ.get("CONTENT_LENGTH") or 0)
-        except (TypeError, ValueError):
-            raise BadRequest("unreadable Content-Length")
-        if length < 0 or length > MAX_BODY:
-            raise BadRequest(f"body length {length} out of bounds")
-        raw = environ["wsgi.input"].read(length) if length else b""
-        if not raw:
+    def _read_body(request: Request) -> Dict[str, Any]:
+        if not request.body:
             return {}
         try:
-            body = json.loads(raw.decode("utf-8"))
+            body = json.loads(request.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise BadRequest(f"malformed JSON body: {exc}")
         if not isinstance(body, dict):
             raise BadRequest("JSON body must be an object")
         return body
 
-    def _budget_of(self, environ) -> Optional[float]:
-        raw = environ.get("HTTP_X_REQUEST_TIMEOUT")
+    @staticmethod
+    def _budget_of(request: Request) -> Optional[float]:
+        raw = request.headers.get("x-request-timeout")
         if raw is None:
-            return self.default_budget
+            return None
         try:
             budget = float(raw)
         except (TypeError, ValueError):
@@ -230,8 +219,8 @@ class ControlPlaneApp:
         return budget
 
     @staticmethod
-    def _idem_of(environ) -> Optional[str]:
-        key = environ.get("HTTP_IDEMPOTENCY_KEY")
+    def _idem_of(request: Request) -> Optional[str]:
+        key = request.headers.get("idempotency-key")
         if key is None:
             return None
         key = key.strip()
@@ -248,24 +237,22 @@ class ControlPlaneApp:
         index = zlib.crc32(flow_id.encode("utf-8")) % len(self.agents)
         return self.agents[index]
 
-    def _now_of(self, body: Dict[str, Any], agent: EdgeAgent) -> float:
+    @staticmethod
+    def _now_of(body: Dict[str, Any], agent: EdgeAgent) -> float:
         if "now" in body:
             try:
                 return float(body["now"])
             except (TypeError, ValueError):
                 raise BadRequest(f"now must be a number, got "
                                  f"{body['now']!r}")
-        if self.clock is not None:
-            return float(self.clock())
         return agent.domain_now
 
     # ------------------------------------------------------------------
     # the flow verbs
     # ------------------------------------------------------------------
 
-    def _post_flow(self, environ
-                   ) -> Tuple[int, List[Tuple[str, str]], Any]:
-        body = self._read_body(environ)
+    def _post_flow(self, request: Request) -> _Answer:
+        body = self._read_body(request)
         try:
             flow_id = str(body["flow_id"])
             spec = protocol.decode_spec(body["spec"])
@@ -290,14 +277,13 @@ class ControlPlaneApp:
             flow_id, spec, delay_requirement, ingress, egress,
             service_class=str(body.get("service_class", "")),
             path_nodes=tuple(path_nodes) if path_nodes else None,
-            now=now, budget=self._budget_of(environ),
-            idem=self._idem_of(environ), surface_try_again=True,
+            now=now, budget=self._budget_of(request),
+            idem=self._idem_of(request), surface_try_again=True,
         )
         return self._admit_response(flow_id, body, now, reply)
 
     def _admit_response(self, flow_id: str, body: Dict[str, Any],
-                        now: float, reply: protocol.Frame
-                        ) -> Tuple[int, List[Tuple[str, str]], Any]:
+                        now: float, reply: protocol.Frame) -> _Answer:
         if reply.get("status") == protocol.STATUS_TRY_AGAIN:
             return self._backpressure(reply)
         decision = reply.get("decision") or {}
@@ -310,46 +296,39 @@ class ControlPlaneApp:
             self.server_errors += 1
             payload["error"] = reply.get("detail", "service error")
             return 502, [], payload
-        if decision.get("admitted"):
-            self.admitted += 1
+        admitted = bool(decision.get("admitted"))
+        # A refusal carrying a lease: the gateway re-adopted an orphaned
+        # lease for us.  The flow exists and is ours again — record it
+        # so refresh and teardown route normally.
+        if admitted or reply.get("lease"):
+            record = {
+                "flow_id": flow_id,
+                "agent": self._agent_for(flow_id).name,
+                "spec": dict(body.get("spec") or {}),
+                "delay_requirement": body.get("delay_requirement"),
+                "path_nodes": body.get("path_nodes"),
+                "admitted_at": now,
+                "decision": decision,
+                "lease": reply.get("lease"),
+            }
             with self._lock:
-                self.registry[flow_id] = {
-                    "flow_id": flow_id,
-                    "agent": self._agent_for(flow_id).name,
-                    "spec": dict(body.get("spec") or {}),
-                    "delay_requirement": body.get("delay_requirement"),
-                    "path_nodes": body.get("path_nodes"),
-                    "admitted_at": now,
-                    "decision": decision,
-                    "lease": reply.get("lease"),
-                }
+                if admitted:
+                    self.registry[flow_id] = record
+                else:
+                    self.registry.setdefault(flow_id, record)
+        if admitted:
+            self.admitted += 1
             return 201, [("Location", f"/v1/flows/{flow_id}")], payload
         self.rejected += 1
-        if reply.get("lease"):
-            # The gateway re-adopted an orphaned lease for us: the
-            # flow exists and is ours again — record it so refresh
-            # and teardown route normally.
-            with self._lock:
-                self.registry.setdefault(flow_id, {
-                    "flow_id": flow_id,
-                    "agent": self._agent_for(flow_id).name,
-                    "spec": dict(body.get("spec") or {}),
-                    "delay_requirement": body.get("delay_requirement"),
-                    "path_nodes": body.get("path_nodes"),
-                    "admitted_at": now,
-                    "decision": decision,
-                    "lease": reply.get("lease"),
-                })
         return 409, [], payload
 
-    def _delete_flow(self, flow_id: str, environ
-                     ) -> Tuple[int, List[Tuple[str, str]], Any]:
-        body = self._read_body(environ)
+    def _delete_flow(self, flow_id: str, request: Request) -> _Answer:
+        body = self._read_body(request)
         agent = self._agent_for(flow_id)
         now = self._now_of(body, agent)
         reply = agent.teardown(
-            flow_id, now=now, budget=self._budget_of(environ),
-            idem=self._idem_of(environ), surface_try_again=True,
+            flow_id, now=now, budget=self._budget_of(request),
+            idem=self._idem_of(request), surface_try_again=True,
         )
         if reply.get("status") == protocol.STATUS_TRY_AGAIN:
             return self._backpressure(reply)
@@ -372,14 +351,13 @@ class ControlPlaneApp:
         self.server_errors += 1
         return 502, [], payload
 
-    def _post_refresh(self, flow_id: str, environ
-                      ) -> Tuple[int, List[Tuple[str, str]], Any]:
-        body = self._read_body(environ)
+    def _post_refresh(self, flow_id: str, request: Request) -> _Answer:
+        body = self._read_body(request)
         agent = self._agent_for(flow_id)
         now = self._now_of(body, agent)
         refreshed, unknown = agent.refresh(
-            now=now, budget=self._budget_of(environ),
-            flow_ids=[flow_id], idem=self._idem_of(environ),
+            now=now, budget=self._budget_of(request),
+            flow_ids=[flow_id], idem=self._idem_of(request),
         )
         payload = {
             "flow_id": flow_id,
@@ -399,8 +377,7 @@ class ControlPlaneApp:
             self.registry.pop(flow_id, None)
         return 404, [], payload
 
-    def _backpressure(self, reply: protocol.Frame
-                      ) -> Tuple[int, List[Tuple[str, str]], Any]:
+    def _backpressure(self, reply: protocol.Frame) -> _Answer:
         self.backpressured += 1
         retry_after = float(reply.get("retry_after", 0.0) or 0.0)
         return 429, [("Retry-After", f"{retry_after:g}")], {
@@ -413,33 +390,24 @@ class ControlPlaneApp:
     # reads
     # ------------------------------------------------------------------
 
-    def _list_flows(self) -> Tuple[int, List[Tuple[str, str]], Any]:
+    def _list_flows(self) -> _Answer:
         with self._lock:
             flow_ids = sorted(self.registry)
         return 200, [], {"flows": flow_ids, "count": len(flow_ids)}
 
-    def _get_flow(self, flow_id: str
-                  ) -> Tuple[int, List[Tuple[str, str]], Any]:
+    def _get_flow(self, flow_id: str) -> _Answer:
         with self._lock:
             record = self.registry.get(flow_id)
         if record is None:
             return 404, [], {"error": f"unknown flow {flow_id!r}"}
         return 200, [], record
 
-    def _get_mib(self, method: str
-                 ) -> Tuple[int, List[Tuple[str, str]], Any]:
-        if method not in ("GET", "HEAD"):
-            return 405, [("Allow", "GET")], {
-                "error": f"{method} not allowed"}
+    def _get_mib(self) -> _Answer:
         if self.mib_view is None:
             return 404, [], {"error": "no MIB observer configured"}
         return 200, [], self.mib_view()
 
-    def _get_health(self, method: str
-                    ) -> Tuple[int, List[Tuple[str, str]], Any]:
-        if method not in ("GET", "HEAD"):
-            return 405, [("Allow", "GET")], {
-                "error": f"{method} not allowed"}
+    def _get_health(self) -> _Answer:
         with self._lock:
             flows = len(self.registry)
         return 200, [], {
@@ -448,11 +416,7 @@ class ControlPlaneApp:
             "flows": flows,
         }
 
-    def _get_metrics(self, method: str
-                     ) -> Tuple[int, List[Tuple[str, str]], Any]:
-        if method not in ("GET", "HEAD"):
-            return 405, [("Allow", "GET")], {
-                "error": f"{method} not allowed"}
+    def _get_metrics(self) -> _Answer:
         lines: List[str] = []
         for name, value in sorted(self.counters().items()):
             metric = f"repro_controlplane_{name}"

@@ -86,7 +86,12 @@ class ControlPlaneClient:
         """One exchange; retries **once** on a dead keep-alive socket
         (the server may close an idle persistent connection between
         our requests — the retry is on a fresh connection before
-        anything was delivered, not an application-level replay)."""
+        anything was delivered, not an application-level replay).
+
+        A server that took the request and did not answer within
+        ``timeout`` may still act on it, so a timeout is raised
+        (``socket.timeout``), never resent.
+        """
         payload = None
         send_headers = dict(headers or {})
         if body is not None:
@@ -101,9 +106,11 @@ class ControlPlaneClient:
                 response = conn.getresponse()
                 raw = response.read()
                 break
+            except socket.timeout:
+                self._drop()  # a late reply would answer the next call
+                raise
             except (BrokenPipeError, ConnectionError, BadStatusLine,
-                    CannotSendRequest, ResponseNotReady,
-                    socket.timeout, OSError):
+                    CannotSendRequest, ResponseNotReady, OSError):
                 self._drop()
                 if attempt:
                     raise

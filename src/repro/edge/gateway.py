@@ -56,7 +56,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.admission import AdmissionDecision
 from repro.edge import protocol
-from repro.edge.leases import DedupWindow, LeaseTable
+from repro.edge.leases import DedupWindow, Lease, LeaseTable
 from repro.errors import StateError
 from repro.service.replication import dry_run_admissibility
 from repro.service.runtime import BrokerService, ServiceReply, ServiceRequest
@@ -385,19 +385,30 @@ class EdgeGateway:
 
         self.service.submit(request).add_done_callback(finish)
 
-    def _admit_reply(self, reply: ServiceReply, agent: str, idem: str,
-                     now: float):
+    @staticmethod
+    def _answer(kind: str, idem: str, reply: ServiceReply, **ok_fields):
+        """The reply frame for a service reply: ``try-again`` when it
+        was shed, ``error`` when it failed, else ``ok``."""
         if reply.try_again:
             return protocol.make_reply(
-                "admit", idem, protocol.STATUS_TRY_AGAIN,
+                kind, idem, protocol.STATUS_TRY_AGAIN,
                 detail=reply.detail, retry_after=reply.retry_after,
             )
-        if reply.status != "ok" or reply.decision is None:
+        if reply.status != "ok":
             return protocol.make_reply(
-                "admit", idem, protocol.STATUS_ERROR,
+                kind, idem, protocol.STATUS_ERROR,
                 reason="service", detail=reply.detail,
             )
-        decision = reply.decision
+        return protocol.make_reply(
+            kind, idem, protocol.STATUS_OK, detail=reply.detail,
+            **ok_fields,
+        )
+
+    def _admit_reply(self, reply: ServiceReply, agent: str, idem: str,
+                     now: float):
+        if reply.status != "ok":
+            return self._answer("admit", idem, reply)
+        decision = reply.decision  # always set on an admit's reply
         lease_info = None
         adopt = (
             not decision.admitted
@@ -441,12 +452,9 @@ class EdgeGateway:
                 "macroflow_key": macroflow_key,
                 "drain_bound": drain_bound,
             }
-        return protocol.make_reply(
-            "admit", idem, protocol.STATUS_OK,
-            detail=reply.detail,
-            decision=decision_to_dict(decision),
-            lease=lease_info,
-        )
+        return self._answer("admit", idem, reply,
+                            decision=decision_to_dict(decision),
+                            lease=lease_info)
 
     def _macroflow_hints(self, flow_id: str) -> Tuple[str, float]:
         """(macroflow key, feedback drain hint) for an admitted flow.
@@ -475,24 +483,10 @@ class EdgeGateway:
         )
 
         def finish(reply: ServiceReply) -> None:
-            if reply.try_again:
-                answer = protocol.make_reply(
-                    "teardown", idem, protocol.STATUS_TRY_AGAIN,
-                    detail=reply.detail, retry_after=reply.retry_after,
-                )
-            elif reply.status != "ok":
+            if not reply.try_again:
                 self.leases.release(flow_id)
-                answer = protocol.make_reply(
-                    "teardown", idem, protocol.STATUS_ERROR,
-                    reason="service", detail=reply.detail,
-                )
-            else:
-                self.leases.release(flow_id)
-                answer = protocol.make_reply(
-                    "teardown", idem, protocol.STATUS_OK,
-                    detail=reply.detail,
-                )
-            self._complete(agent, idem, answer)
+            self._complete(agent, idem,
+                           self._answer("teardown", idem, reply))
 
         self.service.submit(request).add_done_callback(finish)
 
@@ -514,22 +508,8 @@ class EdgeGateway:
         )
 
         def finish(reply: ServiceReply) -> None:
-            if reply.try_again:
-                answer = protocol.make_reply(
-                    "feedback", idem, protocol.STATUS_TRY_AGAIN,
-                    detail=reply.detail, retry_after=reply.retry_after,
-                )
-            elif reply.status != "ok":
-                answer = protocol.make_reply(
-                    "feedback", idem, protocol.STATUS_ERROR,
-                    reason="service", detail=reply.detail,
-                )
-            else:
-                answer = protocol.make_reply(
-                    "feedback", idem, protocol.STATUS_OK,
-                    detail=reply.detail,
-                )
-            self._complete(agent, idem, answer)
+            self._complete(agent, idem,
+                           self._answer("feedback", idem, reply))
 
         self.service.submit(request).add_done_callback(finish)
 
@@ -674,35 +654,10 @@ class EdgeGateway:
         reaped.  Called by the background reaper; tests call it
         directly with an explicit *now*.
         """
-        if now is None:
-            now = self.domain_now
-        else:
-            self._advance_domain_clock(now)
-        reaped: List[str] = []
-        for lease in self.leases.expire_due(now):
-            try:
-                self.service.journal_lease(
-                    "expire", lease.flow_id, lease.agent,
-                    duration=lease.duration, now=now,
-                )
-            except StateError:
-                pass
-            reply = self.service.request(
-                lease.flow_id, op="teardown", now=now,
-            )
-            if reply.status == "ok" or "not admitted" in reply.detail:
-                # "not admitted" = the flow raced an explicit teardown
-                # whose lease release lost; either way it is gone.
-                reaped.append(lease.flow_id)
-                self.reaped += 1
-            else:
-                # Shed or gate failure: re-grant so the next reap pass
-                # retries instead of leaking the reservation.
-                self.leases.grant(
-                    lease.flow_id, lease.agent,
-                    now - self.leases.duration,
-                    macroflow_key=lease.macroflow_key,
-                )
+        now = self._now_or_domain(now)
+        reaped = [lease.flow_id for lease in self._retire(
+            self.leases.expire_due(now), "expire", now)]
+        self.reaped += len(reaped)
         return reaped
 
     def reclaim_idle(self, flow_ids, now: Optional[float] = None) -> int:
@@ -716,38 +671,53 @@ class EdgeGateway:
         the next reap pass retries it.  Returns how many flows were
         reclaimed.
         """
+        now = self._now_or_domain(now)
+        released = (self.leases.release(flow_id) for flow_id in flow_ids)
+        reclaimed = self._retire(
+            (lease for lease in released if lease is not None),
+            "reclaim", now)
+        self.idle_reclaimed += len(reclaimed)
+        store = self.service.telemetry
+        if store is not None:
+            for lease in reclaimed:
+                store.forget_flow(lease.flow_id)
+        return len(reclaimed)
+
+    def _now_or_domain(self, now: Optional[float]) -> float:
         if now is None:
-            now = self.domain_now
-        else:
-            self._advance_domain_clock(now)
-        reclaimed = 0
-        for flow_id in flow_ids:
-            lease = self.leases.release(flow_id)
-            if lease is None:
-                continue  # already torn down or reaped
+            return self.domain_now
+        self._advance_domain_clock(now)
+        return now
+
+    def _retire(self, leases, marker: str, now: float) -> List[Lease]:
+        """Journal a *marker* lease event for each of *leases* and tear
+        its flow down through the service queue; returns the leases
+        whose flows are gone.  Any other outcome (shed, gate failure)
+        re-grants the lease expired, so the next reap pass retries it
+        instead of leaking the reservation."""
+        gone: List[Lease] = []
+        for lease in leases:
             try:
                 self.service.journal_lease(
-                    "reclaim", flow_id, lease.agent,
+                    marker, lease.flow_id, lease.agent,
                     duration=lease.duration, now=now,
                 )
             except StateError:
                 pass
             reply = self.service.request(
-                flow_id, op="teardown", now=now,
+                lease.flow_id, op="teardown", now=now,
             )
             if reply.status == "ok" or "not admitted" in reply.detail:
-                reclaimed += 1
-                self.idle_reclaimed += 1
-                store = self.service.telemetry
-                if store is not None:
-                    store.forget_flow(flow_id)
+                # "not admitted" = the flow raced an explicit teardown
+                # whose lease release lost; either way it is gone.
+                gone.append(lease)
             else:
                 self.leases.grant(
-                    flow_id, lease.agent,
+                    lease.flow_id, lease.agent,
                     now - self.leases.duration,
                     macroflow_key=lease.macroflow_key,
                 )
-        return reclaimed
+        return gone
 
     def _reap_loop(self) -> None:
         while self._running:

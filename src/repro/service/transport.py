@@ -428,10 +428,6 @@ class TcpConnection:
         :meth:`recv`, and close it before the connection."""
         return self._sock.makefile("rb")
 
-    def peer(self) -> Tuple[str, int]:
-        """The remote ``(host, port)``."""
-        return self._sock.getpeername()[:2]
-
     # -- closing -------------------------------------------------------
 
     def close(self) -> None:

@@ -23,6 +23,7 @@ central claims:
 from __future__ import annotations
 
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -192,6 +193,88 @@ class TestSpanningRateOnly:
         for shard in duo.shards.values():
             assert len(shard.broker.flow_mib) == 0
         assert all(v < 1.0 for v in duo.link_loads().values())
+
+
+class _GatedShard:
+    """A shard handle whose *op* blocks until :attr:`gate` is set;
+    every other op goes straight through."""
+
+    def __init__(self, shard, op: str) -> None:
+        self.shard = shard
+        self.op = op
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+
+    def __getattr__(self, name):
+        method = getattr(self.shard, name)
+        if name != self.op:
+            return method
+
+        def gated(*args, **kwargs):
+            self.entered.set()
+            assert self.gate.wait(10.0), "gate never opened"
+            return method(*args, **kwargs)
+
+        return gated
+
+
+class TestConcurrentTeardown:
+    """A duplicate teardown (an agent's resend through another gateway
+    worker) can reach the coordinator while the first one is still in
+    the shard: it must be told to retry, not that the flow is unknown
+    (REST would answer 404 while the flow still holds capacity)."""
+
+    @pytest.mark.parametrize("kind,op", [
+        ("local", "teardown"), ("spanning", "release"),
+    ])
+    def test_duplicate_during_teardown_is_retryable(self, duo, kind, op):
+        nodes = (duo.pod_paths[0] if kind == "local"
+                 else duo.spanning_paths[0])
+        assert duo.coordinator.admit(
+            "f1", SPEC, D_REQ, nodes[0], nodes[-1], path_nodes=nodes,
+        ).admitted
+        gated = _GatedShard(duo.coordinator.handles["shard0"], op)
+        duo.coordinator.handles["shard0"] = gated
+        first = []
+        thread = threading.Thread(
+            target=lambda: first.append(duo.coordinator.teardown("f1")))
+        thread.start()
+        try:
+            assert gated.entered.wait(10.0)
+            duplicate = duo.coordinator.teardown("f1")
+            held = "f1" in duo.coordinator.flows()
+        finally:
+            gated.gate.set()
+            thread.join(10.0)
+        assert not thread.is_alive()
+        assert duplicate.status == "error"
+        assert duplicate.reason == "teardown-in-progress"
+        # The REST tier answers 404 on either phrase; this must be 502.
+        assert "not admitted" not in duplicate.detail
+        assert "is not registered" not in duplicate.detail
+        assert held
+        assert first[0].status == "ok"
+        assert "f1" not in duo.coordinator.flows()
+        assert duo.coordinator.teardown("f1").reason == "unknown-flow"
+        assert all(load < 1.0 for load in duo.link_loads().values())
+
+    def test_retry_after_an_unreachable_shard_finds_the_flow(self, duo):
+        nodes = duo.pod_paths[0]
+        assert duo.coordinator.admit(
+            "f1", SPEC, D_REQ, nodes[0], nodes[-1], path_nodes=nodes,
+        ).admitted
+        shard = duo.coordinator.handles["shard0"]
+
+        def unreachable(frame):
+            raise SignalingError("shard0 unreachable")
+
+        duo.coordinator.handles["shard0"] = SimpleNamespace(
+            teardown=unreachable)
+        failed = duo.coordinator.teardown("f1")
+        assert failed.reason == "shard-unreachable"
+        duo.coordinator.handles["shard0"] = shard
+        assert duo.coordinator.teardown("f1").status == "ok"
+        assert "f1" not in duo.coordinator.flows()
 
 
 class TestSpanningMixed:

@@ -18,7 +18,7 @@ Pinned HTTP behaviour: one connection carries request after request,
 pipelined ones answered in order; framing the server cannot trust
 the stream past is answered, then closed; ``close()`` ends live
 connections; the client retries once on a connection the server
-dropped.
+dropped, and raises a timeout without resending the request.
 """
 
 from __future__ import annotations
@@ -405,7 +405,7 @@ class TestFraming:
             assert json.loads(body)["status"] == "ok"
 
     def test_raising_app_is_500_and_close(self, capsys):
-        def app(environ, start_response):
+        def app(request):
             raise RuntimeError("boom")
 
         with ControlPlaneServer(app) as server:
@@ -442,3 +442,28 @@ class TestServerLifecycle:
         stack.server = ControlPlaneServer(stack.app, port=port).start()
         assert stack.client.healthz().status == 200
         assert stack.client.reconnects == 1
+
+    def test_client_raises_a_timeout_instead_of_resending(self):
+        # A server that takes requests and never answers: connections
+        # wait in the listener's backlog, each holding what the client
+        # sent, so draining the backlog counts the requests delivered.
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            host, port = listener.getsockname()[:2]
+            with ControlPlaneClient(host, port, timeout=0.5) as client:
+                started = time.monotonic()
+                with pytest.raises(socket.timeout):
+                    admit(client, "f1")
+                elapsed = time.monotonic() - started
+            listener.setblocking(False)
+            received = b""
+            while True:
+                try:
+                    sock, _ = listener.accept()
+                except BlockingIOError:
+                    break  # the backlog is drained
+                with sock:
+                    sock.settimeout(1.0)
+                    while chunk := sock.recv(65536):
+                        received += chunk
+        assert received.count(b"POST /v1/flows ") == 1
+        assert elapsed < 0.9

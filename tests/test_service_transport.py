@@ -631,12 +631,11 @@ class _RestRig:
     released; one raw keep-alive client socket."""
 
     def __init__(self, entered, release):
-        def app(environ, start_response):
-            if environ["PATH_INFO"] == "/slow":
+        def app(request):
+            if request.path == "/slow":
                 entered.set()
                 release.wait(10.0)
-            start_response("200 OK", [("Content-Type", "text/plain")])
-            return [b"done"]
+            return 200, [("Content-Type", "text/plain")], b"done"
 
         self.server = ControlPlaneServer(app).start()
         self.sock = socket.create_connection(
