@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -69,9 +70,10 @@ class ClusterDecision:
     ``status``: ``"ok"`` (judged — check ``admitted``), ``"rejected"``
     (2PC aborted or pre-checked infeasible), ``"in-doubt"`` (a commit
     retry could not reach every participant; recovery will finish the
-    transaction), or the wrapped service's transient statuses
-    (``"shed"``/``"expired"``/``"error"``) passed through from
-    one-hop admissions.
+    transaction), ``"error"`` (the owning shard or a 2PC participant
+    was unreachable: retry), or the wrapped service's transient
+    statuses (``"shed"``/``"expired"``/``"error"``) passed through
+    from one-hop admissions.
     """
 
     flow_id: str
@@ -335,8 +337,11 @@ class ClusterCoordinator:
             try:
                 reply = self.handles[shard].prepare(frame)
             except Exception as exc:  # participant unreachable/crashed
+                # Not a refusal: the flow may be admissible, so the
+                # answer is a retryable error (like a one-shard admit
+                # whose shard is down), which no front end caches.
                 failure = ClusterDecision(
-                    flow_id=flow_id, admitted=False, status="rejected",
+                    flow_id=flow_id, admitted=False, status="error",
                     path_nodes=nodes, shards=tuple(shard_names),
                     txid=txid, reason="participant-unreachable",
                     detail=f"prepare on {shard!r} failed: {exc}",
@@ -383,11 +388,6 @@ class ClusterCoordinator:
                 detail="a participant's hold expired before commit; "
                        "retry the admission",
             )
-        with self._lock:
-            self._registry[flow_id] = {
-                "kind": "spanning", "shards": shard_names, "txid": txid,
-            }
-        self.spanning_commits += 1
         return ClusterDecision(
             flow_id=flow_id, admitted=True, status="ok",
             rate=rate, delay=delay, path_nodes=nodes,
@@ -439,7 +439,6 @@ class ClusterCoordinator:
         transaction ``"in-doubt"`` (no ``cdone``); recovery re-drives
         it, which is safe because every op is idempotent by txid.
         """
-        committed: List[str] = []
         degraded: List[str] = []
         unreachable: List[str] = []
         for shard in shard_names:
@@ -455,9 +454,7 @@ class ClusterCoordinator:
                     shards=list(shard_names), now=now,
                 )
                 continue
-            if reply.get("status") == "committed":
-                committed.append(shard)
-            else:
+            if reply.get("status") != "committed":
                 degraded.append(shard)
         if unreachable:
             return "in-doubt"
@@ -482,6 +479,16 @@ class ClusterCoordinator:
                 "txid": txid, "outcome": "compensated",
             })
             return "compensated"
+        # The one place a committed spanning flow enters the registry,
+        # whether admitted, reconciled or recovered.
+        with self._lock:
+            first = flow_id not in self._registry
+            self._registry[flow_id] = {
+                "kind": "spanning", "shards": list(shard_names),
+                "txid": txid,
+            }
+        if first:
+            self.spanning_commits += 1
         self._journal("cdone", {"txid": txid, "outcome": "commit"})
         return "committed"
 
@@ -657,17 +664,7 @@ class ClusterCoordinator:
                         info["txid"], info["flow_id"],
                         info["shards"], now,
                     )
-                    if outcome == "committed":
-                        with self._lock:
-                            first = info["flow_id"] not in self._registry
-                            self._registry[info["flow_id"]] = {
-                                "kind": "spanning",
-                                "shards": info["shards"],
-                                "txid": info["txid"],
-                            }
-                        if first:
-                            self.spanning_commits += 1
-                    elif outcome == "in-doubt":
+                    if outcome == "in-doubt":
                         # _drive_commit re-noted the unreachable
                         # shard(s); nothing resolved for this txn yet.
                         continue
@@ -677,6 +674,22 @@ class ClusterCoordinator:
                     self._unresolved.setdefault(shard, {})[_key] = info
         self.reconciled += resolved
         return resolved
+
+    def counters(self) -> Dict[str, Any]:
+        """The coordinator's counters, as its ``status`` op and
+        ``ProcCluster.merged_stats`` report them."""
+        return {
+            "name": self.name,
+            "pid": os.getpid(),
+            "local_admits": self.local_admits,
+            "spanning_admits": self.spanning_admits,
+            "spanning_commits": self.spanning_commits,
+            "spanning_aborts": self.spanning_aborts,
+            "compensations": self.compensations,
+            "reconciled": self.reconciled,
+            "flows": len(self._registry),
+            "unresolved": self.unresolved(),
+        }
 
     def flows(self) -> Dict[str, Dict[str, Any]]:
         with self._lock:
@@ -726,7 +739,9 @@ class ClusterCoordinator:
         coordinator._seq = itertools.count(1 + max(
             (_txid_seq(txid, name) for txid in state.decisions), default=0,
         ))
-        registry = state.flows
+        # The log's registry is the live one before anything is
+        # re-driven: a completed commit adds its flow to it.
+        coordinator._registry = state.flows
         report = CoordinatorRecovery()
         for txid, txn in sorted(state.decisions.items()):
             if txn["state"] == "done":
@@ -755,19 +770,12 @@ class ClusterCoordinator:
                     txid, txn["flow_id"], txn.get("shards", []), now,
                 )
                 if outcome == "committed":
-                    registry[txn["flow_id"]] = {
-                        "kind": "spanning",
-                        "shards": txn.get("shards", []),
-                        "txid": txid,
-                    }
                     report.committed.append(txid)
                 elif outcome == "compensated":
                     report.compensated.append(txid)
                 else:
                     report.in_doubt.append(txid)
-        with coordinator._lock:
-            coordinator._registry = registry
-        report.flows = len(registry)
+        report.flows = len(coordinator._registry)
         return coordinator, report
 
 

@@ -335,20 +335,7 @@ class _CoordinatorOps:
         return {"status": "reaped", "shards": self.coordinator.reap(now)}
 
     def status(self) -> Dict[str, Any]:
-        coordinator = self.coordinator
-        return {
-            "status": "ok",
-            "name": coordinator.name,
-            "pid": os.getpid(),
-            "local_admits": coordinator.local_admits,
-            "spanning_admits": coordinator.spanning_admits,
-            "spanning_commits": coordinator.spanning_commits,
-            "spanning_aborts": coordinator.spanning_aborts,
-            "compensations": coordinator.compensations,
-            "reconciled": coordinator.reconciled,
-            "flows": len(coordinator.flows()),
-            "unresolved": coordinator.unresolved(),
-        }
+        return {"status": "ok", **self.coordinator.counters()}
 
     def stats(self) -> Dict[str, Any]:
         return self.status()
@@ -1086,17 +1073,7 @@ class ProcCluster:
                 shards[name] = {"status": "error", "detail": str(exc)}
         merged: Dict[str, Any] = {"shards": shards}
         if self.coordinator is not None:
-            coordinator = self.coordinator
-            merged["coordinator"] = {
-                "pid": os.getpid(),
-                "local_admits": coordinator.local_admits,
-                "spanning_admits": coordinator.spanning_admits,
-                "spanning_commits": coordinator.spanning_commits,
-                "spanning_aborts": coordinator.spanning_aborts,
-                "compensations": coordinator.compensations,
-                "reconciled": coordinator.reconciled,
-                "unresolved": coordinator.unresolved(),
-            }
+            merged["coordinator"] = self.coordinator.counters()
         merged["supervisor"] = self.supervisor.counters()
         merged["reconnects"] = {
             name: handle.reconnects

@@ -30,8 +30,11 @@ half** of the cross-shard admission protocol:
 ``release``
     Cross-shard teardown of a committed flow's local segment.
 
-Every operation is **idempotent by transaction id** (retries replay
-the cached verdict), serialized per shard by an operation lock, and
+Every operation journals its record and applies it through the same
+:data:`~repro.core.journal.KINDS` row replay runs, into the wrapped
+service's state (whose ``txns`` is the 2PC table).  Every operation is
+**idempotent by transaction id** (a retry is answered from the
+transaction's state), serialized per shard by an operation lock, and
 guarded against superseded coordinators by the partition map's
 ``(version, epoch)`` stamp.  Holds are leased
 (:class:`~repro.edge.leases.LeaseTable` keyed by txid): if the
@@ -50,14 +53,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.admission import AdmissionDecision, PerFlowAdmission, _EPS
 from repro.core.broker import BandwidthBroker
-from repro.core.journal import (
-    _apply_abort,
-    _apply_commit,
-    _apply_prepare,
-    _apply_release,
-    _flow_keys,
-    _resolve_links,
-)
+from repro.core.journal import _flow_keys, _resolve_links
 from repro.core.mibs import LinkQoSState, PathRecord
 from repro.edge.leases import LeaseTable
 from repro.errors import StateError, TopologyError
@@ -94,7 +90,11 @@ class BrokerShard:
     :param wal: optional shared WAL — the same journal the wrapped
         :class:`BrokerService` write-aheads requests to; cluster
         records interleave in lock order, so one replay pass rebuilds
-        both kinds of state.
+        both kinds of state.  They ride the service's group commit and
+        replication gate, but a failed gate is only counted (the
+        service's ``replication_stalls``), not raised: the record is
+        durable locally and shipped once the followers recover, and a
+        2PC record's authoritative copy is the coordinator's log.
     :param hold_duration: seconds a prepare's hold survives without a
         decision before :meth:`reap` may expire it.
     :param workers / lock_shards / queue_limit / edge_rtt /
@@ -134,9 +134,6 @@ class BrokerShard:
         self._admission = PerFlowAdmission(
             broker.node_mib, broker.flow_mib, broker.path_mib
         )
-        #: txid -> transaction dict (state machine: prepared ->
-        #: committed | aborted; rejected is terminal from the start).
-        self._txns: Dict[str, Dict[str, Any]] = {}
         #: Serializes cluster ops against each other; the wrapped
         #: service's workers take only the link-shard locks, so the
         #: established order (_op_lock -> shard locks) cannot deadlock
@@ -150,28 +147,6 @@ class BrokerShard:
         self.released_total = 0
         self.duplicate_ops = 0
         self.stale_frames = 0
-        self.replication_stalls = 0
-
-    def _commit_wal(self) -> None:
-        """Group-commit cluster records and ship them to replicas.
-
-        Cluster ops append to the same WAL the wrapped service ships,
-        so they must publish through the same replicator.  A failed
-        ack gate is counted, not raised: the record is durable locally
-        and the shipping threads deliver it when the follower set
-        recovers — unlike service admissions, a 2PC record's
-        authoritative copy is the coordinator's decision log.
-        """
-        if self.wal is None:
-            return
-        seq = self.wal.commit()
-        replicator = self.service.replicator
-        if replicator is not None:
-            try:
-                replicator.publish(seq)
-                replicator.wait_durable(seq)
-            except StateError:
-                self.replication_stalls += 1
 
     # -- lifecycle ------------------------------------------------------
 
@@ -213,6 +188,20 @@ class BrokerShard:
             "status": "rejected", "txid": txid, "shard": self.name,
             "reason": reason, "detail": detail,
         }
+
+    def _txn_reply(self, txid: str) -> Dict[str, Any]:
+        """The answer to any op on a known *txid*, from its state in
+        the service's 2PC table (``state.txns``): live and recovered
+        shards answer duplicates alike."""
+        txn = self.service.state.txns[txid]
+        if txn["state"] == "rejected":
+            return dict(txn["reply"])
+        reply = {"status": txn["state"], "txid": txid, "shard": self.name}
+        if txn["state"] != "aborted":
+            reply.update(rate=txn["rate"], delay=txn["delay"])
+        if txn["state"] == "committed":
+            reply["flows"] = list(txn["flows"])
+        return reply
 
     # -- one-hop (single-shard) service ---------------------------------
 
@@ -281,20 +270,21 @@ class BrokerShard:
           carrying the full path's profile, and returns the granted
           ``(rate, delay)`` pair for the remaining shards to verify.
 
-        A rejected prepare mutates nothing and journals nothing; the
-        verdict is cached so retries replay it.
+        A rejected prepare mutates no broker state and journals
+        nothing; its reply is kept in the 2PC table so retries get it
+        back.
         """
         stale = self._stale(frame)
         if stale is not None:
             return stale
         txid = frame["txid"]
         now = frame.get("now", 0.0)
+        txns = self.service.state.txns
         with self._op_lock:
             self.prepares += 1
-            cached = self._txns.get(txid)
-            if cached is not None:
+            if txid in txns:
                 self.duplicate_ops += 1
-                return dict(cached["reply"])
+                return self._txn_reply(txid)
             try:
                 links = _resolve_links(self.broker, frame["links"])
             except TopologyError as exc:
@@ -304,62 +294,40 @@ class BrokerShard:
                 }
             spec = TSpec.from_dict(frame["spec"])
             flow_id = frame["flow_id"]
-            reply: Optional[Dict[str, Any]] = None
-            txn: Optional[Dict[str, Any]] = None
-            shard_ids = self.service.shards.shards_for(links)
-            with self.service.shards.locked(shard_ids):
+            with self.service.shards.locked(
+                    self.service.shards.shards_for(links)):
                 if flow_id in self.broker.flow_mib:
-                    reply = self._reject(
+                    verdict = self._reject(
                         txid, "duplicate",
                         f"flow {flow_id!r} already admitted on shard "
                         f"{self.name!r}",
                     )
                 else:
                     verdict = self._feasible(frame, spec, links)
-                    if isinstance(verdict, dict):
-                        reply = verdict
-                    else:
-                        rate, delay = verdict
-                        txn = {
-                            "txid": txid,
-                            "flow_id": flow_id,
-                            "links": [list(l.link_id) for l in links],
-                            "rate": rate,
-                            "delay": delay,
-                            "spec": spec.to_dict(),
-                            "delay_requirement": frame.get(
-                                "delay_requirement", 0.0
-                            ),
-                            "now": now,
-                            "state": "prepared",
-                        }
-                        if self.wal is not None:
-                            payload = dict(txn)
-                            payload.pop("state")
-                            self.wal.append("cprepare", payload)
-                        _apply_prepare(self.broker, txn)
-                        self.holds.grant(
-                            txid, frame.get("coordinator", "coordinator"),
-                            now,
-                        )
-            if txn is not None:
-                # Hold is durable before the promise leaves the shard.
-                self._commit_wal()
-                reply = {
-                    "status": "prepared", "txid": txid,
-                    "shard": self.name,
-                    "rate": txn["rate"], "delay": txn["delay"],
-                }
-                txn["reply"] = reply
-                self._txns[txid] = txn
-                self.prepared_total += 1
-            else:
-                assert reply is not None
-                self._txns[txid] = {
-                    "txid": txid, "state": "rejected", "links": [],
-                    "reply": reply,
-                }
-            return dict(reply)
+                if isinstance(verdict, dict):
+                    txns[txid] = {
+                        "txid": txid, "state": "rejected", "links": [],
+                        "reply": verdict,
+                    }
+                    return dict(verdict)
+                rate, delay = verdict
+                self.service.record("cprepare", {
+                    "txid": txid,
+                    "flow_id": flow_id,
+                    "links": [list(link.link_id) for link in links],
+                    "rate": rate,
+                    "delay": delay,
+                    "spec": spec.to_dict(),
+                    "delay_requirement": frame.get("delay_requirement", 0.0),
+                    "now": now,
+                })
+                self.holds.grant(
+                    txid, frame.get("coordinator", "coordinator"), now,
+                )
+            # Hold is durable before the promise leaves the shard.
+            self.service._commit_wal()
+            self.prepared_total += 1
+            return self._txn_reply(txid)
 
     def _feasible(self, frame: Dict[str, Any], spec: TSpec,
                   links: Sequence[LinkQoSState]):
@@ -411,7 +379,7 @@ class BrokerShard:
         txid = frame["txid"]
         now = frame.get("now", 0.0)
         with self._op_lock:
-            txn = self._txns.get(txid)
+            txn = self.service.state.txns.get(txid)
             if txn is None:
                 # History may have been checkpoint-pruned: answer by
                 # effect so a re-driven commit stays idempotent.
@@ -426,27 +394,19 @@ class BrokerShard:
                 }
             if txn["state"] == "committed":
                 self.duplicate_ops += 1
-                return dict(txn["reply"])
+                return self._txn_reply(txid)
             if txn["state"] in ("aborted", "rejected"):
                 return {
                     "status": "aborted", "txid": txid, "shard": self.name,
                 }
             links = _resolve_links(self.broker, txn["links"])
-            shard_ids = self.service.shards.shards_for(links)
-            with self.service.shards.locked(shard_ids):
-                if self.wal is not None:
-                    self.wal.append("ccommit", {"txid": txid, "now": now})
-                keys = _apply_commit(self.broker, txn, now)
-            self._commit_wal()
+            with self.service.shards.locked(
+                    self.service.shards.shards_for(links)):
+                self.service.record("ccommit", {"txid": txid, "now": now})
+            self.service._commit_wal()
             self.holds.release(txid)
-            txn["state"] = "committed"
-            reply = {
-                "status": "committed", "txid": txid, "shard": self.name,
-                "rate": txn["rate"], "delay": txn["delay"], "flows": keys,
-            }
-            txn["reply"] = reply
             self.committed_total += 1
-            return dict(reply)
+            return self._txn_reply(txid)
 
     def abort(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         """Phase 2 (negative) / reap path: release and tombstone."""
@@ -459,35 +419,27 @@ class BrokerShard:
             )
 
     def _abort_locked(self, txid: str, now: float) -> Dict[str, Any]:
-        txn = self._txns.get(txid)
+        txn = self.service.state.txns.get(txid)
         if txn is not None and txn["state"] == "committed":
             # Too late: the decision already landed.  The coordinator
             # compensates with a release of the flow instead.
-            return dict(txn["reply"])
+            return self._txn_reply(txid)
         if txn is not None and txn["state"] == "aborted":
             self.duplicate_ops += 1
-            return dict(txn["reply"])
-        prepared = txn is not None and txn["state"] == "prepared"
-        if prepared:
-            links = _resolve_links(self.broker, txn["links"])
-            shard_ids = self.service.shards.shards_for(links)
-            with self.service.shards.locked(shard_ids):
-                if self.wal is not None:
-                    self.wal.append("cabort", {"txid": txid, "now": now})
-                _apply_abort(self.broker, txn)
-        elif self.wal is not None:
-            # Tombstone for an unknown/rejected txid: deterministic on
-            # replay, and it blocks a late retried prepare for good.
-            self.wal.append("cabort", {"txid": txid, "now": now})
-        self._commit_wal()
+            return self._txn_reply(txid)
+        # A prepared txid's holds are released; an unknown or rejected
+        # one gets a tombstone: deterministic on replay, and it blocks
+        # a late retried prepare for good.
+        links = _resolve_links(
+            self.broker, txn["links"] if txn is not None else [],
+        )
+        with self.service.shards.locked(
+                self.service.shards.shards_for(links)):
+            self.service.record("cabort", {"txid": txid, "now": now})
+        self.service._commit_wal()
         self.holds.release(txid)
-        reply = {"status": "aborted", "txid": txid, "shard": self.name}
-        base = txn if txn is not None else {"txid": txid, "links": []}
-        base["state"] = "aborted"
-        base["reply"] = reply
-        self._txns[txid] = base
         self.aborted_total += 1
-        return dict(reply)
+        return self._txn_reply(txid)
 
     def release(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         """Cross-shard teardown of a committed flow's local segment."""
@@ -507,14 +459,12 @@ class BrokerShard:
             for key in keys:
                 record = self.broker.flow_mib.get(key)
                 links.extend(self.broker.path_mib.get(record.path_id).links)
-            shard_ids = self.service.shards.shards_for(links)
-            with self.service.shards.locked(shard_ids):
-                if self.wal is not None:
-                    self.wal.append(
-                        "crelease", {"flow_id": flow_id, "now": now}
-                    )
-                removed = _apply_release(self.broker, flow_id)
-            self._commit_wal()
+            with self.service.shards.locked(
+                    self.service.shards.shards_for(links)):
+                removed = self.service.record(
+                    "crelease", {"flow_id": flow_id, "now": now}
+                )
+            self.service._commit_wal()
             self.released_total += 1
             return {
                 "status": "released", "flows": removed,
@@ -548,7 +498,7 @@ class BrokerShard:
         """Control-plane counters (also served as a remote op)."""
         with self._op_lock:
             states: Dict[str, int] = {}
-            for txn in self._txns.values():
+            for txn in self.service.state.txns.values():
                 states[txn["state"]] = states.get(txn["state"], 0) + 1
             return {
                 "status": "ok",
@@ -643,8 +593,9 @@ class ShardRecovery:
     """What :func:`recover_shard` rebuilt.
 
     :param shard: the recovered shard (service not yet started).
-    :param report: the underlying broker recovery report; its
-        ``txns`` is the replayed transaction table.
+    :param report: the underlying broker recovery report — now the
+        shard service's live state, so its ``txns`` is the shard's
+        transaction table.
     :param prepared: txids still holding capacity — the coordinator's
         recovery (or a reap after the hold lease runs out) resolves
         them.
@@ -683,16 +634,11 @@ def recover_shard(
     shard = BrokerShard(
         name, report.broker, partition, wal=journal, **shard_kwargs,
     )
-    for txid, txn in report.txns.items():
-        status = txn["state"]
-        reply = {"status": status, "txid": txid, "shard": name}
-        if status != "aborted":
-            reply.update(rate=txn["rate"], delay=txn["delay"])
-        if status == "committed":
-            reply["flows"] = []
-        elif status == "prepared":
-            shard.holds.grant(txid, "recovered", now)
-        shard._txns[txid] = dict(txn, reply=reply)
+    # The replayed state is the live one: its 2PC table answers
+    # duplicates exactly as the crashed shard's did.
+    shard.service.state = report
+    for txid in report.prepared():
+        shard.holds.grant(txid, "recovered", now)
     return ShardRecovery(
         shard=shard,
         report=report,

@@ -394,7 +394,24 @@ class BandwidthBroker:
                 service_class=message.service_class,
                 now=message.now,
             )
-            return self.build_reply(decision, message, sender="bb")
+            path_nodes: Tuple[str, ...] = ()
+            if decision.admitted and decision.path_id:
+                path_nodes = self.path_mib.get(decision.path_id).nodes
+            macro_key = ""
+            if decision.admitted and message.service_class:
+                record = self.flow_mib.get(message.flow_id)
+                macro_key = record.class_id if record else ""
+            return ReservationReply(
+                sender="bb",
+                receiver=message.sender,
+                flow_id=message.flow_id,
+                admitted=decision.admitted,
+                rate=decision.rate,
+                delay=decision.delay,
+                path_nodes=path_nodes,
+                macroflow_key=macro_key,
+                detail=decision.detail,
+            )
         if isinstance(message, FlowTeardown):
             self.terminate(message.flow_id, now=message.now)
             return None
@@ -405,38 +422,6 @@ class BandwidthBroker:
             return None
         raise SignalingError(
             f"broker cannot handle message type {type(message).__name__}"
-        )
-
-    def build_reply(
-        self,
-        decision: AdmissionDecision,
-        message: FlowServiceRequest,
-        *,
-        sender: str = "bb",
-    ) -> ReservationReply:
-        """The :class:`ReservationReply` for *decision* to *message*.
-
-        Shared by the synchronous endpoint above and the concurrent
-        :class:`~repro.service.BrokerService` endpoint, so both reply
-        with identical wire contents for the same decision.
-        """
-        path_nodes: Tuple[str, ...] = ()
-        if decision.admitted and decision.path_id:
-            path_nodes = self.path_mib.get(decision.path_id).nodes
-        macro_key = ""
-        if decision.admitted and message.service_class:
-            record = self.flow_mib.get(message.flow_id)
-            macro_key = record.class_id if record else ""
-        return ReservationReply(
-            sender=sender,
-            receiver=message.sender,
-            flow_id=message.flow_id,
-            admitted=decision.admitted,
-            rate=decision.rate,
-            delay=decision.delay,
-            path_nodes=path_nodes,
-            macroflow_key=macro_key,
-            detail=decision.detail,
         )
 
     # ------------------------------------------------------------------

@@ -7,9 +7,14 @@ decision log.  :data:`KINDS` decides once what each kind means — the
 function that applies it to a :class:`Replay` state, and whether the
 primary may have raised on it.  Recovery, replicas, promotion, shard
 and coordinator recovery and the soak audit all fold records through
-it, so none of them can read a record differently.  Every decision is
-a deterministic function of broker state and request inputs, so
-replaying the inputs reproduces the decisions (verified by tests).
+it, so none of them can read a record differently.  The live
+:class:`~repro.service.runtime.BrokerService` and
+:class:`~repro.cluster.shard.BrokerShard` change state through the same
+rows: each journaled operation appends its record and then applies it
+through its row, so live and replayed state agree by construction.
+Every decision is a deterministic function of broker state and request
+inputs, so replaying the inputs reproduces the decisions (verified by
+tests).
 """
 
 from __future__ import annotations
@@ -196,7 +201,9 @@ class Replay:
 
     Besides the broker it holds ``txns``, a shard's 2PC table (txid ->
     the ``cprepare`` payload plus ``state``: ``prepared``,
-    ``committed`` or ``aborted``), and the coordinator's side:
+    ``committed`` (with ``flows``, the record keys the commit made) or
+    ``aborted``; a live shard also keeps ``rejected`` prepares there),
+    and the coordinator's side:
     ``decisions`` (txid -> its ``cbegin``/``cdecide`` payloads plus
     ``state``: ``open``, ``decided-commit``, ``decided-abort`` or
     ``done``) and ``flows``, its registry (flow id -> placement).
@@ -268,12 +275,12 @@ def _request(state: Replay, p: Dict[str, Any]) -> None:
     )
 
 
-def _resize(state: Replay, p: Dict[str, Any]) -> None:
+def _resize(state: Replay, p: Dict[str, Any]) -> float:
     # Shrink clamps to the safe floor broker-side, inflate is gated by
     # capacity: both deterministic, so replay reproduces the rate.
     aggregate = state.broker.aggregate
     resize = aggregate.shrink if p["mode"] == "shrink" else aggregate.inflate
-    resize(p["macroflow_key"], p["rate"], now=p["now"])
+    return resize(p["macroflow_key"], p["rate"], now=p["now"])
 
 
 def _cprepare(state: Replay, p: Dict[str, Any]) -> None:
@@ -287,7 +294,7 @@ def _ccommit(state: Replay, p: Dict[str, Any]) -> None:
     # no-op tombstone, exactly as the live shard treats late ones.
     txn = state.txns.get(p["txid"])
     if txn is not None and txn["state"] == "prepared":
-        _apply_commit(state.broker, txn, p.get("now", 0.0))
+        txn["flows"] = _apply_commit(state.broker, txn, p.get("now", 0.0))
         txn["state"] = "committed"
 
 
@@ -327,8 +334,11 @@ def _clocal(state: Replay, p: Dict[str, Any]) -> None:
 
 
 #: kind -> ``(apply(state, payload), skippable)``: every record kind
-#: the repo writes, and the one place that says what it means.
-KINDS: Dict[str, Tuple[Callable[[Replay, Dict[str, Any]], None], bool]] = {
+#: the repo writes, and the one place that says what it means.  An
+#: apply's return value is what the live writer answers with (the
+#: allocations a feedback released, the rate a resize moved, the keys
+#: a release removed); replay ignores it.
+KINDS: Dict[str, Tuple[Callable[[Replay, Dict[str, Any]], Any], bool]] = {
     # BrokerService decisions (repro.service.runtime).
     "request": (_request, True),
     "terminate": (

@@ -65,7 +65,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Any,
+    Callable,
     Deque,
+    Dict,
     List,
     Optional,
     Sequence,
@@ -74,14 +77,8 @@ from typing import (
 
 from repro.core.admission import AdmissionDecision, RejectionReason
 from repro.core.broker import BandwidthBroker
-from repro.core.journal import request_payload
-from repro.core.signaling import (
-    FlowServiceRequest,
-    FlowTeardown,
-    Message,
-    MessageBus,
-)
-from repro.errors import SignalingError, StateError
+from repro.core.journal import KINDS, Replay, request_payload
+from repro.errors import StateError
 from repro.service.batching import AdmissionBatcher, batch_key
 from repro.service.durability import FileJournal
 from repro.service.shards import LinkShards
@@ -107,6 +104,29 @@ OK = "ok"            # a real admission/teardown decision
 SHED = "shed"        # queue full at submit time -> TRY_AGAIN
 EXPIRED = "expired"  # deadline passed while queued -> TRY_AGAIN
 ERROR = "error"      # the request raised inside the worker
+
+_RESIZE = (
+    "resize",
+    lambda r: {"macroflow_key": r.flow_id, "mode": r.op, "rate": r.rate,
+               "now": r.now},
+    lambda r, moved: f"{r.op} moved {moved:.1f} b/s",
+)
+
+#: The all-shard control ops: op -> (record kind, its payload for the
+#: request, the reply detail from what the kind's row returned).  Each
+#: may release or resize bandwidth on any macroflow's path (advance and
+#: shrink also touch the global contingency schedule), so each
+#: serializes across every shard, like a class-based join.
+_CONTROL_OPS: Dict[str, Tuple[str, Callable, Callable]] = {
+    "advance": ("advance", lambda r: {"now": r.now}, lambda r, _: ""),
+    "feedback": (
+        "feedback",
+        lambda r: {"macroflow_key": r.flow_id, "now": r.now},
+        lambda r, released: f"released {released} allocation(s)",
+    ),
+    "shrink": _RESIZE,
+    "inflate": _RESIZE,
+}
 
 
 @dataclass(frozen=True)
@@ -356,7 +376,11 @@ class BrokerService:
         self._cond = threading.Condition()
         self._threads: List[threading.Thread] = []
         self._running = False
-        self.bus_name: Optional[str] = None
+        #: The live state every journaled op applies its record to,
+        #: through the same :data:`~repro.core.journal.KINDS` row that
+        #: replay runs; a cluster shard keeps its 2PC table in
+        #: ``state.txns``.
+        self.state = Replay(broker)
         #: optional TelemetryStore (see :meth:`attach_telemetry`).
         self.telemetry = None
 
@@ -559,52 +583,6 @@ class BrokerService:
         return self
 
     # ------------------------------------------------------------------
-    # signaling endpoint
-    # ------------------------------------------------------------------
-
-    def attach_to_bus(self, bus: Optional[MessageBus] = None,
-                      name: str = "bb-service") -> "BrokerService":
-        """Register this service as endpoint *name* on *bus*.
-
-        Defaults to the broker's own bus, so experiments can drive the
-        concurrent runtime with the same
-        :class:`~repro.core.signaling.FlowServiceRequest` messages the
-        synchronous ``"bb"`` endpoint accepts.
-        """
-        (bus or self.broker.bus).register(name, self.handle_message)
-        self.bus_name = name
-        return self
-
-    def handle_message(self, message: Message) -> Optional[Message]:
-        """Bus endpoint: the concurrent counterpart of the broker's."""
-        if isinstance(message, FlowServiceRequest):
-            reply = self.request(
-                message.flow_id,
-                message.spec,
-                message.delay_requirement,
-                message.sender,
-                message.egress,
-                service_class=message.service_class,
-                now=message.now,
-            )
-            decision = reply.decision or AdmissionDecision(
-                admitted=False, flow_id=message.flow_id,
-                detail=reply.detail,
-            )
-            return self.broker.build_reply(
-                decision, message, sender=self.bus_name or "bb-service"
-            )
-        if isinstance(message, FlowTeardown):
-            reply = self.request(message.flow_id, op="teardown",
-                                 now=message.now)
-            if reply.status == ERROR:
-                raise StateError(reply.detail)
-            return None
-        raise SignalingError(
-            f"broker service cannot handle {type(message).__name__}"
-        )
-
-    # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
 
@@ -773,17 +751,9 @@ class BrokerService:
         if live[0].request.op == "teardown":
             self._serve_teardowns(live)
             return
-        if live[0].request.op == "advance":
+        if live[0].request.op in _CONTROL_OPS:
             for job in live:
-                self._serve_advance(job)
-            return
-        if live[0].request.op == "feedback":
-            for job in live:
-                self._serve_feedback(job)
-            return
-        if live[0].request.op in ("shrink", "inflate"):
-            for job in live:
-                self._serve_resize(job)
+                self._serve_control(job)
             return
         self._serve_admissions(live)
 
@@ -885,13 +855,9 @@ class BrokerService:
                 shard_ids = self.shards.shards_for(path.links)
             try:
                 with self.shards.locked(shard_ids):
-                    if self.wal is not None:
-                        self.wal.append("terminate", {
-                            "flow_id": request.flow_id,
-                            "now": request.now,
-                        })
-                    self.broker.terminate(request.flow_id,
-                                          now=request.now)
+                    self.record("terminate", {
+                        "flow_id": request.flow_id, "now": request.now,
+                    })
                     self._journal_lease_marker("release", request)
                     if self.edge_rtt > 0:
                         time.sleep(self.edge_rtt)
@@ -910,57 +876,13 @@ class BrokerService:
             self._recorder.on_reply("done", self._elapsed(job))
             self._finish(job, OK, None)
 
-    def _serve_feedback(self, job: _Job) -> None:
-        # Releasing a macroflow's contingency bandwidth mutates link
-        # reservations along its path; the macroflow may live on any
-        # path, so feedback serializes across all shards (same
-        # write-set argument as advance).
-        try:
-            with self.shards.locked(self.shards.all_shards()):
-                if self.wal is not None:
-                    self.wal.append("feedback", {
-                        "macroflow_key": job.request.flow_id,
-                        "now": job.request.now,
-                    })
-                released = self.broker.aggregate.notify_edge_empty(
-                    job.request.flow_id, job.request.now
-                )
-        except Exception as exc:
-            self._recorder.on_error(self._elapsed(job))
-            self._finish(job, ERROR, None, detail=str(exc))
-            return
-        stall = self._commit_wal()
-        if stall is not None:
-            self._fail_group([job], stall)
-            return
-        self._recorder.on_feedback(released)
-        self._recorder.on_reply("done", self._elapsed(job))
-        self._finish(job, OK, None,
-                     detail=f"released {released} allocation(s)")
-
-    def _serve_resize(self, job: _Job) -> None:
-        # A resize mutates link reservations along the macroflow's
-        # path and (for a shrink) the global contingency schedule, so
-        # it serializes across all shards like feedback/advance —
-        # and is journaled write-ahead like any admission decision.
+    def _serve_control(self, job: _Job) -> None:
+        """Serve one :data:`_CONTROL_OPS` op under every shard lock."""
         request = job.request
+        kind, payload, detail = _CONTROL_OPS[request.op]
         try:
             with self.shards.locked(self.shards.all_shards()):
-                if self.wal is not None:
-                    self.wal.append("resize", {
-                        "macroflow_key": request.flow_id,
-                        "mode": request.op,
-                        "rate": request.rate,
-                        "now": request.now,
-                    })
-                if request.op == "shrink":
-                    moved = self.broker.aggregate.shrink(
-                        request.flow_id, request.rate, now=request.now
-                    )
-                else:
-                    moved = self.broker.aggregate.inflate(
-                        request.flow_id, request.rate, now=request.now
-                    )
+                result = self.record(kind, payload(request))
         except Exception as exc:
             self._recorder.on_error(self._elapsed(job))
             self._finish(job, ERROR, None, detail=str(exc))
@@ -969,29 +891,10 @@ class BrokerService:
         if stall is not None:
             self._fail_group([job], stall)
             return
+        if request.op == "feedback":
+            self._recorder.on_feedback(result)
         self._recorder.on_reply("done", self._elapsed(job))
-        self._finish(job, OK, None,
-                     detail=f"{request.op} moved {moved:.1f} b/s")
-
-    def _serve_advance(self, job: _Job) -> None:
-        # An advance may release contingency bandwidth on any
-        # macroflow in the domain, so it serializes across all shards
-        # (same write-set argument as class-based joins).
-        try:
-            with self.shards.locked(self.shards.all_shards()):
-                if self.wal is not None:
-                    self.wal.append("advance", {"now": job.request.now})
-                self.broker.advance(job.request.now)
-        except Exception as exc:
-            self._recorder.on_error(self._elapsed(job))
-            self._finish(job, ERROR, None, detail=str(exc))
-            return
-        stall = self._commit_wal()
-        if stall is not None:
-            self._fail_group([job], stall)
-            return
-        self._recorder.on_reply("done", self._elapsed(job))
-        self._finish(job, OK, None)
+        self._finish(job, OK, None, detail=detail(request, result))
 
     def _fail_group(self, jobs: List[_Job], detail: str) -> None:
         """Answer a whole group with ``ERROR`` replies (gate failure)."""
@@ -1005,6 +908,18 @@ class BrokerService:
     # ------------------------------------------------------------------
     # durability plumbing
     # ------------------------------------------------------------------
+
+    def record(self, kind: str, payload: Dict[str, Any]) -> Any:
+        """Journal one record write-ahead (with a WAL), then apply it
+        through its :data:`~repro.core.journal.KINDS` row — the
+        function replay runs — and return what the row returns.
+
+        Uncommitted: the caller's group commit makes it durable.  The
+        caller holds the locks covering the record's write set.
+        """
+        if self.wal is not None:
+            self.wal.append(kind, payload)
+        return KINDS[kind][0](self.state, payload)
 
     def journal_lease(self, event: str, flow_id: str, agent: str, *,
                       duration: float = 0.0, now: float = 0.0) -> None:
@@ -1046,7 +961,7 @@ class BrokerService:
 
     def _append_lease(self, event: str, flow_id: str, agent: str,
                       duration: float, now: float) -> None:
-        self.wal.append("lease", {
+        self.record("lease", {
             "event": event,
             "flow_id": flow_id,
             "agent": agent,

@@ -166,6 +166,26 @@ class TestSpanningRateOnly:
             for shard in cluster.shards.values():
                 assert len(shard.broker.flow_mib) == 0
 
+    def test_unreachable_participant_is_a_retryable_error(self, duo):
+        """A prepare that raises is no refusal: the admit is answered
+        as a retryable error (REST 502, never cached as a 409), and
+        the hold already placed on the other shard is released."""
+        def unreachable(frame):
+            raise SignalingError("shard1 unreachable")
+
+        duo.coordinator.handles["shard1"] = SimpleNamespace(
+            prepare=unreachable, abort=unreachable)
+        nodes = duo.spanning_paths[0]
+        decision = duo.coordinator.admit(
+            "f1", SPEC, D_REQ, nodes[0], nodes[-1], path_nodes=nodes
+        )
+        assert decision.status == "error"
+        assert decision.reason == "participant-unreachable"
+        assert not decision.admitted
+        assert duo.shards["shard0"].status()["txns"] == {"aborted": 1}
+        assert duo.outstanding_holds() == []
+        assert "f1" not in duo.coordinator.flows()
+
     def test_duplicate_flow_id_rejected_across_shards(self, duo):
         nodes = duo.spanning_paths[0]
         first = duo.coordinator.admit(

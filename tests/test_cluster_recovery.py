@@ -387,6 +387,49 @@ class TestShardRecovery:
         assert "f1" in revived.broker.flow_mib
         assert "txn:tx-1" not in link.reservation_keys()
 
+    def test_recovered_shard_answers_duplicates_like_the_live_one(
+            self, tmp_path):
+        """Replies come from a transaction's state, so a recovered
+        shard answers a retried prepare, commit or abort exactly as
+        the live shard did — a commit's flow keys included."""
+        pmap = PartitionMap(["s0"])
+        wal = FileJournal(str(tmp_path), fsync=False)
+        shard = BrokerShard("s0", _single_link_broker(), pmap, wal=wal)
+
+        def frame(txid):
+            return {
+                "txid": txid, "flow_id": f"f-{txid}", "links": [["a", "b"]],
+                "spec": SPEC.to_dict(), "delay_requirement": D_REQ,
+                "mode": "fixed", "rate": SPEC.rho, "delay": 0.0,
+                "now": 1.0, **pmap.stamp(),
+            }
+
+        for txid in ("tx-commit", "tx-abort", "tx-open"):
+            assert shard.prepare(frame(txid))["status"] == "prepared"
+        shard.commit(frame("tx-commit"))
+        shard.abort(frame("tx-abort"))
+        shard.abort(frame("tx-tombstone"))
+
+        def duplicates(shard):
+            # Retries that find a settled transaction change nothing.
+            ops = {"tx-open": ("prepare",)}
+            for txid in ("tx-commit", "tx-abort", "tx-tombstone"):
+                ops[txid] = ("prepare", "commit", "abort")
+            return {
+                (txid, op): getattr(shard, op)(frame(txid))
+                for txid, names in ops.items() for op in names
+            }
+
+        live = duplicates(shard)
+        assert live["tx-commit", "commit"]["flows"] == ["f-tx-commit"]
+        wal.close()  # crash
+        recovery = recover_shard(
+            str(tmp_path), name="s0", partition=pmap,
+            broker_factory=_single_link_broker, fsync=False,
+        )
+        assert recovery.prepared == ("tx-open",)
+        assert duplicates(recovery.shard) == live
+
     def test_checkpoint_refuses_outstanding_holds(self, tmp_path):
         pmap = PartitionMap(["s0"])
         wal = FileJournal(str(tmp_path), fsync=False)

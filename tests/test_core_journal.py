@@ -274,8 +274,9 @@ class TestRecordTable:
     def test_every_kind_comes_from_a_real_writer(self, tmp_path,
                                                  type0_spec):
         """Write every kind through the code that writes it in
-        production; the kinds seen are exactly the table's, and every
-        journal replays through it."""
+        production; the kinds seen are exactly the table's, every
+        journal replays through it, and each replayed broker equals
+        the live one that wrote the journal."""
         service_dir = str(tmp_path / "service")
         broker = fig8_broker()
         wal = FileJournal(service_dir, fsync=False)
@@ -288,6 +289,8 @@ class TestRecordTable:
             macroflow = next(iter(broker.aggregate.macroflows))
             service.feedback(macroflow, now=2.0)
             service.shrink(macroflow, 0.0, now=3.0)
+            assert service.inflate(macroflow, 1e4, now=3.5).detail == (
+                "inflate moved 10000.0 b/s")
             service.journal_lease("expire", "f1", "agent-0", now=4.0)
             service.teardown("f1", now=5.0)
             service.advance(10.0)
@@ -310,14 +313,17 @@ class TestRecordTable:
             })
 
         twin = build_pod_cluster(2)
-        brokers = {service_dir: fig8_broker(), os.path.join(
-            wal_root, "coordinator"): None}
+        brokers = {service_dir: (broker, fig8_broker()), os.path.join(
+            wal_root, "coordinator"): (None, None)}
         for name, shard in twin.shards.items():
-            brokers[os.path.join(wal_root, name)] = shard.broker
+            brokers[os.path.join(wal_root, name)] = (
+                cluster.shards[name].broker, shard.broker)
         seen = set()
-        for directory, fresh in brokers.items():
+        for directory, (live, fresh) in brokers.items():
             entries = read_journal(directory).entries
             seen |= {entry.kind for entry in entries}
             state = Replay(fresh)
             assert state.apply(entries) == (len(entries), 0)
+            if live is not None:
+                assert checkpoint_broker(fresh) == checkpoint_broker(live)
         assert seen == set(KINDS)

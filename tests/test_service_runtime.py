@@ -19,7 +19,6 @@ import pytest
 from repro.core.admission import RejectionReason
 from repro.core.aggregate import ServiceClass
 from repro.core.broker import BandwidthBroker
-from repro.core.signaling import FlowServiceRequest, FlowTeardown
 from repro.errors import StateError
 from repro.service import (
     ERROR,
@@ -534,60 +533,6 @@ class TestCallbackIsolation:
         assert stats.callback_errors == 1
         assert stats.as_dict()["callback_errors"] == 1
         assert "front-end callback failed" in caplog.text
-
-
-class TestBusEndpoint:
-    def test_service_answers_flow_service_requests(self, broker):
-        with BrokerService(broker, workers=2, shards=4) as service:
-            service.attach_to_bus()
-            reply = broker.bus.send(FlowServiceRequest(
-                sender="I1", receiver="bb-service", flow_id="f1",
-                spec=SPEC, delay_requirement=2.44, egress="E1",
-            ))
-            assert reply.admitted and reply.flow_id == "f1"
-            assert reply.rate > 0
-            assert broker.bus.send(FlowTeardown(
-                sender="I1", receiver="bb-service", flow_id="f1",
-            )) is None
-        assert broker.stats().active_flows == 0
-        counts = broker.bus.sent_snapshot()
-        assert counts["FlowServiceRequest"] == 1
-        assert counts["FlowTeardown"] == 1
-
-    def test_bus_messages_carry_domain_clock(self, broker):
-        """Regression: the bus endpoint used to drop the domain clock
-        — every bus-admitted flow was bookkept at ``now=0.0``.  Both
-        message types must thread ``now`` through to the broker."""
-        with BrokerService(broker, workers=1, shards=2) as service:
-            service.attach_to_bus()
-            reply = broker.bus.send(FlowServiceRequest(
-                sender="I1", receiver="bb-service", flow_id="g1",
-                spec=SPEC, delay_requirement=0.0, egress="E1",
-                service_class="gold", now=42.0,
-            ))
-            assert reply.admitted
-            assert broker.flow_mib.get("g1").admitted_at == 42.0
-            broker.bus.send(FlowTeardown(
-                sender="I1", receiver="bb-service", flow_id="g1",
-                now=2e6,
-            ))
-        # The teardown's clock anchors the Theorem-3 contingency
-        # period.  Had the bus dropped it (now=0.0), the entry would
-        # already be expired at t=1e6; anchored at 2e6 it must still
-        # hold there and release only far later.
-        assert broker.stats().qos_state_entries > 0
-        broker.advance(1e6)
-        assert broker.stats().qos_state_entries > 0
-        broker.advance(1e9)
-        assert broker.stats().qos_state_entries == 0
-
-    def test_teardown_of_unknown_flow_raises_on_bus(self, broker):
-        with BrokerService(broker, workers=1, shards=2) as service:
-            service.attach_to_bus(name="svc")
-            with pytest.raises(StateError):
-                broker.bus.send(FlowTeardown(
-                    sender="I1", receiver="svc", flow_id="ghost",
-                ))
 
 
 class TestStats:
