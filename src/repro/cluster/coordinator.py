@@ -677,7 +677,10 @@ class ClusterCoordinator:
 
     def counters(self) -> Dict[str, Any]:
         """The coordinator's counters, as its ``status`` op and
-        ``ProcCluster.merged_stats`` report them."""
+        ``ProcCluster.merged_stats`` report them.  ``wal_appends`` and
+        ``wal_fsyncs`` count its decision log's records and forced
+        writes (0 without a log)."""
+        wal = self.wal
         return {
             "name": self.name,
             "pid": os.getpid(),
@@ -689,6 +692,8 @@ class ClusterCoordinator:
             "reconciled": self.reconciled,
             "flows": len(self._registry),
             "unresolved": self.unresolved(),
+            "wal_appends": wal.appends if wal is not None else 0,
+            "wal_fsyncs": wal.fsyncs if wal is not None else 0,
         }
 
     def flows(self) -> Dict[str, Dict[str, Any]]:

@@ -166,13 +166,6 @@ class PartitionMap:
             grouped[shard].append((src, dst))
         return [(shard, grouped[shard]) for shard in order]
 
-    def assigned_links(self, shard: str) -> Tuple[LinkId, ...]:
-        """Links explicitly pinned to *shard* (fallback links excluded)."""
-        return tuple(
-            link_id for link_id, owner in sorted(self._assigned.items())
-            if owner == shard
-        )
-
     # ------------------------------------------------------------------
     # fencing
     # ------------------------------------------------------------------

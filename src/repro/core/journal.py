@@ -2,12 +2,12 @@
 
 Every durable record is a :class:`JournalEntry` in one segmented
 :class:`~repro.service.durability.FileJournal`: service decisions and
-lease markers, a cluster shard's 2PC records and a coordinator's
-decision log.  :data:`KINDS` decides once what each kind means — the
-function that applies it to a :class:`Replay` state, and whether the
-primary may have raised on it.  Recovery, replicas, promotion, shard
-and coordinator recovery and the soak audit all fold records through
-it, so none of them can read a record differently.  The live
+the edge gateway's own lease events, a cluster shard's 2PC records and
+a coordinator's decision log.  :data:`KINDS` decides once what each
+kind means — the function that applies it to a :class:`Replay` state,
+and whether the primary may have raised on it.  Recovery, replicas,
+promotion, shard and coordinator recovery and the soak audit all fold
+records through it, so none of them can read a record differently.  The live
 :class:`~repro.service.runtime.BrokerService` and
 :class:`~repro.cluster.shard.BrokerShard` change state through the same
 rows: each journaled operation appends its record and then applies it
@@ -42,9 +42,15 @@ __all__ = [
 def request_payload(flow_id: str, spec: TSpec, delay_requirement: float,
                     ingress: str, egress: str, *,
                     service_class: str = "", path_nodes=None,
-                    now: float = 0.0) -> Dict[str, Any]:
-    """The JSON-compatible journal payload of one service request."""
-    return {
+                    now: float = 0.0,
+                    lease: Optional[Dict[str, Any]] = None
+                    ) -> Dict[str, Any]:
+    """The JSON-compatible journal payload of one service request.
+
+    *lease* (``{"agent", "duration"}``) names the edge lease the
+    request asks for; the field is left out when it is ``None``.
+    """
+    payload = {
         "flow_id": flow_id,
         "spec": spec.to_dict(),
         "delay_requirement": delay_requirement,
@@ -54,6 +60,9 @@ def request_payload(flow_id: str, spec: TSpec, delay_requirement: float,
         "path_nodes": list(path_nodes) if path_nodes is not None else None,
         "now": now,
     }
+    if lease is not None:
+        payload["lease"] = lease
+    return payload
 
 
 @dataclass(frozen=True)
@@ -339,7 +348,11 @@ def _clocal(state: Replay, p: Dict[str, Any]) -> None:
 #: allocations a feedback released, the rate a resize moved, the keys
 #: a release removed); replay ignores it.
 KINDS: Dict[str, Tuple[Callable[[Replay, Dict[str, Any]], Any], bool]] = {
-    # BrokerService decisions (repro.service.runtime).
+    # BrokerService decisions (repro.service.runtime).  An edge
+    # agent's "request" or "terminate" may carry an optional "lease"
+    # field ({"agent", "duration"}): the lease its admit asked for or
+    # its teardown releases.  Replay ignores it; the replayed decision
+    # says whether the lease was granted (or released).
     "request": (_request, True),
     "terminate": (
         lambda state, p: state.broker.terminate(p["flow_id"], now=p["now"]),
@@ -355,9 +368,11 @@ KINDS: Dict[str, Tuple[Callable[[Replay, Dict[str, Any]], Any], bool]] = {
         False,
     ),
     "resize": (_resize, True),
-    # Edge-lease markers: leases live at the gateway, not in the
-    # broker MIBs, and a reap's broker-visible effect is its own
-    # "terminate" record, so a marker replays as a no-op.
+    # The edge gateway's own lease events (expire, reclaim, the
+    # orphan-adoption grant; older journals also hold a marker for
+    # every agent grant and release).  Leases live at the gateway, not
+    # in the broker MIBs, and a reap's broker-visible effect is its
+    # own "terminate" record, so a marker replays as a no-op.
     "lease": (lambda state, p: None, False),
     # BrokerShard 2PC participant records (repro.cluster.shard).
     "cprepare": (_cprepare, False),

@@ -78,7 +78,6 @@ from dataclasses import dataclass
 from typing import (
     Deque,
     Dict,
-    Iterator,
     List,
     Optional,
     Tuple,
@@ -550,7 +549,3 @@ class DeadlineLedger:
             if capacity * d - (r_sum * d - rd_sum + p_sum) + 1e-9 < needed:
                 return False
         return True
-
-    def iter_entries(self) -> Iterator[LedgerEntry]:
-        """Iterate over all reservations (unspecified order)."""
-        return iter(self._entries.values())

@@ -166,8 +166,3 @@ class MessageBus:
         """Total messages delivered since construction."""
         with self._lock:
             return sum(self.sent.values())
-
-    def sent_snapshot(self) -> Counter:
-        """A consistent copy of the per-type delivery counters."""
-        with self._lock:
-            return Counter(self.sent)

@@ -24,10 +24,12 @@ does not:
   bandwidth in the broker — the paper's edge/broker split made
   failure-tolerant without per-flow liveness tracking in the core.
   Lease lifecycle events ride the service's WAL: an admit's grant
-  and a teardown's release are journaled by the service in the
-  decision's own commit group (:attr:`ServiceRequest.lease`), and
-  the events the gateway originates itself — expiry, reclaim,
-  orphan adoption — through :meth:`BrokerService.journal_lease`.
+  and a teardown's release are the ``lease`` field of the decision's
+  own ``request`` or ``terminate`` record (the gateway names the
+  holder in :attr:`ServiceRequest.lease`), and the events the gateway
+  originates itself — expiry, reclaim, orphan adoption — are
+  ``lease`` records written through
+  :meth:`BrokerService.journal_lease`.
 
 * **backpressure and deadline propagation**.  A service
   ``TRY_AGAIN`` becomes a ``try-again`` frame carrying the service's
@@ -434,8 +436,9 @@ class EdgeGateway:
                 macroflow_key=macroflow_key,
             )
             if adopt:
-                # An admitted flow's grant marker was committed with
-                # its decision; an adoption is the gateway's own event.
+                # An admitted flow's grant is the lease field of its
+                # committed request record; an adoption is the
+                # gateway's own event.
                 try:
                     self.service.journal_lease(
                         "grant", decision.flow_id, agent,

@@ -98,10 +98,6 @@ class EdgeConditioner:
         self._stamper.reconfigure(rate=rate)
         self._reschedule_release()
 
-    def set_delay(self, delay: float) -> None:
-        """Change the delay parameter stamped into future packets."""
-        self._stamper.reconfigure(delay=delay)
-
     def backlog_bits(self) -> float:
         """Bits currently queued (the ``Q(t)`` of Theorems 2/3)."""
         return self._bits

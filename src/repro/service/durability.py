@@ -11,11 +11,12 @@ identical decisions.  This module is the *physical* half:
 * :class:`FileJournal` — an append-only, file-backed journal of
   length-prefixed, CRC-checksummed JSON records with **segment
   rotation** and **group commit**: any number of worker threads append
-  entries concurrently, and one ``fsync`` (issued by whichever caller
-  of :meth:`FileJournal.commit` becomes the flush leader) covers every
-  entry written since the previous flush — durability cost is
-  amortized across concurrent requests exactly like admission
-  batching amortizes the schedulability scan;
+  entries concurrently into one buffer, and one flush plus one
+  ``fsync`` (issued by whichever caller of :meth:`FileJournal.commit`
+  becomes the flush leader) cover every entry appended since the
+  previous flush — durability cost is amortized across concurrent
+  requests exactly like admission batching amortizes the
+  schedulability scan;
 * :func:`write_checkpoint` — atomically persists a broker checkpoint
   (:func:`~repro.core.persistence.checkpoint_broker`) that **embeds
   the journal sequence number** it is consistent with, then prunes
@@ -73,6 +74,13 @@ __all__ = [
 
 #: ``(length, crc32)`` header prepended to every record.
 _HEADER = struct.Struct(">II")
+
+#: The record encoder, built once: ``json.dumps(obj, separators=...)``
+#: constructs a fresh encoder on every call.  Same bytes: record
+#: payloads are plain JSON trees, never self-referencing, so the
+#: circular-reference walk is skipped.
+_encode = json.JSONEncoder(separators=(",", ":"),
+                           check_circular=False).encode
 
 #: Default segment-rotation threshold.
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
@@ -239,13 +247,15 @@ def read_journal(directory: str, *, repair: bool = False) -> JournalScan:
 class FileJournal:
     """A durable, concurrent decision journal backed by segment files.
 
-    Append is thread-safe and cheap (a buffered write under a lock);
-    durability happens in :meth:`commit`, which implements **group
-    commit**: the first committer becomes the flush leader and issues
-    one ``fsync`` covering every entry appended before it ran —
-    concurrent committers whose entries are covered simply wait for
-    the leader instead of issuing their own ``fsync``.  Appends keep
-    landing *during* the leader's fsync, growing the next group.
+    Append is thread-safe and cheap: one encode and one buffered
+    write under a lock.  Durability happens in :meth:`commit`, which
+    implements **group commit**: the first committer becomes the
+    flush leader, hands the buffered group to the OS with one flush
+    and issues one ``fsync`` covering every entry
+    appended before it ran — concurrent committers whose entries are
+    covered simply wait for the leader instead of issuing their own
+    ``fsync``.  The fsync runs without the append lock, so appends
+    keep landing *during* it, growing the next group.
 
     Opening a directory with existing segments resumes the sequence
     from the last record on disk, repairing (truncating) a torn tail
@@ -271,10 +281,11 @@ class FileJournal:
         os.makedirs(self.directory, exist_ok=True)
         self.segment_bytes = int(segment_bytes)
         self.use_fsync = bool(fsync)
-        # _io guards the active file handle, sequence assignment and
-        # the written-seq watermark; _sync guards the group-commit
-        # watermark and leader election.  Lock order: _io before
-        # _sync is never required (they are not nested).
+        # _io guards the active file handle and its buffer, sequence
+        # assignment and the written-seq watermark; _sync guards the
+        # group-commit watermark and leader election.  They are never
+        # nested.  Only the leader swaps or closes the file (close()
+        # waits for it), so its fsync may run without _io.
         self._io = threading.Lock()
         self._sync = threading.Condition()
         self._sync_running = False
@@ -354,17 +365,12 @@ class FileJournal:
         return entry
 
     def _write_record(self, entry: JournalEntry) -> None:
-        """Write one framed record (caller holds ``_io``)."""
+        """Buffer one framed record (caller holds ``_io``); the commit
+        leader's flush hands it to the OS with the rest of its group."""
         if self._file is None:
             raise StateError("journal is closed")
-        blob = json.dumps(
-            entry.to_dict(), separators=(",", ":")
-        ).encode("utf-8")
-        self._file.write(_HEADER.pack(len(blob), zlib.crc32(blob)))
-        self._file.write(blob)
-        # Push into the OS buffer now, so the leader's fsync (which
-        # runs without _io) covers this entry.
-        self._file.flush()
+        blob = _encode(entry.to_dict()).encode("utf-8")
+        self._file.write(_HEADER.pack(len(blob), zlib.crc32(blob)) + blob)
         self._next_seq = entry.seq + 1
         self._written_seq = entry.seq
         self.appends += 1
@@ -404,31 +410,49 @@ class FileJournal:
                     self._sync.notify_all()
 
     def _flush(self) -> int:
-        """Leader body: one fsync of the active segment, then rotate
-        it if it outgrew the threshold.  Returns the covered seq."""
+        """Leader body: one flush of the buffered group, one fsync of
+        the active segment, then rotate it if it outgrew the
+        threshold.  Returns the covered seq."""
         with self._io:
             if self._file is None:
                 raise StateError("journal is closed")
             cover = self._written_seq
-            # fsync under _io: the leader is unique, so the only cost
-            # is that appends landing mid-fsync wait for it — and then
-            # form the next group, which is the group-commit contract.
+            self._file.flush()
+            fd = self._file.fileno()
+        # Outside _io: appends landing meanwhile only fill the buffer
+        # for the next group.
+        if self.use_fsync:
+            os.fsync(fd)
+        with self._io:
+            self.fsyncs += 1
+            if self._file.tell() >= self.segment_bytes:
+                cover = self._rotate(cover)
+        return cover
+
+    def _rotate(self, cover: int) -> int:
+        """Close the full active segment and open the next (leader,
+        under ``_io``); returns the seq now durable.
+
+        Entries appended during the leader's fsync sit in the old
+        segment, and the next leader fsyncs only the new one, so they
+        are made durable here, before their segment closes.
+        """
+        if self._written_seq > cover:
+            self._file.flush()
             if self.use_fsync:
                 os.fsync(self._file.fileno())
             self.fsyncs += 1
-            if self._file.tell() >= self.segment_bytes:
-                self._file.close()
-                self._file = open(
-                    os.path.join(
-                        self.directory, _segment_name(self._next_seq)
-                    ),
-                    "ab",
-                )
-                if self.use_fsync:
-                    # Make the new segment's directory entry durable:
-                    # a crash right after rotation must not lose the
-                    # name the next records land under.
-                    _fsync_dir(self.directory)
+            cover = self._written_seq
+        self._file.close()
+        self._file = open(
+            os.path.join(self.directory, _segment_name(self._next_seq)),
+            "ab",
+        )
+        if self.use_fsync:
+            # Make the new segment's directory entry durable: a crash
+            # right after rotation must not lose the name the next
+            # records land under.
+            _fsync_dir(self.directory)
         return cover
 
     # ------------------------------------------------------------------
@@ -468,7 +492,12 @@ class FileJournal:
             return self._epoch
 
     def entries_after(self, seq: int) -> List[JournalEntry]:
-        """All on-disk entries recorded after sequence number *seq*."""
+        """All entries recorded after sequence number *seq*, including
+        appended ones no commit covered yet (their buffer is handed to
+        the OS first)."""
+        with self._io:
+            if self._file is not None:
+                self._file.flush()
         return [
             entry
             for entry in read_journal(self.directory).entries
@@ -547,12 +576,25 @@ class FileJournal:
         return removed
 
     def close(self) -> None:
-        """Flush pending entries and close the active segment."""
+        """Commit pending entries and close the active segment.
+
+        Closing waits for a running commit leader (whose fsync uses
+        the file without ``_io``) and holds off new ones meanwhile.
+        """
         self.commit()
-        with self._io:
-            if self._file is not None:
-                self._file.close()
-                self._file = None
+        with self._sync:
+            while self._sync_running:
+                self._sync.wait()
+            self._sync_running = True
+        try:
+            with self._io:
+                if self._file is not None:
+                    self._file.close()
+                    self._file = None
+        finally:
+            with self._sync:
+                self._sync_running = False
+                self._sync.notify_all()
 
 
 # ----------------------------------------------------------------------

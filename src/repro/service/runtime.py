@@ -129,6 +129,16 @@ _CONTROL_OPS: Dict[str, Tuple[str, Callable, Callable]] = {
 }
 
 
+def _lease_field(lease: Optional[Tuple[str, float]]
+                 ) -> Optional[Dict[str, Any]]:
+    """The ``lease`` field of a decision record whose request names
+    an edge lease's ``(agent, duration)``; ``None`` when it names none."""
+    if lease is None:
+        return None
+    agent, duration = lease
+    return {"agent": agent, "duration": duration}
+
+
 @dataclass(frozen=True)
 class ServiceRequest:
     """One unit of work submitted to the service.
@@ -157,12 +167,12 @@ class ServiceRequest:
     :param timeout: seconds this request may spend queued before it
         is shed (``None``: the service default).
     :param lease: ``(agent, duration)`` of the edge lease this admit
-        grants or this teardown releases (the edge gateway sets it).
-        With a WAL, the service journals the ``lease`` marker
-        (``grant`` for an admitted flow, ``release`` for a completed
-        teardown) in the op's own commit group — after the decision,
-        before the group commit — so the marker is durable exactly
-        when the decision is.  ``None``: no marker.
+        asks for or this teardown releases (the edge gateway sets it).
+        With a WAL, the service writes it as the ``lease`` field of
+        the op's own ``request`` or ``terminate`` record, so it is
+        durable exactly when the decision is; the replayed decision
+        says whether the lease was granted or released.  ``None``: no
+        field.
     """
 
     flow_id: str
@@ -216,14 +226,19 @@ class ServiceReply:
 
 
 class PendingReply:
-    """A future for one submitted request."""
+    """A future for one submitted request.
+
+    Its :class:`threading.Event` is made only when a caller blocks in
+    :meth:`wait`: a network front-end answers through callbacks and
+    never needs one.
+    """
 
     __slots__ = ("_event", "_reply", "_callbacks", "_cb_lock",
                  "enqueued_at", "deadline")
 
     def __init__(self, enqueued_at: float,
                  deadline: Optional[float]) -> None:
-        self._event = threading.Event()
+        self._event: Optional[threading.Event] = None
         self._reply: Optional[ServiceReply] = None
         self._callbacks: List = []
         self._cb_lock = threading.Lock()
@@ -237,7 +252,8 @@ class PendingReply:
         rest of its batch."""
         with self._cb_lock:
             self._reply = reply
-            self._event.set()
+            if self._event is not None:
+                self._event.set()
             callbacks, self._callbacks = self._callbacks, []
         failed = 0
         for callback in callbacks:
@@ -268,21 +284,26 @@ class PendingReply:
         one raised by an immediate call propagates to the caller.
         """
         with self._cb_lock:
-            if not self._event.is_set():
+            reply = self._reply
+            if reply is None:
                 self._callbacks.append(callback)
                 return self
-            reply = self._reply
-        assert reply is not None
         callback(reply)
         return self
 
     @property
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._reply is not None
 
     def wait(self, timeout: Optional[float] = None) -> ServiceReply:
         """Block until the reply arrives (raises ``TimeoutError``)."""
-        if not self._event.wait(timeout):
+        with self._cb_lock:
+            if self._reply is not None:
+                return self._reply
+            if self._event is None:
+                self._event = threading.Event()
+            event = self._event
+        if not event.wait(timeout):
             raise TimeoutError("no service reply within the wait timeout")
         assert self._reply is not None
         return self._reply
@@ -316,9 +337,9 @@ class BrokerService:
         journaled in their commit order and replay reproduces it), and
         the reply future is resolved only after the group commit
         covering the entry returns.  One fsync covers the whole batch
-        (or teardown run), its edge-lease markers, and whatever other
-        workers appended meanwhile — durability is amortized exactly
-        like admission batching.
+        (or teardown run) and whatever other workers appended
+        meanwhile — durability is amortized exactly like admission
+        batching.
     :param replicator: optional
         :class:`~repro.service.replication.ReplicationHub` over the
         same ``wal`` (which is then required) — after each group
@@ -802,9 +823,6 @@ class BrokerService:
                 decisions = self._batcher.execute(
                     resolved, [job.request for job in jobs]
                 )
-                for job, decision in zip(jobs, decisions):
-                    if decision.admitted:
-                        self._journal_lease_marker("grant", job.request)
                 if self.edge_rtt > 0 and any(
                     decision.admitted for decision in decisions
                 ):
@@ -855,10 +873,13 @@ class BrokerService:
                 shard_ids = self.shards.shards_for(path.links)
             try:
                 with self.shards.locked(shard_ids):
-                    self.record("terminate", {
+                    payload = {
                         "flow_id": request.flow_id, "now": request.now,
-                    })
-                    self._journal_lease_marker("release", request)
+                    }
+                    lease = _lease_field(request.lease)
+                    if lease is not None:
+                        payload["lease"] = lease
+                    self.record("terminate", payload)
                     if self.edge_rtt > 0:
                         time.sleep(self.edge_rtt)
             except Exception as exc:
@@ -936,31 +957,15 @@ class BrokerService:
         ``terminate`` entry.
 
         Grants and releases of agent admits/teardowns do not come
-        through here: they ride their decision's own commit group via
-        :attr:`ServiceRequest.lease`.  This call is for the events the
-        gateway originates itself (``expire``, ``reclaim``, the
-        orphan-adoption ``grant``) and costs one group commit of its
-        own.
+        through here: they are the ``lease`` field of their decision's
+        own ``request`` or ``terminate`` record (from
+        :attr:`ServiceRequest.lease`).  This call is for the events
+        the gateway originates itself (``expire``, ``reclaim``, the
+        orphan-adoption ``grant``); each writes a ``lease`` record and
+        costs one group commit of its own.
         """
         if self.wal is None:
             return
-        self._append_lease(event, flow_id, agent, duration, now)
-        stall = self._commit_wal()
-        if stall is not None:
-            raise StateError(stall)
-
-    def _journal_lease_marker(self, event: str,
-                              request: ServiceRequest) -> None:
-        """Append the lease marker *request* carries, uncommitted: the
-        caller's group commit makes it durable with the decision."""
-        if self.wal is None or request.lease is None:
-            return
-        agent, duration = request.lease
-        self._append_lease(event, request.flow_id, agent, duration,
-                           request.now)
-
-    def _append_lease(self, event: str, flow_id: str, agent: str,
-                      duration: float, now: float) -> None:
         self.record("lease", {
             "event": event,
             "flow_id": flow_id,
@@ -968,6 +973,9 @@ class BrokerService:
             "duration": duration,
             "now": now,
         })
+        stall = self._commit_wal()
+        if stall is not None:
+            raise StateError(stall)
 
     def _journal_requests(self, jobs: List[_Job]) -> None:
         """Append one write-ahead entry per admission in the batch."""
@@ -984,6 +992,7 @@ class BrokerService:
                 service_class=request.service_class,
                 path_nodes=request.path_nodes,
                 now=request.now,
+                lease=_lease_field(request.lease),
             ))
 
     def _commit_wal(self) -> Optional[str]:

@@ -202,11 +202,6 @@ class ServiceStats:
         return self.scan_intervals / self.scan_tests if self.scan_tests else 0.0
 
     @property
-    def rebuilds_avoided(self) -> int:
-        """Full path re-merges the delta subscription made unnecessary."""
-        return self.bp_delta_folds
-
-    @property
     def max_follower_lag(self) -> int:
         """Records the slowest follower is behind (0 without one)."""
         return max(

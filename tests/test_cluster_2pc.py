@@ -22,6 +22,7 @@ central claims:
 
 from __future__ import annotations
 
+import os
 import threading
 from types import SimpleNamespace
 
@@ -39,6 +40,7 @@ from repro.cluster.remote import _OPS
 from repro.cluster.shard import BrokerShard
 from repro.core.broker import BandwidthBroker
 from repro.errors import SignalingError
+from repro.service.durability import read_journal
 from repro.service.transport import TcpListener, connect_tcp, pipe_pair
 from repro.traffic.spec import TSpec
 from repro.units import kbps, mbps
@@ -91,6 +93,24 @@ class TestOneHop:
 
     def test_teardown_of_unknown_flow_errors(self, duo):
         assert duo.coordinator.teardown("ghost").reason == "unknown-flow"
+
+    def test_counters_report_the_decision_log_writes(self, duo,
+                                                     tmp_path):
+        counters = duo.coordinator.counters()
+        assert counters["wal_appends"] == counters["wal_fsyncs"] == 0
+        cluster = build_pod_cluster(2, wal_root=str(tmp_path),
+                                    fsync=False)
+        with cluster:
+            nodes = cluster.spanning_paths[0]
+            assert cluster.coordinator.admit(
+                "f1", SPEC, D_REQ, nodes[0], nodes[-1], path_nodes=nodes,
+            ).admitted
+            counters = cluster.coordinator.counters()
+            records = len(read_journal(
+                os.path.join(str(tmp_path), "coordinator")
+            ).entries)
+        assert counters["wal_appends"] == records > 0
+        assert 0 < counters["wal_fsyncs"] <= records
 
 
 class TestSpanningRateOnly:

@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.aggregate import ContingencyMethod, ServiceClass
 from repro.core.broker import BandwidthBroker
+from repro.core.journal import Replay
 from repro.core.persistence import checkpoint_broker
 from repro.edge import EdgeGateway, protocol
 from repro.service import (
@@ -444,18 +445,60 @@ class TestDurability:
             assert gateway.reap(now=50.0) == ["f2"]
             session.close()
         wal.close()
-        kinds = [entry.kind for entry in
-                 read_journal(str(tmp_path)).entries]
-        # grant f1, terminate f1, release f1, grant f2,
-        # expire f2, terminate f2 — interleaved with the requests.
-        lease_events = [
-            entry.payload["event"] for entry in
-            read_journal(str(tmp_path)).entries
-            if entry.kind == "lease"
+        # An agent's grant and release are the lease field of its
+        # decision's own record; the reaper's expiry is a lease record
+        # of its own, and its teardown names no agent.
+        journaled = [
+            (entry.kind, entry.payload["flow_id"],
+             entry.payload["event"] if entry.kind == "lease"
+             else entry.payload.get("lease"))
+            for entry in read_journal(str(tmp_path)).entries
         ]
-        assert lease_events == ["grant", "release", "grant", "expire"]
-        assert kinds.count("request") == 2
-        assert kinds.count("terminate") == 2
+        grant = {"agent": "edge-1", "duration": 10.0}
+        release = {"agent": "edge-1", "duration": 0.0}
+        assert journaled == [
+            ("request", "f1", grant),
+            ("terminate", "f1", release),
+            ("request", "f2", grant),
+            ("lease", "f2", "expire"),
+            ("terminate", "f2", None),
+        ]
+
+    def test_each_agent_op_writes_one_record_naming_its_agent(
+            self, broker, tmp_path):
+        """One record per admit or teardown, refused admits included;
+        replaying it says whether the lease was granted."""
+        wal = FileJournal(str(tmp_path))
+        with BrokerService(broker, workers=2, shards=4,
+                           wal=wal) as service:
+            gateway = EdgeGateway(service, lease_duration=10.0)
+            session = RawSession(gateway, agent="edge-7")
+            assert session.rpc(admit_frame(
+                "i1", "f1", agent="edge-7"))["decision"]["admitted"]
+            refused = session.rpc(protocol.make_admit(
+                "edge-7", "i2", "f2", SPEC, 1e-6, "I1", "E1", now=0.5,
+            ))
+            assert refused["decision"]["admitted"] is False
+            assert refused.get("lease") is None
+            session.rpc(protocol.make_teardown("edge-7", "i3", "f1",
+                                               now=1.0))
+            session.close()
+        wal.close()
+        entries = read_journal(str(tmp_path)).entries
+        assert [(e.kind, e.payload["flow_id"], e.payload["lease"]["agent"])
+                for e in entries] == [
+            ("request", "f1", "edge-7"),
+            ("request", "f2", "edge-7"),
+            ("terminate", "f1", "edge-7"),
+        ]
+        twin = make_broker()
+        recover = Replay(twin)
+        recover.apply(entries[:2])
+        assert twin.flow_mib.get("f1") is not None  # granted
+        assert twin.flow_mib.get("f2") is None      # refused
+        recover.apply(entries[2:])
+        assert twin.flow_mib.get("f1") is None      # released
+        assert recover.skipped == 0
 
     def test_feedback_journals_and_replays(self, broker, tmp_path):
         wal = FileJournal(str(tmp_path))
@@ -507,8 +550,8 @@ class TestDurability:
     def test_pipelined_replies_never_outrun_their_lease_marker(
             self, broker, tmp_path):
         """When a reply reaches the agent, the WAL is durable past the
-        op's lease marker — and the window's WAL replays to the live
-        MIB."""
+        record that carries the op's lease — and the window's WAL
+        replays to the live MIB."""
         wal = FileJournal(str(tmp_path))
         durable_at_send = {}
         with BrokerService(broker, workers=2, shards=4,
@@ -534,17 +577,20 @@ class TestDurability:
                 assert session.recv()["status"] == protocol.STATUS_OK
             session.close()
         wal.close()
-        markers = {
-            (entry.payload["event"], entry.payload["flow_id"]): entry.seq
-            for entry in read_journal(str(tmp_path)).entries
-            if entry.kind == "lease"
+        entries = read_journal(str(tmp_path)).entries
+        assert all(entry.payload["lease"]["agent"] == "edge-1"
+                   for entry in entries)
+        leased = {
+            (entry.kind, entry.payload["flow_id"]): entry.seq
+            for entry in entries
         }
+        assert len(leased) == len(entries) == len(flows) + len(flows[::2])
         for index, flow_id in enumerate(flows):
             assert durable_at_send[f"a{index}"] >= \
-                markers[("grant", flow_id)]
+                leased[("request", flow_id)]
         for index, flow_id in enumerate(flows[::2]):
             assert durable_at_send[f"d{index}"] >= \
-                markers[("release", flow_id)]
+                leased[("terminate", flow_id)]
         report = recover_broker(str(tmp_path), broker_factory=make_broker)
         assert report.skipped == 0
         assert sorted(

@@ -213,6 +213,118 @@ class TestFileJournal:
             wal.append("advance", {"now": 1.0})
 
 
+class _GatedFsync:
+    """An ``os.fsync`` stand-in: the first call blocks until
+    :attr:`release` is set (at most 5 s), and every call records the
+    ``(inode, size)`` of what it was asked to make durable."""
+
+    def __init__(self) -> None:
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.synced = []
+        self._real = os.fsync
+
+    def __call__(self, fd: int) -> None:
+        stat = os.fstat(fd)
+        self.entered.set()
+        self.release.wait(5.0)
+        self._real(fd)
+        self.synced.append((stat.st_ino, stat.st_size))
+
+    def covers(self, path) -> bool:
+        """Was *path*, as it is now, wholly inside one fsync?"""
+        stat = os.stat(path)
+        return any(ino == stat.st_ino and size >= stat.st_size
+                   for ino, size in self.synced)
+
+
+class TestGroupCommit:
+    """The commit leader's fsync runs without the append lock."""
+
+    def _gate(self, monkeypatch) -> _GatedFsync:
+        import repro.service.durability as durability
+
+        gate = _GatedFsync()
+        monkeypatch.setattr(durability.os, "fsync", gate)
+        return gate
+
+    def test_append_completes_during_the_leaders_fsync(self, tmp_path,
+                                                       monkeypatch):
+        wal = FileJournal(tmp_path)
+        gate = self._gate(monkeypatch)
+        wal.append("advance", {"now": 1.0})
+        leader = threading.Thread(target=wal.commit)
+        leader.start()
+        try:
+            assert gate.entered.wait(5.0)
+            appended = []
+            writer = threading.Thread(target=lambda: appended.append(
+                wal.append("advance", {"now": 2.0})
+            ))
+            writer.start()
+            writer.join(2.0)
+            assert not writer.is_alive(), "append waited for the fsync"
+            assert appended[0].seq == 2
+            assert wal.durable_position == 0
+        finally:
+            gate.release.set()
+            leader.join(5.0)
+        assert wal.durable_position == 1  # seq 2 is the next group's
+        assert wal.commit() == 2
+        wal.close()
+        assert [e.seq for e in read_journal(tmp_path).entries] == [1, 2]
+
+    def test_appends_during_a_rotating_fsync_stay_durable(
+            self, tmp_path, monkeypatch):
+        """An entry that lands in the old segment while the leader's
+        fsync runs is fsynced before rotation closes that segment, so
+        its own commit's return means what it says."""
+        wal = FileJournal(tmp_path, segment_bytes=1)  # every commit rotates
+        first_segment = wal_segments(tmp_path)[0]
+        gate = self._gate(monkeypatch)
+        wal.append("advance", {"now": 1.0})
+        leader = threading.Thread(target=wal.commit)
+        leader.start()
+        try:
+            assert gate.entered.wait(5.0)
+            late = wal.append("advance", {"now": 2.0})
+        finally:
+            gate.release.set()
+            leader.join(5.0)
+        assert wal.commit() >= late.seq
+        assert [e.seq for e in read_journal(tmp_path).entries] == [1, 2]
+        # Both entries live in the first segment, and an fsync covered
+        # all of it before the next segment took over.
+        assert len(wal_segments(tmp_path)) == 2
+        assert gate.covers(os.path.join(tmp_path, first_segment))
+        wal.close()
+        reopened = FileJournal(tmp_path)
+        assert [e.seq for e in reopened.entries_after(0)] == [1, 2]
+        reopened.close()
+
+    def test_close_waits_for_a_running_leader(self, tmp_path,
+                                              monkeypatch):
+        wal = FileJournal(tmp_path)
+        gate = self._gate(monkeypatch)
+        wal.append("advance", {"now": 1.0})
+        leader = threading.Thread(target=wal.commit)
+        leader.start()
+        closer = threading.Thread(target=wal.close)
+        try:
+            assert gate.entered.wait(5.0)
+            closer.start()
+            closer.join(0.2)
+            assert closer.is_alive(), "close did not wait for the fsync"
+        finally:
+            gate.release.set()
+            leader.join(5.0)
+            closer.join(5.0)
+        assert not closer.is_alive()
+        assert wal.durable_position == 1
+        with pytest.raises(StateError):
+            wal.append("advance", {"now": 2.0})
+
+
 class TestDirectoryDurability:
     """POSIX durability of the directory *entries* themselves.
 
