@@ -18,11 +18,6 @@ Commands regenerate the paper's evaluation artifacts from a terminal:
   (checkpoint + journal suffix) and report what was replayed; with
   ``--shard-dir`` the directory is a cluster WAL root and every
   shard subdirectory is recovered (cluster 2PC entries replayed);
-* ``replicate`` — drive a primary with N live hot-standby followers
-  (WAL log shipping, ``--mode async|semi-sync|sync``) and report
-  per-follower replication lag and state equivalence;
-* ``promote`` — promote a replica's journal directory to a new
-  primary (epoch fencing checkpoint);
 * ``all``     — the paper artifacts in paper order.
 
 Each command exits non-zero when the reproduction check fails (e.g. a
@@ -409,175 +404,6 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_replicate(args: argparse.Namespace) -> int:
-    import json
-    import os as _os
-    import tempfile
-    import time as _time
-
-    from repro.core.broker import BandwidthBroker
-    from repro.core.persistence import checkpoint_broker
-    from repro.service import (
-        BrokerService,
-        FileJournal,
-        FlowTemplate,
-        ReplicaServer,
-        ReplicationHub,
-        TcpListener,
-        connect_tcp,
-        pipe_pair,
-        provision_parallel_paths,
-        run_closed_loop,
-    )
-    from repro.workloads.profiles import flow_type
-
-    def canonical(broker: BandwidthBroker) -> str:
-        return json.dumps(checkpoint_broker(broker), sort_keys=True)
-
-    spec = flow_type(0).spec
-    with tempfile.TemporaryDirectory(prefix="repro-repl-") as root:
-        primary_dir = _os.path.join(root, "primary")
-        _os.makedirs(primary_dir)
-        broker = BandwidthBroker()
-        pinned = provision_parallel_paths(broker, paths=args.paths)
-        templates = [
-            FlowTemplate(spec, 2.44, nodes[0], nodes[-1],
-                         path_nodes=nodes)
-            for nodes in pinned
-        ]
-        wal = FileJournal(primary_dir)
-        hub = ReplicationHub(wal, mode=args.mode, quorum=args.quorum)
-        replicas = []
-        listener = TcpListener() if args.tcp else None
-        for index in range(args.followers):
-            replica = ReplicaServer(
-                _os.path.join(root, f"follower-{index}"),
-                BandwidthBroker,
-                follower_id=f"follower-{index}",
-            )
-            # The replica's standby needs the same provisioned
-            # topology the primary started from (provisioning is not
-            # journaled, same contract as cold recovery).
-            provision_parallel_paths(replica.broker, paths=args.paths)
-            if listener is not None:
-                dialed = connect_tcp(listener.host, listener.port)
-                accepted = listener.accept(timeout=5.0)
-                hub.add_follower(accepted)
-                replica.connect(dialed)
-            else:
-                primary_end, follower_end = pipe_pair()
-                hub.add_follower(primary_end)
-                replica.connect(follower_end)
-            replicas.append(replica)
-        with BrokerService(
-            broker, workers=args.workers, wal=wal, replicator=hub,
-        ) as service:
-            report = run_closed_loop(
-                service, templates,
-                clients=args.clients,
-                requests_per_client=args.requests,
-            )
-            stats = service.stats()
-        # Let the shipping drain the tail, then freeze everything.
-        deadline = _time.monotonic() + 5.0
-        while _time.monotonic() < deadline:
-            if all(r.applied_seq >= wal.position for r in replicas):
-                break
-            _time.sleep(0.01)
-        hub.close()
-        for replica in replicas:
-            replica.disconnect()
-        reference = canonical(broker)
-        rows = []
-        all_equal = True
-        for status, replica in zip(hub.status(), replicas):
-            equal = canonical(replica.broker) == reference
-            all_equal &= equal
-            rows.append([
-                status.name, status.acked_seq, status.lag_records,
-                f"{status.ack_ms:.3f}", status.acks,
-                "yes" if equal else "NO",
-            ])
-        transport = "tcp" if args.tcp else "pipe"
-        print(f"Replicated closed-loop run (mode {args.mode!r}, "
-              f"quorum {args.quorum}, {transport} transport, "
-              f"{report.throughput_rps:.0f} req/s, "
-              f"epoch {stats.epoch}):")
-        print(render_table(
-            ["follower", "acked seq", "lag", "ack(ms)", "acks",
-             "state equal"],
-            rows,
-        ))
-        for replica in replicas:
-            replica.close()
-        wal.close()
-        if listener is not None:
-            listener.close()
-        if report.errors or stats.replication_stalls:
-            print(f"\nerrors: {report.errors}, "
-                  f"replication stalls: {stats.replication_stalls}")
-            return 1
-        return 0 if all_equal else 1
-
-
-def _cmd_promote_shard_dir(args: argparse.Namespace) -> int:
-    import os as _os
-
-    from repro.cluster import shard_dirs
-    from repro.errors import StateError
-    from repro.service import promote_directory
-
-    root = args.directory
-    try:
-        names = shard_dirs(root)
-    except StateError as exc:
-        print(f"promotion failed: {exc}", file=sys.stderr)
-        return 1
-    rows = []
-    for name in names:
-        try:
-            report = promote_directory(_os.path.join(root, name))
-        except Exception as exc:
-            print(f"promotion of shard {name!r} failed: {exc}",
-                  file=sys.stderr)
-            return 1
-        rows.append([
-            name, report.epoch, report.last_seq,
-            report.broker.stats().active_flows,
-        ])
-        report.journal.close()
-    print(render_table(
-        ["shard", "new epoch", "took over at seq", "active flows"],
-        rows,
-    ))
-    return 0
-
-
-def _cmd_promote(args: argparse.Namespace) -> int:
-    from repro.service import promote_directory
-
-    if args.shard_dir:
-        return _cmd_promote_shard_dir(args)
-    try:
-        report = promote_directory(args.directory)
-    except Exception as exc:
-        print(f"promotion failed: {exc}", file=sys.stderr)
-        return 1
-    stats = report.broker.stats()
-    print(render_table(
-        ["field", "value"],
-        [
-            ["new epoch", report.epoch],
-            ["took over at seq", report.last_seq],
-            ["fencing checkpoint", report.checkpoint_path],
-            ["active flows", stats.active_flows],
-            ["macroflows", stats.macroflows],
-        ],
-    ))
-    report.journal.close()
-    return 0
-
-
 def _cmd_gateway(args: argparse.Namespace) -> int:
     import time as _time
 
@@ -762,45 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "root and recover every shard "
                               "subdirectory (2PC entries replayed)")
     recover.set_defaults(func=_cmd_recover)
-    replicate = sub.add_parser(
-        "replicate",
-        help="primary + N hot-standby followers over WAL log shipping "
-             "(extension)",
-    )
-    replicate.add_argument("--mode", default="sync",
-                           choices=["async", "semi-sync", "sync"],
-                           help="replication durability mode "
-                                "(default sync)")
-    replicate.add_argument("--quorum", type=int, default=2,
-                           help="follower acks required in sync mode "
-                                "(default 2)")
-    replicate.add_argument("--followers", type=int, default=2,
-                           help="hot-standby replicas (default 2)")
-    replicate.add_argument("--workers", type=int, default=4,
-                           help="primary worker threads (default 4)")
-    replicate.add_argument("--clients", type=int, default=8,
-                           help="closed-loop client threads (default 8)")
-    replicate.add_argument("--requests", type=int, default=25,
-                           help="admit requests per client (default 25)")
-    replicate.add_argument("--paths", type=int, default=8,
-                           help="link-disjoint paths (default 8)")
-    replicate.add_argument("--tcp", action="store_true",
-                           help="ship over loopback TCP sockets instead "
-                                "of in-process pipes")
-    replicate.set_defaults(func=_cmd_replicate)
-    promote = sub.add_parser(
-        "promote",
-        help="promote a replica's journal directory to a new primary "
-             "(epoch fencing checkpoint)",
-    )
-    promote.add_argument("directory",
-                         help="the replica's checkpoint/journal "
-                              "directory")
-    promote.add_argument("--shard-dir", action="store_true",
-                         help="treat the directory as a cluster WAL "
-                              "root and promote every shard "
-                              "subdirectory (one epoch bump each)")
-    promote.set_defaults(func=_cmd_promote)
     gateway = sub.add_parser(
         "gateway",
         help="serve the edge signaling plane over TCP in front of a "

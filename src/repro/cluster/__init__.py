@@ -1,8 +1,8 @@
 """Shared-nothing domain partitioning: a sharded broker cluster.
 
 One logical bandwidth-broker domain split across N independent
-shards, each a full service stack (broker + WAL + optional replica
-chain) owning a disjoint slice of the links.  A deterministic,
+shards, each a full service stack (broker + WAL) owning a disjoint
+slice of the links.  A deterministic,
 epoch-fenced :class:`~repro.cluster.partition.PartitionMap` routes
 links to shards; the
 :class:`~repro.cluster.coordinator.ClusterCoordinator` admits

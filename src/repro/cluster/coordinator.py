@@ -737,7 +737,7 @@ class ClusterCoordinator:
         """
         journal = FileJournal(directory, fsync=fsync)
         state = Replay()
-        state.apply(journal.read_durable(0))
+        state.apply(journal.entries_after(0))
         coordinator = cls(
             partition, handles, atlas, wal=journal, name=name,
         )

@@ -441,8 +441,13 @@ class ClusterServiceClient:
 
     def journal_lease(self, event: str, flow_id: str, agent: str, *,
                       duration: float = 0.0, now: float = 0.0) -> None:
-        # Lease durability lives with the parent's coordinator WAL in
-        # the multi-process topology; worker processes are stateless.
+        # No lease event reaches any WAL in the process topology: the
+        # coordinator writes no lease record, and ServiceRequest.lease
+        # is not sent on the coordinator wire.  Each gateway worker
+        # holds its flows' leases only in its own memory (its
+        # EdgeGateway.leases), so a killed worker loses them until the
+        # owners re-signal.  Moving leases into the broker tier is
+        # ROADMAP item 4.
         return None
 
     # -- plumbing ------------------------------------------------------

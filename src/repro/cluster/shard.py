@@ -4,7 +4,7 @@ A :class:`BrokerShard` wraps a full existing stack — a provisioned
 :class:`~repro.core.broker.BandwidthBroker` for the links this shard
 owns, a :class:`~repro.service.runtime.BrokerService` worker pool in
 front of it, and (optionally) a :class:`~repro.service.durability.
-FileJournal` WAL with a replica chain — and adds the **participant
+FileJournal` WAL — and adds the **participant
 half** of the cross-shard admission protocol:
 
 ``prepare``
@@ -90,15 +90,13 @@ class BrokerShard:
     :param wal: optional shared WAL — the same journal the wrapped
         :class:`BrokerService` write-aheads requests to; cluster
         records interleave in lock order, so one replay pass rebuilds
-        both kinds of state.  They ride the service's group commit and
-        replication gate, but a failed gate is only counted (the
-        service's ``replication_stalls``), not raised: the record is
-        durable locally and shipped once the followers recover, and a
-        2PC record's authoritative copy is the coordinator's log.
+        both kinds of state.  They ride the service's group commit,
+        and a failed commit raises out of the 2PC op, so no reply
+        leaves the shard for a record that is not on disk.
     :param hold_duration: seconds a prepare's hold survives without a
         decision before :meth:`reap` may expire it.
-    :param workers / lock_shards / queue_limit / edge_rtt /
-        replicator: forwarded to the wrapped service.
+    :param workers / lock_shards / queue_limit / edge_rtt:
+        forwarded to the wrapped service.
     """
 
     def __init__(
@@ -113,7 +111,6 @@ class BrokerShard:
         lock_shards: int = 4,
         queue_limit: int = 256,
         edge_rtt: float = 0.0,
-        replicator=None,
         default_timeout: Optional[float] = None,
     ) -> None:
         self.name = name
@@ -127,7 +124,6 @@ class BrokerShard:
             queue_limit=queue_limit,
             edge_rtt=edge_rtt,
             wal=wal,
-            replicator=replicator,
             default_timeout=default_timeout,
         )
         self.holds = LeaseTable(duration=hold_duration)
@@ -325,7 +321,7 @@ class BrokerShard:
                     txid, frame.get("coordinator", "coordinator"), now,
                 )
             # Hold is durable before the promise leaves the shard.
-            self.service._commit_wal()
+            self.service.commit()
             self.prepared_total += 1
             return self._txn_reply(txid)
 
@@ -403,7 +399,7 @@ class BrokerShard:
             with self.service.shards.locked(
                     self.service.shards.shards_for(links)):
                 self.service.record("ccommit", {"txid": txid, "now": now})
-            self.service._commit_wal()
+            self.service.commit()
             self.holds.release(txid)
             self.committed_total += 1
             return self._txn_reply(txid)
@@ -436,7 +432,7 @@ class BrokerShard:
         with self.service.shards.locked(
                 self.service.shards.shards_for(links)):
             self.service.record("cabort", {"txid": txid, "now": now})
-        self.service._commit_wal()
+        self.service.commit()
         self.holds.release(txid)
         self.aborted_total += 1
         return self._txn_reply(txid)
@@ -464,7 +460,7 @@ class BrokerShard:
                 removed = self.service.record(
                     "crelease", {"flow_id": flow_id, "now": now}
                 )
-            self.service._commit_wal()
+            self.service.commit()
             self.released_total += 1
             return {
                 "status": "released", "flows": removed,

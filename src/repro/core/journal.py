@@ -5,9 +5,9 @@ Every durable record is a :class:`JournalEntry` in one segmented
 the edge gateway's own lease events, a cluster shard's 2PC records and
 a coordinator's decision log.  :data:`KINDS` decides once what each
 kind means — the function that applies it to a :class:`Replay` state,
-and whether the primary may have raised on it.  Recovery, replicas,
-promotion, shard and coordinator recovery and the soak audit all fold
-records through it, so none of them can read a record differently.  The live
+and whether the live service may have raised on it.  Recovery, shard
+and coordinator recovery and the soak audit all fold records through
+it, so none of them can read a record differently.  The live
 :class:`~repro.service.runtime.BrokerService` and
 :class:`~repro.cluster.shard.BrokerShard` change state through the same
 rows: each journaled operation appends its record and then applies it
@@ -70,12 +70,10 @@ class JournalEntry:
     """One recorded control operation.
 
     :param kind: one of :data:`KINDS`.
-    :param epoch: the primary **epoch** under which the entry was
-        written (0 for an unreplicated broker).  Replication stamps a
-        monotonically increasing epoch into every shipped record so a
-        demoted primary's stale writes can be fenced off by followers
-        (:mod:`repro.service.replication`); replay ignores it — the
-        decision inputs are ``kind``/``payload`` alone.
+    :param epoch: the epoch stamped on the record — 0, unless an
+        older build's log-shipping promotion raised it; still written
+        and read so such a WAL replays byte for byte.  Replay ignores
+        it — the decision inputs are ``kind``/``payload`` alone.
     """
 
     seq: int

@@ -9,9 +9,9 @@ This module serializes the complete control-plane state — topology,
 service classes, per-flow reservations, macroflows with their live
 contingency allocations — into a JSON-compatible dict, and rebuilds a
 broker from it whose *subsequent decisions are bit-identical* to the
-original's (tested). A standby broker fed periodic checkpoints (plus
-replayed signaling since the last one) is the classic warm-failover
-recipe this enables.
+original's (tested). Crash recovery (:mod:`repro.service.durability`)
+restores the newest checkpoint and replays the journal suffix
+recorded after it.
 """
 
 from __future__ import annotations
@@ -35,11 +35,10 @@ __all__ = ["checkpoint_broker", "restore_broker", "CHECKPOINT_VERSION"]
 
 #: Version 2 added ``journal_seq`` — the decision-journal position at
 #: checkpoint time, so recovery knows exactly which journal suffix to
-#: replay.  Version 3 added ``epoch`` — the replication fencing term
-#: (:mod:`repro.service.replication`): a promoted standby checkpoints
-#: under a strictly higher epoch, so any state restored from disk
-#: knows which primary generation wrote it.  Older checkpoints still
-#: restore, with the missing fields taken as 0.
+#: replay.  Version 3 added ``epoch`` — the journal's epoch, kept so a
+#: checkpoint an older build's log-shipping promotion wrote still
+#: restores.  Older checkpoints still restore, with the missing fields
+#: taken as 0.
 CHECKPOINT_VERSION = 3
 
 
@@ -56,9 +55,9 @@ def checkpoint_broker(broker: BandwidthBroker, *,
         ``seq <= journal_seq`` is already reflected in the state).
         Recovery replays only entries after it; checkpointing also
         lets the journal prune segments at or before it.
-    :param epoch: the replication epoch this state was written under
-        (0 for an unreplicated broker); recovery reports it so a
-        promoted standby resumes above every epoch it has seen.
+    :param epoch: the journal's epoch (see
+        :class:`~repro.core.journal.JournalEntry`); recovery reports
+        it.
     """
     links = [
         {

@@ -54,13 +54,18 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.admission import AdmissionDecision
+from repro.core.admission import (
+    AdmissionDecision,
+    AdmissionRequest,
+    RejectionReason,
+)
+from repro.core.broker import BandwidthBroker
+from repro.core.mibs import PathRecord
 from repro.edge import protocol
 from repro.edge.leases import DedupWindow, Lease, LeaseTable
 from repro.errors import StateError
-from repro.service.replication import dry_run_admissibility
 from repro.service.runtime import BrokerService, ServiceReply, ServiceRequest
 from repro.service.transport import (
     TcpListener,
@@ -68,7 +73,7 @@ from repro.service.transport import (
     serve_frames,
 )
 
-__all__ = ["EdgeGateway", "decision_to_dict"]
+__all__ = ["EdgeGateway", "decision_to_dict", "dry_run_admissibility"]
 
 
 def decision_to_dict(decision: AdmissionDecision) -> Dict[str, Any]:
@@ -82,6 +87,70 @@ def decision_to_dict(decision: AdmissionDecision) -> Dict[str, Any]:
         "reason": decision.reason.name if decision.reason else None,
         "detail": decision.detail,
     }
+
+
+def dry_run_admissibility(
+    broker: BandwidthBroker,
+    flow_id: str,
+    spec,
+    delay_requirement: float,
+    ingress: str,
+    egress: str,
+    *,
+    path_nodes: Optional[Sequence[str]] = None,
+) -> AdmissionDecision:
+    """Would *broker*'s domain admit this per-flow request right now?
+
+    A strictly read-only admissibility check: policy control, path
+    resolution over *ephemeral* (unregistered) path records, and the
+    schedulability test phase — no reservation, no MIB write, no
+    rejection counted.  This is the gateway's ``dry-run`` frame; the
+    caller holds whatever locks its consistency story needs (the
+    gateway holds every link shard's lock).
+
+    Class-based requests are not supported: a class join moves the
+    domain-wide contingency schedule, which has no side-effect-free
+    test phase.
+    """
+    request = AdmissionRequest(
+        flow_id=flow_id, spec=spec,
+        delay_requirement=delay_requirement,
+    )
+    verdict = broker.policy.evaluate(request, ingress, egress)
+    if not verdict.allowed:
+        return AdmissionDecision(
+            admitted=False, flow_id=flow_id,
+            reason=RejectionReason.POLICY,
+            detail=f"{verdict.rule}: {verdict.detail}",
+        )
+    if path_nodes is not None:
+        candidate_nodes = [list(path_nodes)]
+    else:
+        candidate_nodes = broker.routing.shortest_paths(ingress, egress)
+    if not candidate_nodes:
+        return AdmissionDecision(
+            admitted=False, flow_id=flow_id,
+            reason=RejectionReason.NO_PATH,
+            detail=f"{egress!r} unreachable from {ingress!r}",
+        )
+    ordered = sorted(
+        candidate_nodes,
+        key=lambda nodes: (
+            -broker.routing.bottleneck(nodes), list(nodes),
+        ),
+    )
+    decision: Optional[AdmissionDecision] = None
+    for nodes in ordered:
+        links = [
+            broker.node_mib.link(src, dst)
+            for src, dst in zip(nodes, nodes[1:])
+        ]
+        path = PathRecord("->".join(nodes), tuple(nodes), links)
+        decision = broker.perflow.test(request, path)
+        if decision.admitted:
+            return decision
+    assert decision is not None
+    return decision
 
 
 class _Session:
@@ -445,9 +514,9 @@ class EdgeGateway:
                         duration=lease.duration, now=now,
                     )
                 except StateError:
-                    # The WAL/replication gate failed; the lease still
-                    # stands (its reap would journal a terminate
-                    # through the same gate) — nothing to unwind.
+                    # The WAL commit failed; the lease still stands
+                    # (its reap would journal a terminate through the
+                    # same WAL) — nothing to unwind.
                     pass
             lease_info = {
                 "duration": lease.duration,
@@ -536,10 +605,8 @@ class EdgeGateway:
         ))
 
     def _execute_dry_run(self, frame, agent: str, idem: str) -> None:
-        # Read-only: run it in the reader thread under the candidate
-        # links' shard locks so the probe sees a consistent snapshot
-        # (the same synchronization contract dry_run_admissibility
-        # documents).
+        # Read-only: run it in the reader thread under every shard
+        # lock so the probe sees a consistent snapshot.
         spec = protocol.decode_spec(frame["spec"])
         path_nodes = frame.get("path_nodes")
         shards = self.service.shards
@@ -653,7 +720,7 @@ class EdgeGateway:
         Defaults to the domain high-water clock.  Expiry journals a
         ``lease``-kind marker, then the teardown goes through the
         service queue like any agent-initiated one (journaled as
-        ``terminate``, replicated, counted).  Returns the flow ids
+        ``terminate``, counted).  Returns the flow ids
         reaped.  Called by the background reaper; tests call it
         directly with an explicit *now*.
         """

@@ -10,12 +10,11 @@ locking so disjoint paths admit in parallel
 amortizes the schedulability scan across coalesced arrivals
 (:mod:`repro.service.batching`), a durable write-ahead journal with
 group commit and crash recovery
-(:mod:`repro.service.durability`), WAL log-shipping replication to
-hot-standby brokers with fenced failover and read replicas
-(:mod:`repro.service.replication` over
-:mod:`repro.service.transport`), and a closed-loop load driver for
-throughput studies (:mod:`repro.service.loadgen`); see
-``docs/SERVICE.md`` for the architecture sketch and knobs.
+(:mod:`repro.service.durability`), the framed connections every
+inter-process protocol runs over (:mod:`repro.service.transport`),
+and a closed-loop load driver for throughput studies
+(:mod:`repro.service.loadgen`); see ``docs/SERVICE.md`` for the
+architecture sketch and knobs.
 """
 
 from repro.service.batching import AdmissionBatcher, batch_key
@@ -32,17 +31,6 @@ from repro.service.loadgen import (
     LoadReport,
     provision_parallel_paths,
     run_closed_loop,
-)
-from repro.service.replication import (
-    ASYNC,
-    REPLICATION_MODES,
-    SEMI_SYNC,
-    SYNC,
-    FollowerStatus,
-    PromotionReport,
-    ReplicaServer,
-    ReplicationHub,
-    promote_directory,
 )
 from repro.service.runtime import (
     ERROR,
@@ -94,15 +82,6 @@ __all__ = [
     "SHED",
     "EXPIRED",
     "ERROR",
-    "ASYNC",
-    "SEMI_SYNC",
-    "SYNC",
-    "REPLICATION_MODES",
-    "FollowerStatus",
-    "PromotionReport",
-    "ReplicaServer",
-    "ReplicationHub",
-    "promote_directory",
     "PipeConnection",
     "TcpConnection",
     "TcpListener",

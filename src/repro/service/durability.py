@@ -26,7 +26,7 @@ identical decisions.  This module is the *physical* half:
   tolerates a torn tail record (the partial write of a crash mid-
   append): the tail is truncated with a warning, never a crash.  Its
   report *is* the replayed :class:`~repro.core.journal.Replay` that
-  replicas, promotion and cluster shard recovery resume from.
+  cluster shard recovery resumes from.
 
 Record format (one record per journal entry)::
 
@@ -43,7 +43,10 @@ found without reading file contents.
 Crash-consistency contract: a request's reply future is resolved only
 *after* the group commit covering its journal entry returns, so every
 **acknowledged** operation survives a crash; an operation whose entry
-was torn by the crash was, by construction, never acknowledged.
+was torn by the crash was, by construction, never acknowledged.  A
+journal whose ``fsync`` failed once refuses all further work (see
+:class:`FileJournal`), so no later commit can acknowledge a record
+the kernel may already have dropped.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ import threading
 import warnings
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NoReturn, Optional, Tuple
 
 from repro.core.broker import BandwidthBroker
 from repro.core.journal import JournalEntry, Replay
@@ -261,6 +264,14 @@ class FileJournal:
     from the last record on disk, repairing (truncating) a torn tail
     left by a crash.
 
+    **Fail-stop.**  Once a flush or ``fsync`` raises, every later
+    :meth:`append` and :meth:`commit` raises
+    :class:`~repro.errors.StateError`.  A retried ``fsync`` may report
+    success for dirty pages the kernel already dropped after the
+    first error, so retrying would acknowledge records that are not on
+    disk; the only way on is to reopen the directory and recover from
+    what it holds.
+
     :param directory: journal directory (created if missing).
     :param segment_bytes: rotate to a fresh segment file once the
         active one reaches this size (checked at commit time, so a
@@ -295,14 +306,18 @@ class FileJournal:
         self.fsyncs = 0
         #: Largest number of entries one commit group covered.
         self.max_group = 0
+        #: Why the journal stopped (the first flush/fsync error), or
+        #: ``None`` while it works.
+        self.failure: Optional[str] = None
 
         scan = read_journal(self.directory, repair=True)
         last = scan.entries[-1].seq if scan.entries else 0
         self._next_seq = last + 1
         self._written_seq = last
         self._synced_seq = last
-        # Resume the highest epoch any record on disk was written
-        # under; new appends are stamped with it until set_epoch.
+        # Resume the highest epoch any record on disk carries: a WAL
+        # an older build promoted keeps stamping its epoch, so the
+        # record and checkpoint formats stay byte-identical.
         self._epoch = max(
             (entry.epoch for entry in scan.entries), default=0
         )
@@ -324,56 +339,44 @@ class FileJournal:
     # ------------------------------------------------------------------
 
     def append(self, kind: str, payload: Dict[str, Any]) -> JournalEntry:
-        """Buffer one entry into the active segment (no fsync).
+        """Buffer one entry into the active segment (no fsync); the
+        commit leader's flush hands it to the OS with the rest of its
+        group.
 
-        The entry is stamped with the journal's current epoch.  It is
-        durable only after a subsequent :meth:`commit` returns —
-        callers must not acknowledge the operation before that.
+        The entry is stamped with the journal's epoch.  It is durable
+        only after a subsequent :meth:`commit` returns — callers must
+        not acknowledge the operation before that.
         """
         with self._io:
+            self._check_usable()
             entry = JournalEntry(
                 seq=self._next_seq, kind=kind, payload=payload,
                 epoch=self._epoch,
             )
-            self._write_record(entry)
-        return entry
-
-    def append_entry(self, entry: JournalEntry) -> JournalEntry:
-        """Append a pre-sequenced entry verbatim (log shipping).
-
-        A replica persists the records its primary ships *unchanged* —
-        same sequence number, same epoch — so the replica's journal is
-        byte-for-byte replayable like the primary's.  The sequence
-        must continue the local journal (gaps mean shipped records
-        were lost).  A record's epoch is *provenance*, not a fence: a
-        just-promoted primary legitimately ships history written under
-        older epochs, so entries below the journal's stamped epoch are
-        accepted verbatim while newer ones raise the stamp — fencing
-        stale *primaries* is the replication frame protocol's job
-        (:mod:`repro.service.replication`), enforced per frame before
-        any of its records reach this method.
-        """
-        with self._io:
-            if entry.seq != self._next_seq:
-                raise StateError(
-                    f"shipped entry {entry.seq} does not continue the "
-                    f"journal (expected {self._next_seq})"
+            blob = _encode(entry.to_dict()).encode("utf-8")
+            try:
+                self._file.write(
+                    _HEADER.pack(len(blob), zlib.crc32(blob)) + blob
                 )
-            self._write_record(entry)
-            if entry.epoch > self._epoch:
-                self._epoch = entry.epoch
+            except OSError as exc:
+                # A full buffer spilled to the OS and failed: the file
+                # may now end in a torn record, so stop here too.
+                self._fail(exc)
+            self._next_seq = entry.seq + 1
+            self._written_seq = entry.seq
+            self.appends += 1
         return entry
 
-    def _write_record(self, entry: JournalEntry) -> None:
-        """Buffer one framed record (caller holds ``_io``); the commit
-        leader's flush hands it to the OS with the rest of its group."""
+    def _fail(self, exc: OSError) -> NoReturn:
+        """Stop the journal for good on its first I/O error."""
+        self.failure = f"{type(exc).__name__}: {exc}"
+        raise StateError(f"journal failed: {self.failure}") from exc
+
+    def _check_usable(self) -> None:
+        if self.failure is not None:
+            raise StateError(f"journal failed: {self.failure}")
         if self._file is None:
             raise StateError("journal is closed")
-        blob = _encode(entry.to_dict()).encode("utf-8")
-        self._file.write(_HEADER.pack(len(blob), zlib.crc32(blob)) + blob)
-        self._next_seq = entry.seq + 1
-        self._written_seq = entry.seq
-        self.appends += 1
 
     def commit(self, upto: Optional[int] = None) -> int:
         """Make every entry up to *upto* (default: all appended so
@@ -381,7 +384,8 @@ class FileJournal:
 
         Group commit: if a flush covering *upto* is already running,
         wait for it (or for a successor) instead of issuing another
-        ``fsync``.
+        ``fsync``.  Raises :class:`~repro.errors.StateError` once the
+        journal has failed (this flush's error included, chained).
         """
         with self._io:
             target = self._written_seq if upto is None else min(
@@ -389,6 +393,8 @@ class FileJournal:
             )
         while True:
             with self._sync:
+                if self.failure is not None:
+                    raise StateError(f"journal failed: {self.failure}")
                 if self._synced_seq >= target:
                     return self._synced_seq
                 if self._sync_running:
@@ -399,6 +405,8 @@ class FileJournal:
             cover = previous
             try:
                 cover = self._flush()
+            except OSError as exc:
+                self._fail(exc)
             finally:
                 with self._sync:
                     if cover > self._synced_seq:
@@ -473,23 +481,9 @@ class FileJournal:
 
     @property
     def epoch(self) -> int:
-        """The epoch stamped into newly appended entries."""
-        with self._io:
-            return self._epoch
-
-    def set_epoch(self, epoch: int) -> int:
-        """Raise the journal's epoch (promotion fencing).
-
-        Epochs are monotonic: attempting to lower one raises
-        :class:`~repro.errors.StateError`.  Returns the new epoch.
-        """
-        with self._io:
-            if epoch < self._epoch:
-                raise StateError(
-                    f"epoch may not regress: {epoch} < {self._epoch}"
-                )
-            self._epoch = int(epoch)
-            return self._epoch
+        """The epoch stamped into newly appended entries (the highest
+        on disk at open; 0 unless an older build promoted the WAL)."""
+        return self._epoch
 
     def entries_after(self, seq: int) -> List[JournalEntry]:
         """All entries recorded after sequence number *seq*, including
@@ -503,51 +497,6 @@ class FileJournal:
             for entry in read_journal(self.directory).entries
             if entry.seq > seq
         ]
-
-    def read_durable(self, after_seq: int,
-                     limit: Optional[int] = None) -> List[JournalEntry]:
-        """The shippable suffix: durable entries in
-        ``(after_seq, durable_position]``, oldest first.
-
-        This is the replication read path, so it is engineered to run
-        concurrently with appends: the segment covering ``after_seq``
-        is located by *name* (no scan of earlier segments), a torn
-        record at the active segment's tail is an in-flight append —
-        not damage — and is simply not yielded, and nothing past the
-        last completed flush is returned (an entry is shippable only
-        once the group commit covering it made it crash-safe locally).
-        """
-        upto = self.durable_position
-        if upto <= after_seq:
-            return []
-        with self._io:
-            segments = _list_segments(self.directory)
-        start = 0
-        for index, (first_seq, _path) in enumerate(segments):
-            if first_seq <= after_seq + 1:
-                start = index
-            else:
-                break
-        shippable: List[JournalEntry] = []
-        for first_seq, path in segments[start:]:
-            if first_seq > upto:
-                break
-            try:
-                entries, _valid, _defect = _scan_segment(path)
-            except FileNotFoundError:
-                # Pruned between listing and open: those records are
-                # covered by a checkpoint; a follower that far behind
-                # must bootstrap from the checkpoint, not the stream.
-                continue
-            for entry in entries:
-                if entry.seq <= after_seq:
-                    continue
-                if entry.seq > upto:
-                    return shippable
-                shippable.append(entry)
-                if limit is not None and len(shippable) >= limit:
-                    return shippable
-        return shippable
 
     # ------------------------------------------------------------------
     # maintenance
@@ -579,18 +528,24 @@ class FileJournal:
         """Commit pending entries and close the active segment.
 
         Closing waits for a running commit leader (whose fsync uses
-        the file without ``_io``) and holds off new ones meanwhile.
+        the file without ``_io``) and holds off new ones meanwhile.  A
+        failed journal still closes its file, then raises.
         """
-        self.commit()
+        try:
+            self.commit()
+        finally:
+            self._close_file()
+
+    def _close_file(self) -> None:
         with self._sync:
             while self._sync_running:
                 self._sync.wait()
             self._sync_running = True
         try:
             with self._io:
-                if self._file is not None:
-                    self._file.close()
-                    self._file = None
+                handle, self._file = self._file, None
+                if handle is not None:
+                    handle.close()
         finally:
             with self._sync:
                 self._sync_running = False
@@ -603,18 +558,16 @@ class FileJournal:
 
 
 def write_checkpoint(directory, broker: BandwidthBroker,
-                     journal: Optional[FileJournal] = None, *,
-                     epoch: Optional[int] = None) -> str:
+                     journal: Optional[FileJournal] = None) -> str:
     """Atomically persist a checkpoint of *broker* into *directory*.
 
     The checkpoint embeds the journal position it is consistent with
     (``journal.position`` after a final group commit; 0 without a
-    journal) and the replication epoch (the journal's unless *epoch*
-    overrides it), is written via temp-file + rename + a directory
-    fsync so a crash mid-write can never leave a half checkpoint under
-    a valid name — nor lose the renamed entry itself — and finally
-    prunes journal segments the checkpoint makes redundant.  Returns
-    the checkpoint path.
+    journal) and the journal's epoch, is written via temp-file +
+    rename + a directory fsync so a crash mid-write can never leave a
+    half checkpoint under a valid name — nor lose the renamed entry
+    itself — and finally prunes journal segments the checkpoint makes
+    redundant.  Returns the checkpoint path.
 
     The caller must quiesce the broker (e.g. stop the service, or
     call between requests) so the serialized state actually reflects
@@ -625,8 +578,7 @@ def write_checkpoint(directory, broker: BandwidthBroker,
     seq = 0
     if journal is not None:
         seq = journal.commit()
-    if epoch is None:
-        epoch = journal.epoch if journal is not None else 0
+    epoch = journal.epoch if journal is not None else 0
     data = checkpoint_broker(broker, journal_seq=seq, epoch=epoch)
     path = os.path.join(directory, _checkpoint_name(seq))
     tmp_path = path + ".tmp"
@@ -647,7 +599,7 @@ class RecoveryReport(Replay):
 
     The replayed state carries the recovered ``broker``, ready to
     serve, the 2PC and coordinator tables, and ``applied``/``skipped``
-    counts (skipped entries raised the primary's deterministic
+    counts (skipped entries raised the live service's deterministic
     failure — reported, not silently applied).  Recovery adds:
 
     :ivar checkpoint_path: the checkpoint restored (``None`` when
@@ -658,9 +610,8 @@ class RecoveryReport(Replay):
         acknowledged).
     :ivar last_seq: sequence number of the last replayed entry
         (``checkpoint_seq`` when the suffix was empty).
-    :ivar epoch: the highest replication epoch seen in the restored
-        checkpoint or any replayed record — a promotion must fence
-        *above* this.
+    :ivar epoch: the highest epoch in the restored checkpoint or any
+        record (0 unless an older build promoted the directory).
     """
 
     checkpoint_path: Optional[str] = None

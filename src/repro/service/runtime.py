@@ -64,7 +64,6 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Deque,
@@ -84,9 +83,6 @@ from repro.service.durability import FileJournal
 from repro.service.shards import LinkShards
 from repro.service.stats import ServiceStats, StatsRecorder
 from repro.traffic.spec import TSpec
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.service.replication import ReplicationHub
 
 __all__ = [
     "ServiceRequest",
@@ -339,18 +335,10 @@ class BrokerService:
         covering the entry returns.  One fsync covers the whole batch
         (or teardown run) and whatever other workers appended
         meanwhile — durability is amortized exactly like admission
-        batching.
-    :param replicator: optional
-        :class:`~repro.service.replication.ReplicationHub` over the
-        same ``wal`` (which is then required) — after each group
-        commit the service wakes the hub's shipping threads and blocks
-        on the hub's mode gate (``sync``/``semi-sync``/``async``)
-        before resolving the group's replies, so an acknowledged
-        operation carries the configured replication guarantee.  A
-        gate failure (ack timeout, or the primary was fenced by a
-        newer epoch) turns the whole group into ``ERROR`` replies —
-        clients are never told "admitted" for an operation whose
-        guarantee does not hold.
+        batching.  A group commit that fails (an ``fsync`` error, or
+        the journal refusing work after one) turns the whole group
+        into ``ERROR`` replies — clients are never told "admitted" for
+        an operation that is not on disk.
 
     Use as a context manager, or call :meth:`start`/:meth:`stop`.
     The broker must not be driven concurrently through its
@@ -368,20 +356,11 @@ class BrokerService:
         default_timeout: Optional[float] = None,
         edge_rtt: float = 0.0,
         wal: Optional[FileJournal] = None,
-        replicator: Optional["ReplicationHub"] = None,
     ) -> None:
         if workers < 1:
             raise StateError(f"need at least one worker, got {workers}")
         if queue_limit < 1:
             raise StateError(f"queue limit must be >= 1, got {queue_limit}")
-        if replicator is not None and wal is None:
-            raise StateError(
-                "a replicator requires the wal it ships (pass wal=)"
-            )
-        if replicator is not None and replicator.journal is not wal:
-            raise StateError(
-                "the replicator must ship this service's own wal"
-            )
         self.broker = broker
         self.workers = int(workers)
         self.queue_limit = int(queue_limit)
@@ -389,7 +368,6 @@ class BrokerService:
         self.default_timeout = default_timeout
         self.edge_rtt = float(edge_rtt)
         self.wal = wal
-        self.replicator = replicator
         self.shards = LinkShards(shards)
         self._batcher = AdmissionBatcher(broker)
         self._recorder = StatsRecorder()
@@ -435,20 +413,16 @@ class BrokerService:
         return self
 
     def stop(self) -> None:
-        """Drain the queue, answer everything, and join the workers."""
+        """Drain the queue, answer everything, join the workers, then
+        commit (raises :class:`~repro.errors.StateError` when the
+        journal has failed)."""
         with self._cond:
             self._running = False
             self._cond.notify_all()
         for thread in self._threads:
             thread.join()
         self._threads = []
-        if self.wal is not None:
-            seq = self.wal.commit()
-            if self.replicator is not None:
-                # Final wake so idle shipping threads drain the tail;
-                # stop() does not block on acks (the hub's close/status
-                # is the caller's to manage).
-                self.replicator.publish(seq)
+        self.commit()
 
     def __enter__(self) -> "BrokerService":
         return self.start()
@@ -610,7 +584,7 @@ class BrokerService:
     def stats(self) -> ServiceStats:
         """A :class:`ServiceStats` snapshot, safe under load.
 
-        Engine/replication counters are gathered lock-free first
+        Engine counters are gathered lock-free first
         (point-in-time totals); the queue depth and the request
         counters are then read together under the queue lock, inside
         one recorder-lock acquisition — so the
@@ -618,21 +592,6 @@ class BrokerService:
         identity holds in every snapshot, not just at quiescence.
         """
         acquisitions, contention = self.shards.counters()
-        followers: Tuple[Tuple[str, int, int, float, float], ...] = ()
-        epoch = 0
-        mode = ""
-        quorum = 0
-        if self.replicator is not None:
-            epoch = self.replicator.epoch
-            mode = self.replicator.mode
-            quorum = self.replicator.quorum
-            followers = tuple(
-                (f.name, f.acked_seq, f.lag_records, f.lag_seconds,
-                 f.ack_ms)
-                for f in self.replicator.status()
-            )
-        elif self.wal is not None:
-            epoch = self.wal.epoch
         # Incremental-engine effectiveness counters.  They live on the
         # per-link ledgers / per-path records (mutated only under the
         # owning shard lock); summing them lock-free here reads each
@@ -682,10 +641,6 @@ class BrokerService:
                 wal_max_group=(
                     self.wal.max_group if self.wal is not None else 0
                 ),
-                epoch=epoch,
-                replication_mode=mode,
-                replication_quorum=quorum,
-                followers=followers,
                 ledger_updates=ledger_updates,
                 ledger_compactions=ledger_compactions,
                 bp_delta_folds=bp_delta_folds,
@@ -798,13 +753,17 @@ class BrokerService:
             # accounting in step) — rejections mutate no shard state,
             # so their journal order relative to other entries is
             # free.
-            self._journal_requests(jobs)
+            try:
+                self._journal_requests(jobs)
+            except StateError as exc:  # the journal has failed
+                self._fail_group(jobs, str(exc))
+                return
             decisions = self._batcher.fan_out_rejection(
                 resolved, [job.request for job in jobs]
             )
-            stall = self._commit_wal()
-            if stall is not None:
-                self._fail_group(jobs, stall)
+            error = self._commit_wal()
+            if error is not None:
+                self._fail_group(jobs, error)
                 return
             self._reply_all(jobs, decisions)
             return
@@ -842,10 +801,10 @@ class BrokerService:
         # overlaps other workers' admission math, and one flush covers
         # every entry queued since the last one.  Replies resolve only
         # after it returns — nothing is acknowledged before it is
-        # durable (and, with a replicator, replicated per its mode).
-        stall = self._commit_wal()
-        if stall is not None:
-            self._fail_group(jobs, stall)
+        # durable.
+        error = self._commit_wal()
+        if error is not None:
+            self._fail_group(jobs, error)
             return
         self._reply_all(jobs, decisions)
 
@@ -855,7 +814,7 @@ class BrokerService:
         Each teardown is applied under its own shard locks and
         journaled write-ahead; an unknown or failing one is answered
         ``ERROR`` at once.  The applied rest share one commit, and a
-        replication-gate failure turns all of them into ``ERROR``.
+        failed commit turns all of them into ``ERROR``.
         """
         applied: List[_Job] = []
         for job in jobs:
@@ -889,9 +848,9 @@ class BrokerService:
             applied.append(job)
         if not applied:
             return
-        stall = self._commit_wal()
-        if stall is not None:
-            self._fail_group(applied, stall)
+        error = self._commit_wal()
+        if error is not None:
+            self._fail_group(applied, error)
             return
         for job in applied:
             self._recorder.on_reply("done", self._elapsed(job))
@@ -908,9 +867,9 @@ class BrokerService:
             self._recorder.on_error(self._elapsed(job))
             self._finish(job, ERROR, None, detail=str(exc))
             return
-        stall = self._commit_wal()
-        if stall is not None:
-            self._fail_group([job], stall)
+        error = self._commit_wal()
+        if error is not None:
+            self._fail_group([job], error)
             return
         if request.op == "feedback":
             self._recorder.on_feedback(result)
@@ -918,7 +877,7 @@ class BrokerService:
         self._finish(job, OK, None, detail=detail(request, result))
 
     def _fail_group(self, jobs: List[_Job], detail: str) -> None:
-        """Answer a whole group with ``ERROR`` replies (gate failure)."""
+        """Answer a whole group with ``ERROR`` replies (failed commit)."""
         for job in jobs:
             self._recorder.on_error(self._elapsed(job))
             self._finish(job, ERROR, AdmissionDecision(
@@ -948,8 +907,8 @@ class BrokerService:
         without WAL).
 
         The edge gateway's soft-state flow leases live outside the
-        broker MIBs; their markers are an audit trail in the same WAL
-        (replicas see them in shipped order).  Nothing reads them
+        broker MIBs; their markers are an audit trail in the same WAL,
+        in commit order with the decisions.  Nothing reads them
         back: replay treats ``"lease"`` entries as no-ops, and a
         restarted gateway starts with an empty lease table — a flow's
         lease returns when its owner re-signals the admit (orphan
@@ -973,9 +932,7 @@ class BrokerService:
             "duration": duration,
             "now": now,
         })
-        stall = self._commit_wal()
-        if stall is not None:
-            raise StateError(stall)
+        self.commit()
 
     def _journal_requests(self, jobs: List[_Job]) -> None:
         """Append one write-ahead entry per admission in the batch."""
@@ -995,30 +952,28 @@ class BrokerService:
                 lease=_lease_field(request.lease),
             ))
 
-    def _commit_wal(self) -> Optional[str]:
-        """Group-commit everything journaled so far (no-op sans WAL),
-        then hold the group to the replication guarantee.
+    def commit(self) -> None:
+        """Group-commit everything journaled so far (no-op without a
+        WAL).
 
-        Returns ``None`` on success, or an error detail when the
-        replication gate failed — the caller must then answer its
-        whole group with ``ERROR`` instead of the decisions, because
-        the operations are applied locally but their configured
-        guarantee (quorum/semi-sync ack, or simply "this primary is
-        still the primary") does not hold.  Never raises: a gate
-        failure must not kill the worker thread and strand the
-        batch's futures.
+        Raises :class:`~repro.errors.StateError` when the records
+        could not be made durable (the journal fails-stop after an
+        ``fsync`` error); the caller must not acknowledge them.
         """
-        if self.wal is None:
-            return None
-        seq = self.wal.commit()
-        if self.replicator is None:
-            return None
+        if self.wal is not None:
+            self.wal.commit()
+
+    def _commit_wal(self) -> Optional[str]:
+        """:meth:`commit` for a worker: ``None`` on success, else the
+        error detail — the caller then answers its whole group with
+        ``ERROR`` instead of the decisions, which are applied in memory
+        but not on disk.  Never raises: a failed commit must not kill
+        the worker thread and strand the batch's futures.
+        """
         try:
-            self.replicator.publish(seq)
-            self.replicator.wait_durable(seq)
+            self.commit()
         except StateError as exc:
-            self._recorder.on_replication_stall()
-            return str(exc)
+            return f"wal commit failed: {exc}"
         return None
 
     # ------------------------------------------------------------------

@@ -76,16 +76,6 @@ class ServiceStats:
         ``wal_appends / wal_fsyncs`` is the mean group-commit size —
         the amortization the durable throughput grid measures.
     :param wal_max_group: largest number of entries one flush covered.
-    :param epoch: the primary's replication epoch (0 unreplicated).
-    :param replication_mode: ``async`` / ``semi-sync`` / ``sync``
-        ("" when the service runs without a replicator).
-    :param replication_quorum: follower acks required in ``sync`` mode.
-    :param replication_stalls: group commits whose replication gate
-        failed (ack timeout or fencing) — each turned its whole group
-        into ``ERROR`` replies.
-    :param followers: per-follower replication health at snapshot
-        time: ``(name, acked_seq, lag_records, lag_seconds, ack_ms)``
-        tuples, session order.
     :param ledger_updates: incremental (O(log M)) deadline-ledger point
         updates applied across all links — each one is a prefix-sum
         rebuild the pre-incremental engine would have paid O(M) for.
@@ -156,11 +146,6 @@ class ServiceStats:
     wal_appends: int = 0
     wal_fsyncs: int = 0
     wal_max_group: int = 0
-    epoch: int = 0
-    replication_mode: str = ""
-    replication_quorum: int = 0
-    replication_stalls: int = 0
-    followers: Tuple[Tuple[str, int, int, float, float], ...] = ()
     ledger_updates: int = 0
     ledger_compactions: int = 0
     bp_delta_folds: int = 0
@@ -201,14 +186,6 @@ class ServiceStats:
         """Mean deadline intervals visited per Figure-4 scan."""
         return self.scan_intervals / self.scan_tests if self.scan_tests else 0.0
 
-    @property
-    def max_follower_lag(self) -> int:
-        """Records the slowest follower is behind (0 without one)."""
-        return max(
-            (lag for _name, _seq, lag, _s, _ms in self.followers),
-            default=0,
-        )
-
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready representation (used by the bench artifacts)."""
         return {
@@ -234,21 +211,6 @@ class ServiceStats:
             "wal_fsyncs": self.wal_fsyncs,
             "wal_mean_group": round(self.wal_mean_group, 3),
             "wal_max_group": self.wal_max_group,
-            "epoch": self.epoch,
-            "replication_mode": self.replication_mode,
-            "replication_quorum": self.replication_quorum,
-            "replication_stalls": self.replication_stalls,
-            "followers": [
-                {
-                    "name": name,
-                    "acked_seq": acked_seq,
-                    "lag_records": lag_records,
-                    "lag_seconds": round(lag_seconds, 3),
-                    "ack_ms": round(ack_ms, 3),
-                }
-                for name, acked_seq, lag_records, lag_seconds, ack_ms
-                in self.followers
-            ],
             "ledger_updates": self.ledger_updates,
             "ledger_compactions": self.ledger_compactions,
             "bp_delta_folds": self.bp_delta_folds,
@@ -278,7 +240,7 @@ class ServiceStats:
 #: lifetime count and typed ``counter``.
 _PROM_GAUGES = frozenset((
     "workers", "shards", "queue_capacity", "queue_depth",
-    "p50_ms", "p99_ms", "epoch", "replication_quorum",
+    "p50_ms", "p99_ms",
     "mean_batch", "max_batch", "mean_scan_intervals",
     "wal_mean_group", "wal_max_group",
 ))
@@ -300,9 +262,8 @@ def prometheus_exposition(stats, *,
     One metric per counter under the ``repro_service_`` namespace.
     Scalar fields carry the caller's *labels* verbatim (e.g.
     ``{"broker": "bb-0"}``); the per-shard lock counters additionally
-    get a ``shard`` label per element, and per-follower replication
-    lag gets a ``follower`` label — so one scrape of a sharded,
-    replicated service stays a flat sample set.
+    get a ``shard`` label per element — so one scrape of a sharded
+    service stays a flat sample set.
 
     *stats* is a :class:`ServiceStats` or an ``as_dict()``-shaped
     mapping — the latter is how cross-process snapshots (a remote
@@ -336,22 +297,6 @@ def prometheus_exposition(stats, *,
                 lines.append(
                     f"{metric}{_prom_labels(merged)} {count}"
                 )
-        elif key == "followers":
-            metric = "repro_service_follower_lag_records"
-            lines.append(f"# TYPE {metric} gauge")
-            for follower in value:
-                merged = dict(labels, follower=follower["name"])
-                lines.append(
-                    f"{metric}{_prom_labels(merged)} "
-                    f"{follower['lag_records']}"
-                )
-        elif key == "replication_mode":
-            # A string is not a sample; expose it the textbook way,
-            # as a constant-1 info metric labeled with the value.
-            metric = "repro_service_replication_mode"
-            lines.append(f"# TYPE {metric} gauge")
-            merged = dict(labels, mode=value or "none")
-            lines.append(f"{metric}{_prom_labels(merged)} 1")
         else:
             emit(key, value)
     return "\n".join(lines) + "\n"
@@ -376,7 +321,6 @@ class StatsRecorder:
         self.batches = 0
         self.batched_requests = 0
         self.max_batch = 0
-        self.replication_stalls = 0
         self.feedbacks = 0
         self.feedback_released = 0
         self.callback_errors = 0
@@ -411,11 +355,6 @@ class StatsRecorder:
             elif outcome == "rejected":
                 self.rejected += 1
             self._samples.append(service_time)
-
-    def on_replication_stall(self) -> None:
-        """A group commit's replication gate failed (timeout/fence)."""
-        with self._lock:
-            self.replication_stalls += 1
 
     def on_feedback(self, released: int) -> None:
         """An edge-feedback operation released *released* allocations."""
@@ -469,10 +408,6 @@ class StatsRecorder:
         wal_appends: int = 0,
         wal_fsyncs: int = 0,
         wal_max_group: int = 0,
-        epoch: int = 0,
-        replication_mode: str = "",
-        replication_quorum: int = 0,
-        followers: Tuple[Tuple[str, int, int, float, float], ...] = (),
         ledger_updates: int = 0,
         ledger_compactions: int = 0,
         bp_delta_folds: int = 0,
@@ -515,11 +450,6 @@ class StatsRecorder:
                 wal_appends=wal_appends,
                 wal_fsyncs=wal_fsyncs,
                 wal_max_group=wal_max_group,
-                epoch=epoch,
-                replication_mode=replication_mode,
-                replication_quorum=replication_quorum,
-                replication_stalls=self.replication_stalls,
-                followers=followers,
                 ledger_updates=ledger_updates,
                 ledger_compactions=ledger_compactions,
                 bp_delta_folds=bp_delta_folds,

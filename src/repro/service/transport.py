@@ -1,17 +1,15 @@
 """Framed peer-to-peer frame exchange (pipes and TCP), and the one
 TCP server.
 
-Every inter-process protocol in this repo — replication log-shipping
-(:mod:`repro.service.replication`), edge signaling
-(:mod:`repro.edge`), cluster shard RPC (:mod:`repro.cluster.remote`)
-— holds one *connection*: an ordered, bidirectional channel of
-JSON-compatible **frames** (plain dicts) that never cares how the
-bytes move.  Two implementations are provided:
+Every inter-process protocol in this repo — edge signaling
+(:mod:`repro.edge`) and cluster shard RPC
+(:mod:`repro.cluster.remote`) — holds one *connection*: an ordered,
+bidirectional channel of JSON-compatible **frames** (plain dicts)
+that never cares how the bytes move.  Two implementations are provided:
 
 * :func:`pipe_pair` — an in-process pipe (two mailboxes guarded by
   condition variables).  Zero setup, deterministic, used by the tests
-  and the single-process demos; also the honest model of "the standby
-  runs in the same failure domain", which is exactly what it is.
+  and the single-process demos.
 * :class:`TcpConnection` — a TCP socket carrying length-prefixed
   payloads (4-byte big-endian payload length, then the payload), for
   a peer on another machine.
@@ -473,8 +471,8 @@ class TcpListener:
     Binding to port 0 (the default) picks a free ephemeral port —
     read it back from :attr:`port`.  Use it one of two ways:
 
-    * :meth:`accept` takes one connection (``repro replicate``'s
-      primary waiting for its follower);
+    * :meth:`accept` takes one connection (a caller that dials its
+      own listener, such as the benchmark's transport layer);
     * :meth:`serve` runs the accept loop on a daemon thread and serves
       every accepted connection with ``handler(conn)`` on a daemon
       thread of its own.  The listener tracks each connection while

@@ -1,7 +1,7 @@
 """Binary wire codec: struct-packed frames behind the length prefix.
 
-Every inter-process hop in this repo — edge signaling, WAL
-log-shipping, cluster shard RPC — moves *frames* (JSON-compatible
+Every inter-process hop in this repo — edge signaling and cluster
+shard RPC — moves *frames* (JSON-compatible
 dicts) over a 4-byte length-prefixed stream
 (:class:`~repro.service.transport.TcpConnection`).  The payload is
 **binary**, in the spirit of Hummingbird's fixed-format reservation
@@ -10,8 +10,8 @@ tests' reference): the hot frame types
 (``admit``/``teardown``/``refresh``/``feedback``/``reply``) are
 **packed records** — one tag byte naming the layout, every numeric
 field in one :mod:`struct` pack, strings as u16-length-prefixed UTF-8
-— and everything else (handshakes, replication records, cluster 2PC
-ops, arbitrary test frames) rides a compact self-describing **tagged
+— and everything else (handshakes, cluster 2PC ops, arbitrary test
+frames) rides a compact self-describing **tagged
 encoding** with a static table of interned symbols for the field
 names and enum values shared by every protocol in the repo.
 
@@ -108,9 +108,9 @@ _NONE_LEN = 0xFFFF
 # interned symbols
 # ----------------------------------------------------------------------
 # One static table shared by every protocol in the repo: field names
-# and enum-like values that recur in edge frames, replication
-# log-shipping and cluster 2PC RPC.  The table is append-only across
-# protocol versions — ids are wire format, never renumber.
+# and enum-like values that recur in edge frames and cluster 2PC RPC.
+# The table is append-only across protocol versions — ids are wire
+# format, never renumber (so the retired log-shipping block stays).
 
 _SYMBOLS: Tuple[str, ...] = (
     # envelope / edge protocol fields

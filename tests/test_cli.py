@@ -19,9 +19,10 @@ class TestParser:
         assert "repro" in capsys.readouterr().out
 
     def test_unknown_command_rejected(self):
-        # The throughput benches live in ``python -m benchmarks.e2e``.
+        # The throughput benches live in ``python -m benchmarks.e2e``;
+        # log-shipping replication (replicate, promote) is gone.
         for command in ("frobnicate", "serve-bench", "shard-bench",
-                        "edge-bench"):
+                        "edge-bench", "replicate", "promote"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command])
 
@@ -152,74 +153,3 @@ class TestClusterCommands:
         assert main(["recover", str(tmp_path), "--shard-dir"]) == 1
         err = capsys.readouterr().err
         assert "no shard subdirectories" in err
-
-    def test_promote_shard_dir_bumps_every_epoch(self, capsys,
-                                                 tmp_path):
-        root = self._crashed_cluster_root(tmp_path)
-        assert main(["promote", str(root), "--shard-dir"]) == 0
-        out = capsys.readouterr().out
-        assert "shard0" in out
-        assert "new epoch" in out
-        # Promoting again fences above the first promotion.
-        assert main(["promote", str(root), "--shard-dir"]) == 0
-        assert "2" in capsys.readouterr().out
-
-
-class TestReplicationCommands:
-    def test_replicate_defaults(self):
-        args = build_parser().parse_args(["replicate"])
-        assert args.mode == "sync"
-        assert args.quorum == 2
-        assert args.followers == 2
-        assert not args.tcp
-
-    def test_replicate_rejects_unknown_mode(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["replicate", "--mode", "psync"])
-
-    def test_replicate_sync_pipe(self, capsys):
-        assert main([
-            "replicate", "--mode", "sync", "--quorum", "2",
-            "--followers", "2", "--workers", "2", "--clients", "2",
-            "--requests", "3", "--paths", "2",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "mode 'sync'" in out
-        assert "state equal" in out
-        assert "NO" not in out  # every follower converged
-
-    def test_replicate_semi_sync_tcp(self, capsys):
-        assert main([
-            "replicate", "--mode", "semi-sync", "--followers", "1",
-            "--workers", "2", "--clients", "2", "--requests", "3",
-            "--paths", "2", "--tcp",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "tcp transport" in out
-        assert "follower-0" in out
-
-    def test_promote_bumps_epoch(self, capsys, tmp_path):
-        from repro.core.broker import BandwidthBroker
-        from repro.service import (
-            FileJournal,
-            provision_parallel_paths,
-            write_checkpoint,
-        )
-
-        broker = BandwidthBroker()
-        provision_parallel_paths(broker, paths=2)
-        wal = FileJournal(str(tmp_path))
-        wal.append("advance", {"now": 1.0})
-        wal.append("advance", {"now": 2.0})
-        wal.commit()
-        write_checkpoint(str(tmp_path), broker, wal)
-        wal.close()
-        assert main(["promote", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "new epoch" in out
-        assert "took over at seq" in out
-        assert "checkpoint-" in out
-        # The fencing checkpoint persists epoch 1: promoting the same
-        # directory again lands on epoch 2.
-        assert main(["promote", str(tmp_path)]) == 0
-        assert "2" in capsys.readouterr().out

@@ -33,12 +33,6 @@ from repro.cluster.shard import BrokerShard
 from repro.core.broker import BandwidthBroker
 from repro.errors import StateError
 from repro.service.durability import FileJournal, recover_broker
-from repro.service.replication import (
-    ReplicaServer,
-    ReplicationHub,
-    promote_directory,
-)
-from repro.service.transport import pipe_pair
 from repro.soak.audit import audit_recovered_shards
 from repro.units import mbps
 from repro.vtrs.timestamps import SchedulerKind
@@ -462,76 +456,7 @@ class TestShardRecovery:
         assert reply["status"] == "committed"
 
 
-class TestReplicaChain:
-    def test_replica_applies_cluster_records(self, tmp_path):
-        # A plain replica: the one record table knows the 2PC kinds,
-        # so no cluster-specific wiring is needed to follow a shard.
-        primary_dir = tmp_path / "primary"
-        replica_dir = tmp_path / "replica"
-        pmap = PartitionMap(["s0"])
-        wal = FileJournal(str(primary_dir), fsync=False)
-        hub = ReplicationHub(wal, mode="sync", quorum=1)
-        shard = BrokerShard(
-            "s0", _single_link_broker(), pmap,
-            wal=wal, replicator=hub,
-        )
-        replica = ReplicaServer(
-            str(replica_dir), _single_link_broker,
-            follower_id="r1", fsync=False,
-        )
-        primary_end, follower_end = pipe_pair()
-        hub.add_follower(primary_end)
-        replica.connect(follower_end)
-        try:
-            frame = {
-                "txid": "tx-1", "flow_id": "f1",
-                "links": [["a", "b"]],
-                "spec": SPEC.to_dict(),
-                "delay_requirement": D_REQ,
-                "mode": "fixed", "rate": SPEC.rho, "delay": 0.0,
-                "now": 0.0, **pmap.stamp(),
-            }
-            assert shard.prepare(frame)["status"] == "prepared"
-            assert shard.commit({
-                "txid": "tx-1", "flow_id": "f1", "now": 1.0,
-                **pmap.stamp(),
-            })["status"] == "committed"
-            # sync mode: the ack gate already ran, the standby has it.
-            assert "f1" in replica.broker.flow_mib
-            link = replica.broker.node_mib.link("a", "b")
-            assert not any(
-                key.startswith("txn:")
-                for key in link.reservation_keys()
-            )
-            assert replica.following, replica.detail
-            assert replica.state.txns["tx-1"]["state"] == "committed"
-        finally:
-            replica.close()
-            hub.close()
-            wal.close()
-
-    def test_promote_shard_directory(self, tmp_path):
-        pmap = PartitionMap(["s0"])
-        wal = FileJournal(str(tmp_path), fsync=False)
-        shard = BrokerShard("s0", _single_link_broker(), pmap, wal=wal)
-        frame = {
-            "txid": "tx-1", "flow_id": "f1", "links": [["a", "b"]],
-            "spec": SPEC.to_dict(), "delay_requirement": D_REQ,
-            "mode": "fixed", "rate": SPEC.rho, "delay": 0.0,
-            "now": 0.0, **pmap.stamp(),
-        }
-        shard.prepare(frame)
-        shard.commit({"txid": "tx-1", "flow_id": "f1", "now": 1.0,
-                      **pmap.stamp()})
-        epoch = wal.epoch
-        wal.close()
-        report = promote_directory(
-            str(tmp_path), broker_factory=_single_link_broker,
-        )
-        assert report.epoch == epoch + 1
-        assert "f1" in report.broker.flow_mib
-        report.journal.close()
-
+class TestShardDirectory:
     def test_plain_recover_broker_replays_cluster_kinds(self, tmp_path):
         # A shard directory recovers like any other: the 2PC table
         # comes back in the report, never silently dropped.

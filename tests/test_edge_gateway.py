@@ -17,14 +17,17 @@ import threading
 
 import pytest
 
+from repro.core.admission import RejectionReason
 from repro.core.aggregate import ContingencyMethod, ServiceClass
 from repro.core.broker import BandwidthBroker
 from repro.core.journal import Replay
 from repro.core.persistence import checkpoint_broker
 from repro.edge import EdgeGateway, protocol
+from repro.edge.gateway import dry_run_admissibility
 from repro.service import (
     BrokerService,
     FileJournal,
+    provision_parallel_paths,
     read_journal,
     recover_broker,
 )
@@ -266,6 +269,54 @@ class TestAdmissionAndLeases:
         assert broker.flow_mib.get("probe") is None
         assert len(gateway.leases) == 0
         session.close()
+
+
+class TestDryRun:
+    """:func:`dry_run_admissibility`, the ``dry-run`` frame's check."""
+
+    @staticmethod
+    def parallel_broker():
+        broker = BandwidthBroker()
+        nodes = provision_parallel_paths(broker, paths=4)
+        return broker, nodes
+
+    def test_dry_run_rejections_are_read_only(self):
+        broker, nodes = self.parallel_broker()
+        before = canonical(broker)
+        # The parallel paths are link-disjoint: path 1's egress is
+        # unreachable from path 0's ingress -> NO_PATH, no exception.
+        decision = dry_run_admissibility(
+            broker, "p", SPEC, 2.44, nodes[0][0], nodes[1][-1],
+        )
+        assert not decision.admitted
+        assert decision.reason is RejectionReason.NO_PATH
+        # The rejection was not counted anywhere.
+        assert broker.stats().rejected_total == 0
+        assert canonical(broker) == before
+
+    def test_dry_run_matches_subsequent_admission(self):
+        """The dry-run verdict predicts the real admission: same path,
+        same rate-delay pair."""
+        broker, nodes = self.parallel_broker()
+        with BrokerService(broker, workers=2, shards=4) as service:
+            for index in range(4):
+                path = nodes[index % len(nodes)]
+                assert service.request(
+                    f"f{index}", SPEC, 2.44, path[0], path[-1],
+                    path_nodes=path, now=float(index),
+                ).admitted
+            path = nodes[1]
+            predicted = dry_run_admissibility(
+                broker, "next", SPEC, 2.44, path[0], path[-1],
+                path_nodes=path,
+            )
+            actual = service.request(
+                "next", SPEC, 2.44, path[0], path[-1],
+                path_nodes=path, now=99.0,
+            ).decision
+        assert predicted.admitted == actual.admitted
+        assert predicted.path_id == actual.path_id
+        assert predicted.rate == pytest.approx(actual.rate)
 
 
 class TestIdempotency:

@@ -82,16 +82,6 @@ def test_concurrent_broker():
     assert "concurrent service runtime OK" in out
 
 
-def test_broker_replication():
-    out = run_example("broker_replication.py")
-    assert "both followers caught up at ack time" in out
-    assert "dry-run left the replica state untouched" in out
-    assert "promoted to epoch 1" in out
-    assert "every acked admission survived failover (8/8)" in out
-    assert "stale primary fenced" in out
-    assert "no split-brain" in out
-
-
 @pytest.mark.network
 def test_edge_agents():
     out = run_example("edge_agents.py")

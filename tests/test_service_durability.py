@@ -13,15 +13,19 @@ subsequent decisions match the survivor's exactly.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import struct
 import threading
+import zlib
 
 import pytest
 
 from repro.core.aggregate import ServiceClass
 from repro.core.broker import BandwidthBroker
-from repro.core.persistence import checkpoint_broker
+from repro.core.journal import JournalEntry
+from repro.core.persistence import CHECKPOINT_VERSION, checkpoint_broker
 from repro.errors import StateError
 from repro.service import (
     BrokerService,
@@ -64,6 +68,23 @@ def wal_segments(directory: str):
         name for name in os.listdir(directory)
         if name.startswith("wal-") and name.endswith(".log")
     )
+
+
+def epoch_records(epoch: int, *nows: float) -> bytes:
+    """``advance`` records stamped *epoch*, seq 1 up, in the on-disk
+    record format (length, crc32, compact JSON) — how a WAL that an
+    older build's log-shipping promotion raised to *epoch* reads."""
+    data = b""
+    for seq, now in enumerate(nows, start=1):
+        entry = JournalEntry(seq, "advance", {"now": now}, epoch=epoch)
+        blob = json.dumps(entry.to_dict(),
+                          separators=(",", ":")).encode("utf-8")
+        data += struct.pack(">II", len(blob), zlib.crc32(blob)) + blob
+    return data
+
+
+def broken_fsync(fd: int) -> None:
+    raise OSError(errno.EIO, "injected EIO")
 
 
 class TestFileJournal:
@@ -211,6 +232,79 @@ class TestFileJournal:
         wal.close()
         with pytest.raises(StateError):
             wal.append("advance", {"now": 1.0})
+
+    def test_fsync_failure_stops_the_journal(self, tmp_path,
+                                             monkeypatch):
+        """Fail-stop: after one ``fsync`` error no later commit reports
+        success, even once ``fsync`` works again — a retried ``fsync``
+        may succeed for pages the kernel already dropped."""
+        import repro.service.durability as durability
+
+        wal = FileJournal(tmp_path)
+        wal.append("advance", {"now": 1.0})
+        assert wal.commit() == 1
+        wal.append("advance", {"now": 2.0})
+        with monkeypatch.context() as patch:
+            patch.setattr(durability.os, "fsync", broken_fsync)
+            with pytest.raises(StateError, match="injected EIO") as info:
+                wal.commit()
+        assert isinstance(info.value.__cause__, OSError)
+        assert wal.failure is not None
+        for retry in (wal.commit, lambda: wal.commit(upto=1),
+                      lambda: wal.append("advance", {"now": 3.0})):
+            with pytest.raises(StateError, match="journal failed"):
+                retry()
+        assert wal.durable_position == 1
+        with pytest.raises(StateError, match="journal failed"):
+            wal.close()
+        # The file is closed all the same; reopening reads what the
+        # disk holds.
+        reopened = FileJournal(tmp_path)
+        assert reopened.failure is None
+        assert [e.seq for e in reopened.entries_after(0)] == [1, 2]
+        reopened.close()
+
+    def test_a_waiter_on_a_failed_fsync_does_not_retry_it(
+            self, tmp_path, monkeypatch):
+        """A committer that waited on the failing leader raises too,
+        instead of becoming the next leader and re-issuing the
+        ``fsync``."""
+        import repro.service.durability as durability
+
+        entered, release = threading.Event(), threading.Event()
+        calls = []
+
+        def failing_fsync(fd: int) -> None:
+            calls.append(fd)
+            entered.set()
+            release.wait(5.0)
+            broken_fsync(fd)
+
+        wal = FileJournal(tmp_path)
+        monkeypatch.setattr(durability.os, "fsync", failing_fsync)
+        wal.append("advance", {"now": 1.0})
+        outcomes = []
+
+        def commit() -> None:
+            try:
+                wal.commit()
+                outcomes.append("ok")
+            except StateError:
+                outcomes.append("failed")
+
+        leader = threading.Thread(target=commit)
+        leader.start()
+        assert entered.wait(5.0)
+        wal.append("advance", {"now": 2.0})
+        waiter = threading.Thread(target=commit)
+        waiter.start()
+        release.set()
+        leader.join(5.0)
+        waiter.join(5.0)
+        assert outcomes == ["failed", "failed"]
+        assert len(calls) == 1
+        with pytest.raises(StateError, match="journal failed"):
+            wal.close()
 
 
 class _GatedFsync:
@@ -424,6 +518,43 @@ class TestCheckpointing:
         path = write_checkpoint(tmp_path, broker)
         assert not os.path.exists(path + ".tmp")
         assert json.loads(open(path).read())["version"] >= 2
+
+
+class TestJournalEpochs:
+    """A WAL an older build promoted carries epoch >= 1 in every record
+    and checkpoint; it still opens, appends in the same format and
+    recovers."""
+
+    def test_epoch_survives_reopen(self, tmp_path):
+        segment = os.path.join(tmp_path, f"wal-{1:016d}.log")
+        with open(segment, "wb") as handle:
+            handle.write(epoch_records(2, 1.0))
+        wal = FileJournal(tmp_path, fsync=False)
+        assert wal.epoch == 2
+        wal.append("advance", {"now": 2.0})
+        wal.close()
+        reopened = FileJournal(tmp_path, fsync=False)
+        assert reopened.epoch == 2
+        assert [e.epoch for e in reopened.entries_after(0)] == [2, 2]
+        reopened.close()
+        # Byte for byte the record format the promoting build wrote.
+        with open(segment, "rb") as handle:
+            assert handle.read() == epoch_records(2, 1.0, 2.0)
+
+    def test_checkpoint_v3_embeds_epoch(self, tmp_path):
+        with open(os.path.join(tmp_path, f"wal-{1:016d}.log"),
+                  "wb") as handle:
+            handle.write(epoch_records(5, 1.0))
+        broker = fig8_broker()
+        wal = FileJournal(tmp_path, fsync=False)
+        path = write_checkpoint(tmp_path, broker, wal)
+        with open(path) as handle:
+            data = json.load(handle)
+        assert data["version"] == CHECKPOINT_VERSION
+        assert data["epoch"] == 5
+        wal.close()
+        report = recover_broker(tmp_path)
+        assert report.epoch == 5
 
 
 class TestRecovery:

@@ -10,6 +10,7 @@ honoured, errors become error replies, and the stats reconcile.
 
 from __future__ import annotations
 
+import errno
 import logging
 import threading
 from contextlib import contextmanager
@@ -25,12 +26,10 @@ from repro.service import (
     EXPIRED,
     OK,
     SHED,
-    SYNC,
     BrokerService,
     FileJournal,
     FlowTemplate,
     LoadReport,
-    ReplicationHub,
     ServiceRequest,
     provision_parallel_paths,
     read_journal,
@@ -419,36 +418,48 @@ class TestTeardownRuns:
         assert "ghost" in replies[1].detail
         assert terminated(tmp_path) == ["f0", "f1"]
 
-    def test_replication_stall_fails_the_whole_run(self, broker,
-                                                   tmp_path):
-        """Mirror of the admit-batch gate: with no follower to ack a
-        ``sync`` write, every teardown of the run is answered
-        ``ERROR`` by one stalled commit — never a false ``ok``."""
-        flows = ["f0", "f1", "f2"]
-        # Admitted behind the journal's back: with no follower to ship
-        # to, nothing ever replays these records.
-        for flow_id in flows:
-            assert broker.request_service(
-                flow_id, SPEC, 2.44, "I1", "E1"
-            ).admitted
-        wal = FileJournal(tmp_path, fsync=False)
-        hub = ReplicationHub(wal, mode=SYNC, quorum=1, ack_timeout=0.2)
-        with BrokerService(broker, workers=1, shards=2, wal=wal,
-                           replicator=hub) as service:
-            # The parking advance stalls too; count from after it.
-            with parked_worker(service):
-                stalls = service.stats().replication_stalls
-                pendings = [
-                    service.submit(ServiceRequest(flow_id, op="teardown"))
-                    for flow_id in flows
-                ]
-            replies = [pending.wait(5.0) for pending in pendings]
-            assert service.stats().replication_stalls - stalls == 1
-        hub.close()
-        wal.close()
-        for reply in replies:
-            assert reply.status == ERROR
-            assert "0/1" in reply.detail
+    def test_failed_fsync_answers_error_and_keeps_serving(
+            self, broker, tmp_path, monkeypatch):
+        """A group commit whose ``fsync`` raises answers its group
+        ``ERROR`` and the worker keeps serving.  The journal then
+        fails-stop: a retried ``fsync`` may report success for pages
+        the kernel already dropped, so no later op or commit is
+        acknowledged, even once ``fsync`` works again."""
+        from repro.service import durability
+
+        def broken_fsync(fd):
+            raise OSError(errno.EIO, "injected EIO")
+
+        wal = FileJournal(tmp_path, fsync=True)
+        service = BrokerService(broker, workers=1, shards=2,
+                                wal=wal).start()
+        assert service.request("f0", SPEC, 2.44, "I1", "E1",
+                               wait=5.0).admitted
+        with monkeypatch.context() as patch:
+            patch.setattr(durability.os, "fsync", broken_fsync)
+            reply = service.request("f1", SPEC, 2.44, "I1", "E1",
+                                    wait=5.0)
+        assert reply.status == ERROR
+        assert "injected EIO" in reply.detail
+        later = [
+            service.request("f2", SPEC, 2.44, "I1", "E1", wait=5.0),
+            service.teardown("f0", wait=5.0),
+            service.advance(1.0, wait=5.0),
+        ]
+        assert [r.status for r in later] == [ERROR] * 3
+        assert all("journal failed" in r.detail for r in later)
+        assert service.stats().errors == 4
+        with pytest.raises(StateError, match="journal failed"):
+            wal.commit()
+        with pytest.raises(StateError, match="journal failed"):
+            service.stop()
+        with pytest.raises(StateError, match="journal failed"):
+            wal.close()
+        # Only the acknowledged admit is on disk for sure; f2, the
+        # teardown and the advance never reached the journal.
+        kinds = [(e.kind, e.payload.get("flow_id"))
+                 for e in read_journal(tmp_path).entries]
+        assert kinds == [("request", "f0"), ("request", "f1")]
 
 
 class TestClosedLoop:

@@ -25,16 +25,9 @@ import pytest
 from repro.cluster.remote import FRAME, FrameServer, OpClient
 from repro.controlplane import ControlPlaneServer
 from repro.core.broker import BandwidthBroker
-from repro.core.persistence import checkpoint_broker
 from repro.edge import AdmitOp, EdgeAgent, EdgeGateway, protocol
 from repro.edge.agent import tcp_connector
-from repro.service import (
-    BrokerService,
-    FileJournal,
-    ReplicaServer,
-    ReplicationHub,
-    provision_parallel_paths,
-)
+from repro.service import BrokerService, provision_parallel_paths
 from repro.service.transport import (
     MAX_FRAME_BYTES,
     TcpConnection,
@@ -236,6 +229,17 @@ class TestPipePair:
             a.send({"n": 3})
         with pytest.raises(TransportClosed):
             a.recv(timeout=1.0)
+
+    def test_pipe_drains_before_raising(self):
+        a, b = pipe_pair()
+        a.send({"seq": 1})
+        a.send({"seq": 2})
+        a.close()
+        # Frames delivered before the close are still readable.
+        assert b.recv(timeout=1.0) == {"seq": 1}
+        assert b.recv(timeout=1.0) == {"seq": 2}
+        with pytest.raises(TransportClosed):
+            b.recv(timeout=1.0)
 
 
 @pytest.mark.network
@@ -817,47 +821,6 @@ def serve_op_rpc_json_peer(tmp_path, dialed) -> None:
     assert server.frames_served == 20
 
 
-def serve_replication_json_peer(tmp_path, dialed) -> None:
-    """A follower sending its hello and acks as JSON holds up a
-    sync-mode primary and converges to its state."""
-    broker = BandwidthBroker()
-    nodes = provision_parallel_paths(broker, paths=1)[0]
-    wal = FileJournal(str(tmp_path / "primary"), fsync=False)
-    hub = ReplicationHub(wal, mode="sync", quorum=1, ack_timeout=5.0)
-
-    def standby_broker():
-        standby = BandwidthBroker()
-        provision_parallel_paths(standby, paths=1)
-        return standby
-
-    replica = ReplicaServer(str(tmp_path / "follower"), standby_broker,
-                            follower_id="follower-json", fsync=False)
-    listener = TcpListener()
-    follower_end = json_dialer(
-        lambda: connect_tcp(listener.host, listener.port), dialed)()
-    accepted = listener.accept(timeout=5.0)
-    try:
-        hub.add_follower(accepted)
-        replica.connect(follower_end)
-        spec = flow_type(0).spec
-        with BrokerService(broker, workers=1, wal=wal,
-                           replicator=hub) as service:
-            for index in range(8):
-                reply = service.request(
-                    f"f{index}", spec, 2.44, nodes[0], nodes[-1],
-                    path_nodes=nodes, now=float(index))
-                # Sync mode: ok means the follower's ack arrived.
-                assert reply.status == "ok", reply.detail
-        assert wait_for(lambda: replica.applied_seq >= wal.position)
-        assert (checkpoint_broker(replica.broker)["flows"]
-                == checkpoint_broker(broker)["flows"])
-    finally:
-        hub.close()
-        replica.close()
-        wal.close()
-        listener.close()
-
-
 @pytest.mark.network
 class TestOneWireFormat:
     """Every connection sends binary from its first frame, and every
@@ -890,8 +853,7 @@ class TestOneWireFormat:
     @pytest.mark.parametrize("serve", [
         serve_edge_json_peer,
         serve_op_rpc_json_peer,
-        serve_replication_json_peer,
-    ], ids=["edge-gateway", "op-rpc", "replication"])
+    ], ids=["edge-gateway", "op-rpc"])
     def test_a_json_peer_is_served_in_full(self, serve, tmp_path):
         dialed = []
         serve(tmp_path, dialed)
