@@ -405,8 +405,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 
 def _cmd_gateway(args: argparse.Namespace) -> int:
-    import time as _time
-
+    from repro import clock
     from repro.core.broker import BandwidthBroker
     from repro.edge import EdgeGateway
     from repro.service import BrokerService, provision_parallel_paths
@@ -428,10 +427,10 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
                   f"{pinned[-1][0]}->{pinned[-1][-1]})")
             try:
                 if args.duration > 0:
-                    _time.sleep(args.duration)
+                    clock.sleep(args.duration)
                 else:  # pragma: no cover - interactive mode
                     while True:
-                        _time.sleep(3600)
+                        clock.sleep(3600)
             except KeyboardInterrupt:  # pragma: no cover
                 pass
         counters = gateway.counters()

@@ -44,10 +44,10 @@ import queue
 import signal
 import socket
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro import clock
 from repro.errors import SignalingError
 from repro.service.durability import FileJournal
 from repro.service.transport import (
@@ -56,6 +56,7 @@ from repro.service.transport import (
     connect_tcp,
     is_pong,
     ping_frame,
+    recv_matching,
 )
 from repro.traffic.spec import TSpec
 from repro.units import mbps
@@ -117,8 +118,7 @@ def read_endpoint(path: str, *, timeout: float = 0.0
                   ) -> Tuple[str, int, int]:
     """Read a child's published ``(host, port, pid)``; with *timeout*
     polls until the file appears."""
-    deadline = time.monotonic() + timeout
-    while True:
+    def read() -> Optional[Tuple[str, int, int]]:
         try:
             with open(path) as handle:
                 parts = handle.read().split()
@@ -127,9 +127,12 @@ def read_endpoint(path: str, *, timeout: float = 0.0
                 return parts[0], int(parts[1]), pid
         except (OSError, ValueError):
             pass
-        if time.monotonic() >= deadline:
-            raise SignalingError(f"no endpoint published at {path!r}")
-        time.sleep(0.02)
+        return None
+
+    endpoint = clock.poll(read, timeout, 0.02)
+    if endpoint is None:
+        raise SignalingError(f"no endpoint published at {path!r}")
+    return endpoint
 
 
 def reserve_port(host: str = "127.0.0.1") -> Tuple[socket.socket, int]:
@@ -214,6 +217,20 @@ def _shard_wal_dir(spec: ShardProcSpec) -> str:
     return os.path.join(spec.run_dir, "wal", spec.name)
 
 
+def _serve_until_stopped(stop: threading.Event,
+                         failed: Callable[[], bool]) -> bool:
+    """Block a child's main thread until SIGTERM sets *stop* (True) or
+    *failed* turns true (False), checking every 0.2 s."""
+    while not clock.wait(stop, 0.2):
+        if failed():
+            return False
+    return True
+
+
+def _journal_failed(shard: BrokerShard) -> bool:
+    return shard.wal is not None and shard.wal.failure is not None
+
+
 def shard_process_main(spec: ShardProcSpec) -> None:
     """Spawn-safe entrypoint: serve one shard over TCP until SIGTERM.
 
@@ -223,6 +240,11 @@ def shard_process_main(spec: ShardProcSpec) -> None:
     drain: the listener's close stops accepting, ends every idle
     connection and waits for the op in flight to send its reply; then
     the service stops and the WAL is fsynced and closed; exit 0.
+
+    A journal that failed (an ``fsync`` error) stops for good, so the
+    shard would answer every later op ``error``.  The child exits 1
+    instead: the supervisor restarts it and recovery rebuilds the
+    shard from what is on disk.
     """
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda *_: stop.set())
@@ -268,8 +290,9 @@ def shard_process_main(spec: ShardProcSpec) -> None:
         listener.host, listener.port,
     )
 
-    while not stop.is_set():
-        stop.wait(0.2)
+    if not _serve_until_stopped(stop, lambda: _journal_failed(shard)):
+        listener.close()
+        os._exit(1)  # nothing more may touch the failed journal
 
     listener.close()
     shard.stop(close_wal=False)
@@ -406,7 +429,7 @@ class ClusterServiceClient:
 
         self.submitted += 1
         timeout = request.timeout
-        enqueued = time.monotonic()
+        enqueued = clock.now()
         pending = PendingReply(
             enqueued, None if timeout is None else enqueued + timeout,
         )
@@ -472,7 +495,7 @@ class ClusterServiceClient:
     def _execute(self, request: "ServiceRequest") -> "ServiceReply":
         from repro.service.runtime import ServiceReply
 
-        started = time.monotonic()
+        started = clock.now()
         if request.op not in ("admit", "teardown"):
             return ServiceReply(
                 request, "error", None,
@@ -502,7 +525,7 @@ class ClusterServiceClient:
                 detail=f"coordinator unreachable: {exc}",
             )
         return self._reply_from(
-            request, payload, time.monotonic() - started,
+            request, payload, clock.now() - started,
         )
 
     def _reply_from(self, request: "ServiceRequest",
@@ -618,8 +641,7 @@ def gateway_worker_main(spec: GatewayWorkerSpec) -> None:
     gateway.start()
     _write_endpoint(_endpoint_path(spec.run_dir, spec.name), host, port)
 
-    while not stop.is_set():
-        stop.wait(0.2)
+    _serve_until_stopped(stop, lambda: False)
 
     gateway.stop_accepting()
     gateway.drain_outboxes(timeout=3.0)
@@ -742,7 +764,7 @@ class ProcessSupervisor:
 
     def _monitor_loop(self) -> None:
         while not self._stop.is_set():
-            now = time.monotonic()
+            now = clock.now()
             ping_due = now - self._last_ping >= self.ping_interval
             if ping_due:
                 self._last_ping = now
@@ -756,7 +778,7 @@ class ProcessSupervisor:
                         self._check_ping(child)
                     continue
                 self._maybe_restart(child, now)
-            self._stop.wait(self.monitor_interval)
+            clock.wait(self._stop, self.monitor_interval)
 
     def _check_ping(self, child: _Child) -> None:
         if self._ping_once(child):
@@ -785,12 +807,7 @@ class ProcessSupervisor:
             return False
         try:
             conn.send(ping_frame(0))
-            deadline = time.monotonic() + 1.0
-            while time.monotonic() < deadline:
-                frame = conn.recv(timeout=0.2)
-                if frame is not None and is_pong(frame):
-                    return True
-            return False
+            return recv_matching(conn, 1.0, is_pong) is not None
         except (TransportClosed, OSError):
             return False
         finally:
@@ -804,10 +821,9 @@ class ProcessSupervisor:
             child.failed = True
             return
         if child.next_restart_at == 0.0:
-            delay = min(
-                self.backoff * (2 ** child.restarts), self.backoff_max,
-            )
-            child.next_restart_at = now + delay
+            child.next_restart_at = now + clock.Backoff(
+                self.backoff, self.backoff_max,
+            ).delay(child.restarts + 1)
             return
         if now < child.next_restart_at:
             return
@@ -1030,13 +1046,11 @@ class ProcCluster:
         :meth:`~ProcessSupervisor.unready` (a shard killed a moment ago
         still names its old port, so an op now fails its one redial);
         :class:`SignalingError` after :attr:`start_timeout`."""
-        deadline = time.monotonic() + self.start_timeout
-        while self.supervisor.unready():
-            if time.monotonic() >= deadline:
-                raise SignalingError(
-                    f"not ready after {self.start_timeout:g}s: "
-                    f"{self.supervisor.unready()}")
-            time.sleep(0.05)
+        if not clock.poll(lambda: not self.supervisor.unready(),
+                          self.start_timeout, 0.05):
+            raise SignalingError(
+                f"not ready after {self.start_timeout:g}s: "
+                f"{self.supervisor.unready()}")
 
     # -- observability -------------------------------------------------
 

@@ -32,11 +32,15 @@ from __future__ import annotations
 import itertools
 import queue
 import threading
-import time
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
+from repro import clock
 from repro.errors import SignalingError
-from repro.service.transport import TransportClosed, serve_frames
+from repro.service.transport import (
+    TransportClosed,
+    recv_matching,
+    serve_frames,
+)
 
 __all__ = [
     "FRAME",
@@ -134,6 +138,9 @@ class ShardServer(FrameServer):
     def __init__(self, shard: Any) -> None:
         super().__init__(shard, _OPS)
 
+
+#: The redial backoff: 0.05 s doubling to 0.5 s, no jitter.
+_REDIAL = clock.Backoff(0.05, 0.5)
 
 #: Pool marker for a slot whose connection failed (``None`` is a slot
 #: that was never dialed).
@@ -275,29 +282,23 @@ class OpClient:
         number; ``None`` when :attr:`timeout` passes without one."""
         conn.send(message)
         seq = message["client_seq"]
-        deadline = time.monotonic() + self.timeout
-        while True:
-            reply = conn.recv(
-                timeout=max(deadline - time.monotonic(), 0.0))
-            if reply is None or reply.get("client_seq") == seq:
-                return reply
-            # A stale reply to an earlier, resent op: discard.
+        # A stale reply to an earlier, resent op is discarded.
+        return recv_matching(conn, self.timeout,
+                             lambda reply: reply.get("client_seq") == seq)
 
     def _connect(self, window: float):
         """Dial, retrying with backoff for *window* seconds."""
-        deadline = time.monotonic() + window
-        delay = 0.05
-        while True:
+        deadline = clock.Deadline(window)
+        for attempt in itertools.count(1):
             try:
                 return self._dial()
             except (SignalingError, OSError) as exc:
-                if time.monotonic() >= deadline:
+                if deadline.expired:
                     raise SignalingError(
                         f"{self.name!r} unreachable: redial window "
                         f"({window:g}s) exhausted"
                     ) from exc
-                time.sleep(delay)
-                delay = min(delay * 2, 0.5)
+                clock.sleep(_REDIAL.delay(attempt))
 
     @staticmethod
     def _drop(conn):

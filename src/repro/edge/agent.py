@@ -54,10 +54,10 @@ from __future__ import annotations
 import itertools
 import random
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import clock
 from repro.edge import protocol
 from repro.errors import SignalingError
 from repro.service.transport import (
@@ -65,6 +65,7 @@ from repro.service.transport import (
     connect_tcp,
     is_pong,
     ping_frame,
+    recv_matching,
 )
 from repro.traffic.spec import TSpec
 
@@ -190,19 +191,14 @@ class EdgeAgent:
         conn = self._connect()
         try:
             conn.send(protocol.make_hello(self.name))
-            deadline = time.monotonic() + max(self.attempt_timeout, 1.0)
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TransportClosed("no welcome from the gateway")
-                frame = conn.recv(timeout=remaining)
-                if frame is None:
-                    raise TransportClosed("no welcome from the gateway")
-                if frame.get("type") == "welcome":
-                    break
-                # Stale replies from a previous connection's in-flight
-                # operations may arrive first; they are honoured via
-                # the dedup window on retry, so skip them here.
+            # Stale replies from a previous connection's in-flight
+            # operations may arrive first; they are honoured via the
+            # dedup window on retry, so they are skipped here.
+            frame = recv_matching(
+                conn, max(self.attempt_timeout, 1.0),
+                lambda frame: frame.get("type") == "welcome")
+            if frame is None:
+                raise TransportClosed("no welcome from the gateway")
         except TransportClosed:
             try:
                 conn.close()
@@ -291,14 +287,14 @@ class EdgeAgent:
         far are reported in the exception's ``partial`` attribute.
         """
         budget = self.op_budget if budget is None else budget
-        deadline = time.monotonic() + budget
+        deadline = clock.Deadline(budget)
         replies: Dict[str, protocol.Frame] = {}
         with self._rpc_lock:
             self.rpcs += len(builders)
             pending = dict(builders)
             attempt = 0
             while pending:
-                remaining = deadline - time.monotonic()
+                remaining = deadline.remaining()
                 if remaining <= 0:
                     error = AgentTimeout(
                         f"{self.name}: {len(pending)} of "
@@ -331,8 +327,8 @@ class EdgeAgent:
                     attempt += 1
                     if silent:
                         self.retries += 1
-                    self._sleep(max(hint, self._backoff(attempt)),
-                                deadline)
+                    clock.sleep(min(self._backoff(attempt, hint),
+                                    deadline.remaining()))
         return replies
 
     def _collect_replies(self, conn, pending: Dict[str, Any],
@@ -354,9 +350,9 @@ class EdgeAgent:
         """
         waiting = set(pending)
         retry_after = 0.0
-        deadline = time.monotonic() + timeout
+        deadline = clock.Deadline(timeout)
         while waiting:
-            remaining = deadline - time.monotonic()
+            remaining = deadline.remaining()
             if remaining <= 0:
                 break
             frame = conn.recv(timeout=remaining)
@@ -367,7 +363,7 @@ class EdgeAgent:
             idem = frame.get("idem")
             if idem not in waiting:
                 continue  # stale reply to a finished or earlier attempt
-            deadline = time.monotonic() + timeout
+            deadline = clock.Deadline(timeout)
             waiting.discard(idem)
             if frame.get("status") == protocol.STATUS_TRY_AGAIN:
                 self.try_agains += 1
@@ -380,14 +376,13 @@ class EdgeAgent:
             replies[idem] = frame
         return bool(waiting), retry_after
 
-    def _backoff(self, attempt: int) -> float:
-        base = min(self.max_backoff,
-                   self.base_backoff * (2 ** (attempt - 1)))
-        return base * (0.5 + self._rng.random() / 2.0)
-
-    @staticmethod
-    def _sleep(duration: float, deadline: float) -> None:
-        time.sleep(max(0.0, min(duration, deadline - time.monotonic())))
+    def _backoff(self, attempt: int, hint: float) -> float:
+        """The wait before round *attempt* + 1: the jittered backoff
+        (read from the current knobs, which tests may set on the
+        instance), but never less than a ``retry_after`` *hint*."""
+        return clock.Backoff(
+            self.base_backoff, self.max_backoff, self._rng,
+        ).delay(attempt, hint)
 
     # ------------------------------------------------------------------
     # operations
@@ -699,15 +694,12 @@ class EdgeAgent:
                 conn = self._ensure_connected()
                 nonce = self._rng.randrange(1 << 30)
                 conn.send(ping_frame(nonce))
-                deadline = time.monotonic() + timeout
-                while True:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return False
-                    frame = conn.recv(timeout=remaining)
-                    if frame is not None and is_pong(frame) and \
-                            frame.get("nonce") == nonce:
-                        return True
+                pong = recv_matching(
+                    conn, timeout,
+                    lambda frame: is_pong(frame)
+                    and frame.get("nonce") == nonce,
+                )
+                return pong is not None
             except TransportClosed:
                 self._drop_connection()
                 return False
@@ -797,7 +789,7 @@ class EdgeAgent:
         self._hb_stop.clear()
 
         def loop() -> None:
-            while not self._hb_stop.wait(interval):
+            while not clock.wait(self._hb_stop, interval):
                 try:
                     self.heartbeat()
                 except Exception:

@@ -53,9 +53,9 @@ not introduce wall time into lease decisions.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro import clock
 from repro.core.admission import (
     AdmissionDecision,
     AdmissionRequest,
@@ -209,8 +209,10 @@ class EdgeGateway:
         self._domain_now = 0.0
         self._listener: Optional[TcpListener] = None
         self._reaper: Optional[threading.Thread] = None
+        #: Set by :meth:`stop`: ends every session and wakes the reaper
+        #: out of its interval.
+        self._stopped = threading.Event()
         self._running = False
-        self._stop_requested = False
         # Frame/outcome counters (lock-free int bumps; snapshot only).
         self.frames_served = 0
         self.duplicates_attached = 0
@@ -244,7 +246,7 @@ class EdgeGateway:
             if self._running:
                 return self
             self._running = True
-            self._stop_requested = False
+            self._stopped.clear()
         if self._listener is not None:
             self._listener.serve(self.serve_connection, name="edge")
         self._reaper = threading.Thread(
@@ -266,18 +268,14 @@ class EdgeGateway:
         Returns ``False`` if *timeout* elapsed with work still
         pending (the caller may still :meth:`stop`; undelivered
         replies are covered by the agents' idempotent retries)."""
-        deadline = time.monotonic() + timeout
-        while True:
+        def drained() -> bool:
             with self._lock:
-                busy = bool(self._inflight) or any(
+                return not self._inflight and not any(
                     session.outbox or session.flushing
                     for session in self._sessions.values()
                 )
-            if not busy:
-                return True
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(0.01)
+
+        return clock.poll(drained, timeout, 0.01)
 
     def stop(self) -> None:
         """Drain the listener — every TCP session ends and its thread
@@ -285,7 +283,7 @@ class EdgeGateway:
         and join the reaper."""
         with self._lock:
             self._running = False
-            self._stop_requested = True
+            self._stopped.set()
             sessions = list(self._sessions.values())
             self._sessions.clear()
         if self._listener is not None:
@@ -324,7 +322,7 @@ class EdgeGateway:
 
         try:
             serve_frames(conn, handle,
-                         stopping=lambda: self._stop_requested)
+                         stopping=self._stopped.is_set)
         finally:
             if agent and agent != _BYE:
                 with self._lock:
@@ -790,10 +788,7 @@ class EdgeGateway:
         return gone
 
     def _reap_loop(self) -> None:
-        while self._running:
-            time.sleep(self.reap_interval)
-            if not self._running:
-                return
+        while not clock.wait(self._stopped, self.reap_interval):
             try:
                 self.reap()
             except StateError:

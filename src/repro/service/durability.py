@@ -78,12 +78,25 @@ __all__ = [
 #: ``(length, crc32)`` header prepended to every record.
 _HEADER = struct.Struct(">II")
 
-#: The record encoder, built once: ``json.dumps(obj, separators=...)``
-#: constructs a fresh encoder on every call.  Same bytes: record
-#: payloads are plain JSON trees, never self-referencing, so the
-#: circular-reference walk is skipped.
-_encode = json.JSONEncoder(separators=(",", ":"),
-                           check_circular=False).encode
+
+def _record_encoder() -> Callable[[Dict[str, Any]], str]:
+    """``json.dumps(obj, separators=(",", ":"))`` with the C encoder
+    built once (``JSONEncoder.encode`` builds one per call).  Records
+    are plain JSON trees, so the circular-reference walk is skipped.
+    Without the C accelerator the pure-Python encoder serves."""
+    encoder = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return encoder.encode
+    chunks = make(
+        None, encoder.default, json.encoder.encode_basestring_ascii,
+        None, encoder.key_separator, encoder.item_separator,
+        encoder.sort_keys, encoder.skipkeys, encoder.allow_nan,
+    )
+    return lambda record: "".join(chunks(record, 0))
+
+
+_encode = _record_encoder()
 
 #: Default segment-rotation threshold.
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024

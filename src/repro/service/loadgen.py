@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import clock
 from repro.core.broker import BandwidthBroker
 from repro.service.runtime import BrokerService, ServiceReply
 from repro.service.stats import ServiceStats
@@ -191,10 +191,10 @@ def run_closed_loop(
     for thread in threads:
         thread.start()
     barrier.wait()
-    started = time.monotonic()
+    started = clock.now()
     for thread in threads:
         thread.join()
-    duration = time.monotonic() - started
+    duration = clock.now() - started
 
     report = LoadReport(
         clients=clients,

@@ -60,7 +60,6 @@ so its write set is not path-local.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import (
@@ -74,6 +73,7 @@ from typing import (
     Tuple,
 )
 
+from repro import clock
 from repro.core.admission import AdmissionDecision, RejectionReason
 from repro.core.broker import BandwidthBroker
 from repro.core.journal import KINDS, Replay, request_payload
@@ -447,7 +447,7 @@ class BrokerService:
             if request.timeout is not None
             else self.default_timeout
         )
-        submitted_at = time.monotonic()
+        submitted_at = clock.now()
         deadline = submitted_at + timeout if timeout is not None else None
         pending = PendingReply(submitted_at, deadline)
         with self._cond:
@@ -712,7 +712,7 @@ class BrokerService:
         live: List[_Job] = []
         for job in jobs:
             deadline = job.pending.deadline
-            if deadline is not None and time.monotonic() > deadline:
+            if deadline is not None and clock.now() > deadline:
                 self._recorder.on_expired(self._elapsed(job))
                 self._finish(job, EXPIRED, self._try_again(
                     job.request, "deadline passed while queued"
@@ -788,7 +788,7 @@ class BrokerService:
                     # One coalesced edge-programming round-trip per
                     # batch, with the shard locks held: the
                     # reservation is durable only once the edge acks.
-                    time.sleep(self.edge_rtt)
+                    clock.sleep(self.edge_rtt)
         except Exception as exc:
             for job in jobs:
                 self._recorder.on_error(self._elapsed(job))
@@ -840,7 +840,7 @@ class BrokerService:
                         payload["lease"] = lease
                     self.record("terminate", payload)
                     if self.edge_rtt > 0:
-                        time.sleep(self.edge_rtt)
+                        clock.sleep(self.edge_rtt)
             except Exception as exc:
                 self._recorder.on_error(self._elapsed(job))
                 self._finish(job, ERROR, None, detail=str(exc))
@@ -1005,7 +1005,7 @@ class BrokerService:
 
     @staticmethod
     def _elapsed(job: _Job) -> float:
-        return time.monotonic() - job.pending.enqueued_at
+        return clock.now() - job.pending.enqueued_at
 
     @staticmethod
     def _try_again(request: ServiceRequest, detail: str

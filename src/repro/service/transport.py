@@ -65,13 +65,13 @@ import select
 import socket
 import struct
 import threading
-import time
 import traceback
 from collections import deque
 from typing import (
     Any, BinaryIO, Callable, Deque, Dict, Iterable, Optional, Tuple,
 )
 
+from repro import clock
 from repro.errors import SignalingError
 from repro.service.wire import (
     CODEC_BINARY,
@@ -88,6 +88,7 @@ __all__ = [
     "TcpListener",
     "connect_tcp",
     "serve_frames",
+    "recv_matching",
     "PING",
     "PONG",
     "ping_frame",
@@ -143,6 +144,17 @@ def is_pong(frame: Frame) -> bool:
     return frame.get("type") == PONG
 
 
+def recv_matching(conn, timeout: float,
+                  match: Callable[[Frame], bool]) -> Optional[Frame]:
+    """The first frame *match* accepts within *timeout* seconds, or
+    ``None`` once the time is up; frames it rejects are dropped."""
+    deadline = clock.Deadline(timeout)
+    while True:
+        frame = conn.recv(timeout=deadline.remaining())
+        if frame is None or match(frame):
+            return frame
+
+
 def serve_frames(conn, handle: Callable[[Frame], bool], *,
                  stopping: Callable[[], bool]) -> None:
     """Serve *conn* until it closes — the one per-connection frame loop.
@@ -196,9 +208,7 @@ class _Mailbox:
             self._cond.notify_all()
 
     def get(self, timeout: Optional[float]) -> Optional[Frame]:
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
+        deadline = clock.Deadline(timeout) if timeout is not None else None
         with self._cond:
             while True:
                 if self._frames:
@@ -208,10 +218,10 @@ class _Mailbox:
                 if deadline is None:
                     self._cond.wait()
                 else:
-                    remaining = deadline - time.monotonic()
+                    remaining = deadline.remaining()
                     if remaining <= 0:
                         return None
-                    self._cond.wait(remaining)
+                    clock.wait(self._cond, remaining)
 
     def close(self) -> None:
         with self._cond:
@@ -340,9 +350,7 @@ class TcpConnection:
 
     def recv(self, timeout: Optional[float] = None) -> Optional[Frame]:
         """Next frame; ``None`` on timeout (partial reads buffered)."""
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
+        deadline = clock.Deadline(timeout) if timeout is not None else None
         with self._recv_lock:
             while True:
                 frame = self._parse_buffered()
@@ -352,7 +360,7 @@ class TcpConnection:
                     raise TransportClosed("connection is closed")
                 remaining: Optional[float] = None
                 if deadline is not None:
-                    remaining = deadline - time.monotonic()
+                    remaining = deadline.remaining()
                     if remaining <= 0:
                         return None
                 # select()-based wait: the socket's own blocking mode
@@ -598,10 +606,10 @@ class TcpListener:
             live = list(self._live.items())
             for conn, _ in live:
                 conn._shutdown(socket.SHUT_RD)
-        deadline = time.monotonic() + DRAIN_TIMEOUT
+        deadline = clock.Deadline(DRAIN_TIMEOUT)
         for _, thread in live:
             if thread is not threading.current_thread():
-                thread.join(max(0.0, deadline - time.monotonic()))
+                thread.join(deadline.remaining())
 
 
 def connect_tcp(host: str, port: int, *,

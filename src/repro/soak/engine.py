@@ -33,12 +33,12 @@ from __future__ import annotations
 import os
 import random
 import threading
-import time
 import zlib
 from http.client import HTTPException
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro import clock
 from repro.soak.audit import (
     AuditReport,
     audit_proc_cluster,
@@ -158,6 +158,12 @@ class _FlowBook:
         self.paths: Dict[str, int] = {}
         #: flow -> (op, idem key, now) awaiting post-chaos reconcile.
         self.unresolved: Dict[str, Tuple[str, str, float]] = {}
+
+
+#: Waits between the attempts of one retry cycle: 0.05 s doubling to
+#: 0.5 s, no jitter; a 429's ``retry_after`` stretches a wait, up to
+#: the cap.
+_RETRY = clock.Backoff(0.05, 0.5)
 
 
 class _Driver(threading.Thread):
@@ -352,7 +358,7 @@ class _Driver(threading.Thread):
         breaker = self._breakers.setdefault(
             event.path % len(engine.paths), [0, 0.0])
         if breaker[0] >= self.BREAKER_THRESHOLD:
-            if time.monotonic() - breaker[1] < self.BREAKER_PROBE_INTERVAL:
+            if clock.now() - breaker[1] < self.BREAKER_PROBE_INTERVAL:
                 self.count("breaker_fast_fail")
                 return None
             try:
@@ -360,43 +366,43 @@ class _Driver(threading.Thread):
             except (OSError, HTTPException):
                 self.count("transport_errors")
                 self.count("breaker_fast_fail")
-                breaker[1] = time.monotonic()
+                breaker[1] = clock.now()
                 return None
             if reply.status in (502, 504):
                 self.count("upstream_errors")
                 self.count("breaker_fast_fail")
-                breaker[1] = time.monotonic()
+                breaker[1] = clock.now()
                 return None
             breaker[0] = 0  # healed: full retry cycles again
             if reply.status != 429:
                 return reply
             self.count("backpressured")
-            time.sleep(min(max(reply.retry_after, 0.05), 0.5))
-        backoff = 0.05
-        for attempt in range(engine.config.op_attempts):
+            clock.sleep(min(_RETRY.delay(1, reply.retry_after), _RETRY.cap))
+        backpressured = False
+        for attempt in range(1, engine.config.op_attempts + 1):
+            hint = 0.0
             try:
                 reply = send()
             except (OSError, HTTPException):
                 self.count("transport_errors")
-                time.sleep(backoff)
-                backoff = min(backoff * 2, 0.5)
-                continue
-            if reply.status == 429:
-                self.count("backpressured")
-                time.sleep(min(max(reply.retry_after, backoff), 0.5))
-                backoff = min(backoff * 2, 0.5)
-                continue
-            if reply.status in (502, 504):
-                self.count("upstream_errors")
-                time.sleep(backoff)
-                backoff = min(backoff * 2, 0.5)
-                continue
-            if attempt:
-                self.count("retried_ok")
-            breaker[0] = 0
-            return reply
-        breaker[0] += 1
-        breaker[1] = time.monotonic()
+            else:
+                if reply.status == 429:
+                    self.count("backpressured")
+                    backpressured = True
+                    hint = reply.retry_after
+                elif reply.status in (502, 504):
+                    self.count("upstream_errors")
+                else:
+                    if attempt > 1:
+                        self.count("retried_ok")
+                    breaker[0] = 0
+                    return reply
+            clock.sleep(min(_RETRY.delay(attempt, hint), _RETRY.cap))
+        if backpressured:
+            breaker[0] = 0  # the path answered: busy, not down
+        else:
+            breaker[0] += 1
+            breaker[1] = clock.now()
         return None
 
 
@@ -533,7 +539,7 @@ def run_soak(
             agents,
             mib_view=lambda: {"links": cluster.link_loads()},
         )
-        started = time.monotonic()
+        started = clock.now()
         try:
             with ControlPlaneServer(app) as server:
                 engine.host, engine.port = server.host, server.port
@@ -553,7 +559,7 @@ def run_soak(
                 for driver in drivers:
                     if driver.error is not None:
                         raise driver.error
-                elapsed = time.monotonic() - started
+                elapsed = clock.now() - started
 
                 say("healing residual chaos + reconciling stuck flows")
                 engine.chaos_log.heal_all()
@@ -634,7 +640,7 @@ def _drain_unresolved(cluster, now: float, say) -> None:
             f"{sorted(pending)}")
         for shard in sorted(pending):
             coordinator.reconcile_shard(shard, now=now)
-        time.sleep(0.1)
+        clock.sleep(0.1)
     remaining = coordinator.unresolved()
     if remaining:
         say(f"unresolved ops remain after drain: {remaining}")
@@ -661,11 +667,11 @@ def _reconcile_and_sweep(
             try:
                 reply = call()
             except (OSError, HTTPException):
-                time.sleep(0.1)
+                clock.sleep(0.1)
                 continue
             if reply.status not in (429, 502, 504):
                 break
-            time.sleep(min(max(reply.retry_after, 0.1), 0.5))
+            clock.sleep(min(max(reply.retry_after, 0.1), 0.5))
         return reply
 
     try:

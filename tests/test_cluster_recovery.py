@@ -18,10 +18,14 @@ and promotion of a shard directory.
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import os
+import threading
 
 import pytest
 
+from repro import clock
 from repro.cluster import (
     ClusterCoordinator,
     PartitionMap,
@@ -29,6 +33,7 @@ from repro.cluster import (
     recover_shard,
 )
 from repro.cluster.partition import link_id_str
+from repro.cluster.procs import _journal_failed, _serve_until_stopped
 from repro.cluster.shard import BrokerShard
 from repro.core.broker import BandwidthBroker
 from repro.errors import StateError
@@ -479,6 +484,59 @@ class TestShardDirectory:
         assert report.txns["tx-2"]["state"] == "aborted"
         link = report.broker.node_mib.link("a", "b")
         assert "txn:tx-1" in link.reservation_keys()
+
+
+class TestFailedJournal:
+    def test_shard_process_stops_serving_once_its_journal_failed(
+            self, tmp_path, monkeypatch):
+        """A journal whose ``fsync`` failed refuses every later record,
+        so the shard would fail each op (answered ``error`` on the
+        wire) for good.  The
+        shard process's wait loop ends unasked (its main then exits 1
+        and the supervisor restarts it from what is on disk); a
+        healthy shard keeps waiting for SIGTERM."""
+        from repro.service import durability
+
+        pmap = PartitionMap(["s0"])
+        wal = FileJournal(str(tmp_path), fsync=True)
+        shard = BrokerShard("s0", _single_link_broker(), pmap,
+                            wal=wal).start()
+        stop = threading.Event()
+
+        def prepare(txid):
+            return shard.prepare({
+                "txid": txid, "flow_id": f"f-{txid}",
+                "links": [["a", "b"]], "spec": SPEC.to_dict(),
+                "delay_requirement": D_REQ, "mode": "fixed",
+                "rate": SPEC.rho, "delay": 0.0, "now": 0.0,
+                **pmap.stamp(),
+            })
+
+        def broken_fsync(fd):
+            raise OSError(errno.EIO, "injected EIO")
+
+        try:
+            assert prepare("tx-1")["status"] == "prepared"
+            with clock.use(clock.FakeClock()) as fake:
+                # Healthy: polls every 0.2 s until told otherwise.
+                polls = []
+                assert _serve_until_stopped(
+                    stop, lambda: polls.append(1) or len(polls) == 6,
+                ) is False
+                assert fake.slept == [0.2] * 6
+                assert not _journal_failed(shard)
+                with monkeypatch.context() as patch:
+                    patch.setattr(durability.os, "fsync", broken_fsync)
+                    with pytest.raises(StateError, match="EIO"):
+                        prepare("tx-2")
+                assert _journal_failed(shard)
+                assert _serve_until_stopped(
+                    stop, lambda: _journal_failed(shard)) is False
+                with pytest.raises(StateError, match="journal failed"):
+                    prepare("tx-3")
+        finally:
+            with contextlib.suppress(StateError):
+                shard.stop(close_wal=False)
 
 
 def _single_link_broker() -> BandwidthBroker:

@@ -445,6 +445,21 @@ class TestReaping:
         other.close()
 
 
+    def test_stop_wakes_the_reaper_out_of_its_interval(self, broker):
+        """``stop`` wakes the background reaper at once, so a long
+        ``reap_interval`` never holds up a shutdown (nor leaks the
+        thread past the join)."""
+        import time
+
+        with BrokerService(broker, workers=1, shards=2) as service:
+            gateway = EdgeGateway(service, reap_interval=30.0).start()
+            reaper = gateway._reaper
+            began = time.monotonic()
+            gateway.stop()
+            assert time.monotonic() - began < 2.0
+            assert not reaper.is_alive()
+
+
 class TestFeedback:
     def test_feedback_releases_contingency_end_to_end(self, stack,
                                                       broker):

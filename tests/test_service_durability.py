@@ -24,7 +24,7 @@ import pytest
 
 from repro.core.aggregate import ServiceClass
 from repro.core.broker import BandwidthBroker
-from repro.core.journal import JournalEntry
+from repro.core.journal import KINDS, JournalEntry, request_payload
 from repro.core.persistence import CHECKPOINT_VERSION, checkpoint_broker
 from repro.errors import StateError
 from repro.service import (
@@ -305,6 +305,60 @@ class TestFileJournal:
         assert len(calls) == 1
         with pytest.raises(StateError, match="journal failed"):
             wal.close()
+
+
+#: One record payload per journal kind: floats, a non-ASCII flow id,
+#: nested lists and the edge lease field.
+_LEASE = {"agent": "edge-\u00e9", "duration": 30.0}
+KIND_PAYLOADS = {
+    "request": request_payload(
+        "fl\u00f6w-\u2603", SPEC, 2.44, "I1", "E1",
+        path_nodes=["I1", "S1", "E1"], now=0.1 + 0.2, lease=_LEASE),
+    "terminate": {"flow_id": "fl\u00f6w-\u2603", "now": 1e-7,
+                  "lease": _LEASE},
+    "advance": {"now": 12345.678901234567},
+    "feedback": {"macroflow_key": "I1->E1/gold", "now": 2.5},
+    "resize": {"macroflow_key": "I1->E1/gold", "rate": 1.0 / 3.0,
+               "mode": "shrink", "now": 3.0},
+    "lease": {"event": "expire", "flow_id": "f1", "agent": "edge-1",
+              "duration": 30.0, "now": 4.0},
+    "cprepare": {"txid": "tx-1", "flow_id": "f1",
+                 "links": [["a", "b"], ["b", "c"]],
+                 "spec": SPEC.to_dict(), "delay_requirement": 2.44,
+                 "mode": "fixed", "rate": 50000.0, "delay": 0.0,
+                 "now": 5.0, "epoch": 0, "shards": 2},
+    "ccommit": {"txid": "tx-1", "flow_id": "f1", "now": 6.0},
+    "cabort": {"txid": "tx-2", "now": 6.5},
+    "crelease": {"flow_id": "f1"},
+    "cbegin": {"txid": "tx-3", "flow_id": "f3",
+               "shards": ["s0", "s1"], "path_nodes": ["a", "b", "c"],
+               "segments": [[["a", "b"]], [["b", "c"]]], "now": 7.0},
+    "cdecide": {"txid": "tx-3", "outcome": "commit"},
+    "cdone": {"txid": "tx-3"},
+    "clocal": {"flow_id": "f4", "shard": "s1"},
+    "cteardown": {"flow_id": "f4"},
+}
+
+
+class TestRecordEncoder:
+    def test_one_payload_for_every_kind(self):
+        assert set(KIND_PAYLOADS) == set(KINDS)
+
+    @pytest.mark.parametrize("c_encoder", [True, False],
+                             ids=["prebuilt", "fallback"])
+    def test_bytes_equal_json_dumps(self, c_encoder, monkeypatch):
+        """The prebuilt C encoder (and the pure-Python one an
+        interpreter without the accelerator falls back to) write the
+        same bytes as ``json.dumps`` with compact separators."""
+        from repro.service import durability
+
+        if not c_encoder:
+            monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        encode = durability._record_encoder()
+        for seq, (kind, payload) in enumerate(KIND_PAYLOADS.items()):
+            record = JournalEntry(seq, kind, payload).to_dict()
+            assert encode(record) == \
+                json.dumps(record, separators=(",", ":")), kind
 
 
 class _GatedFsync:
